@@ -41,6 +41,9 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_GUARD = 2
 
+SCS_MODE_CHOICES = tuple(mode.value for mode in ScsMode)
+FORMAT_CHOICES = ("json", "csv", "text")
+
 
 def _setup_logging() -> None:
     level_name = os.environ.get("TFEA_LOG", "WARNING").upper()
@@ -55,11 +58,11 @@ def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--pred", required=True, help="predicted corpus JSON")
     parser.add_argument("--schema", required=True, help="schema JSON")
     parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--format", choices=("json", "csv", "text"), default=None)
-    parser.add_argument("--scs-mode", choices=("geometric", "absolute"), default=None)
+    parser.add_argument("--format", choices=FORMAT_CHOICES, default=None)
+    parser.add_argument("--scs-mode", choices=SCS_MODE_CHOICES, default=None)
     parser.add_argument("--case-sensitive", action="store_true", default=None)
     parser.add_argument("--max-matchings", type=int, default=None,
-                        help="cap on enumerated template matchings per document")
+                        help="cap on the closed-form matching count; larger documents go to --on-guard")
     parser.add_argument("--on-guard", choices=ON_GUARD_CHOICES, default=None)
     parser.add_argument("--parallel", type=int, default=None, help="worker processes")
     parser.add_argument("--label", default=None, help="system label echoed in the report")
@@ -88,20 +91,41 @@ def _resolve_settings(args: argparse.Namespace) -> tuple[AnalysisConfig, dict]:
             return flag_value
         return file_cfg.get(key, default)
 
+    def pick_int(flag_value, key, default, minimum):
+        value = pick(flag_value, key, default)
+        source = "command line" if flag_value is not None else args.config
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ParseError(source, f"must be an integer, got {value!r}", key)
+        if value < minimum:
+            raise ParseError(source, f"must be at least {minimum}, got {value}", key)
+        return value
+
+    def pick_choice(flag_value, key, default, choices):
+        value = pick(flag_value, key, default)
+        if value not in choices:
+            raise ParseError(args.config, f"must be one of {', '.join(choices)}, got {value!r}", key)
+        return value
+
+    case_sensitive = pick(args.case_sensitive, "case_sensitive", False)
+    if not isinstance(case_sensitive, bool):
+        raise ParseError(args.config, f"must be true or false, got {case_sensitive!r}", "case_sensitive")
+
     config = AnalysisConfig(
-        scs_mode=ScsMode(pick(args.scs_mode, "scs_mode", ScsMode.GEOMETRIC.value)),
-        case_sensitive=bool(pick(args.case_sensitive, "case_sensitive", False)),
-        max_template_matchings=int(
-            pick(args.max_matchings, "max_matchings", AnalysisConfig.max_template_matchings)
+        scs_mode=ScsMode(
+            pick_choice(args.scs_mode, "scs_mode", ScsMode.GEOMETRIC.value, SCS_MODE_CHOICES)
         ),
-        max_mention_matchings=int(
-            file_cfg.get("max_mention_matchings", AnalysisConfig.max_mention_matchings)
+        case_sensitive=case_sensitive,
+        max_template_matchings=pick_int(
+            args.max_matchings, "max_matchings", AnalysisConfig.max_template_matchings, 0
         ),
-        on_guard=pick(args.on_guard, "on_guard", "skip"),
+        max_mention_matchings=pick_int(
+            None, "max_mention_matchings", AnalysisConfig.max_mention_matchings, 0
+        ),
+        on_guard=pick_choice(args.on_guard, "on_guard", "skip", ON_GUARD_CHOICES),
     )
     extras = {
-        "parallel": int(pick(args.parallel, "parallel", 1)),
-        "format": pick(args.format, "format", "json"),
+        "parallel": pick_int(args.parallel, "parallel", 1, 1),
+        "format": pick_choice(args.format, "format", "json", FORMAT_CHOICES),
         "label": pick(args.label, "label", None),
     }
     return config, extras
@@ -145,12 +169,18 @@ def _cmd_inject(args: argparse.Namespace) -> int:
             raw = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(args.spec, f"cannot read injection spec: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ParseError(args.spec, "injection spec must be a JSON object")
     raw_counts = raw["counts"] if "counts" in raw else {k: v for k, v in raw.items() if k != "seed"}
+    if not isinstance(raw_counts, dict):
+        raise ParseError(args.spec, "counts must be a JSON object", "counts")
     try:
         counts = {ErrorType(name): int(k) for name, k in raw_counts.items()}
-    except ValueError as exc:
-        raise ParseError(args.spec, f"unknown error type in spec: {exc}") from exc
-    seed = args.seed if args.seed is not None else int(raw.get("seed", 0))
+    except (TypeError, ValueError) as exc:
+        raise ParseError(args.spec, f"invalid counts entry: {exc}", "counts") from exc
+    seed = args.seed if args.seed is not None else raw.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ParseError(args.spec, f"must be an integer, got {seed!r}", "seed")
     result = inject_errors(documents, schema, InjectionSpec(counts=counts), seed=seed)
     dump_side(result.documents, args.out, gold=False)
     ledger = errors_section(result.ledger, schema, result.per_doc)

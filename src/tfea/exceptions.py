@@ -32,7 +32,12 @@ class SchemaMismatch(TfeaError):
 
 
 class ComplexityGuardExceeded(TfeaError):
-    """Exhaustive matching would enumerate more candidates than the cap allows."""
+    """A document is over a matching size cap.
+
+    For templates the cap is on the closed-form matching count, a size
+    guard kept while the greedy fallback exists; for one role's mention
+    pairings it bounds an enumeration.
+    """
 
     def __init__(self, doc_id: str, what: str, count: int, cap: int):
         self.doc_id = doc_id

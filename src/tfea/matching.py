@@ -1,9 +1,11 @@
 """Optimal template and mention matching.
 
-For each document, every injective partial pairing of predicted to gold
-templates is enumerated and scored by exact-match F1; within a template
-pair, every role is paired independently. Ties on F1 are broken by the
-fewest implied errors, then by the lexicographically smallest pair list.
+For each document, the injective partial pairing of predicted to gold
+templates with the best exact-match F1 is found by a rectangular
+linear-assignment solve (Hungarian method), polynomial in the template
+counts; within a template pair, every role is paired independently. Ties
+on F1 are broken by the fewest implied errors, then by the
+lexicographically smallest pair list.
 
 Denominators are fixed per document (each predicted filler adds one to
 the precision denominator, each gold entity or set-fill value adds one
@@ -388,12 +390,152 @@ def _assemble(
     )
 
 
-def find_optimal_matching(doc: Document, schema: Schema, config: AnalysisConfig | None = None) -> TemplateMatching:
-    """Exhaustively search for the F1-optimal matching of one document.
+def _min_cost_assignment(cost: list[list[int | None]]) -> tuple[list[int], list[int], list[int]]:
+    """Hungarian method on a square integer matrix; ``None`` cells are forbidden.
 
-    Raises ComplexityGuardExceeded before doing factorial work when the
-    closed-form matching count (or any role's pairing count) exceeds the
-    configured caps.
+    Kuhn's method in its O(n³) shortest-augmenting-path form with row
+    and column potentials (Jonker–Volgenant; Crouse 2016, doi:10.1109/
+    TAES.2016.140952). Returns ``row_of`` (the row
+    assigned to each column) and the optimal duals ``u`` and ``v``, which
+    satisfy ``u[r] + v[c] <= cost[r][c]`` on every allowed cell with
+    equality on the assignment. The caller must ensure a perfect
+    assignment over allowed cells exists.
+    """
+    n = len(cost)
+    u = [0] * n
+    v = [0] * (n + 1)
+    row_of = [-1] * (n + 1)  # column n is the sentinel the new row starts from
+    for row in range(n):
+        row_of[n] = row
+        col = n
+        min_slack = [math.inf] * (n + 1)
+        way = [n] * (n + 1)
+        used = [False] * (n + 1)
+        while row_of[col] != -1:
+            used[col] = True
+            r = row_of[col]
+            delta, next_col = math.inf, n
+            for c in range(n):
+                if used[c]:
+                    continue
+                w = cost[r][c]
+                if w is not None and w - u[r] - v[c] < min_slack[c]:
+                    min_slack[c] = w - u[r] - v[c]
+                    way[c] = col
+                if min_slack[c] < delta:
+                    delta, next_col = min_slack[c], c
+            for c in range(n + 1):
+                if used[c]:
+                    u[row_of[c]] += delta
+                    v[c] -= delta
+                else:
+                    min_slack[c] -= delta
+            col = next_col
+        while col != n:
+            row_of[col] = row_of[way[col]]
+            col = way[col]
+    return row_of[:n], u, v[:n]
+
+
+def _optimal_assignment(
+    pred_count: int, gold_count: int, cache: dict[tuple[int, int], _PairScore]
+) -> tuple[tuple[int, int], ...]:
+    """The pair tuple minimizing ``(-Σ numerator, Σ errors + P + G - 2|A|, pairs)``.
+
+    Both sums add up over pairs, so one integer cost per pair,
+    ``-numerator·M + (errors - 2)`` with ``M`` above any possible spread
+    of the error term, orders assignments by the first two keys. Padding
+    to a (P+G)-square matrix lets every pred row take its own dummy
+    column and every gold-dummy row take its gold column or any dummy
+    column, all at cost 0, so leaving a template unmatched is free.
+
+    The optimal assignments are exactly the perfect matchings on the
+    cells that are tight under the optimal duals. The lexicographic
+    tie-break walks the preds in order: stop once the fixed pairs already
+    reach the optimum (the shortest tuple is the smallest), else fix the
+    smallest gold that an alternating cycle of tight cells can reroute
+    the current assignment onto, else leave the pred unmatched.
+    """
+    size = pred_count + gold_count
+    big = 2 * sum(abs(score.errors - 2) for score in cache.values()) + 1
+    cost: list[list[int | None]] = [
+        [-cache[p, g].numerator * big + cache[p, g].errors - 2 for g in range(gold_count)]
+        + [0 if j == p else None for j in range(pred_count)]
+        for p in range(pred_count)
+    ] + [
+        [0 if j == g else None for j in range(gold_count)] + [0] * pred_count
+        for g in range(gold_count)
+    ]
+    row_of, u, v = _min_cost_assignment(cost)
+    col_of = [0] * size
+    for c, r in enumerate(row_of):
+        col_of[r] = c
+    optimum = sum(cost[r][col_of[r]] for r in range(size))
+    tight = [
+        [c for c, w in enumerate(cost[r]) if w is not None and u[r] + v[c] == w]
+        for r in range(size)
+    ]
+    fixed = [False] * size  # columns taken by decided preds
+    chosen: list[tuple[int, int]] = []
+    reached = 0
+    for p in range(pred_count):
+        if reached == optimum:
+            break
+        for g in tight[p]:
+            if g >= gold_count or fixed[g]:
+                continue
+            if g == col_of[p] or _reroute(p, g, tight, row_of, col_of, fixed):
+                chosen.append((p, g))
+                reached += cost[p][g]
+                break
+        fixed[col_of[p]] = True
+    return tuple(chosen)
+
+
+def _reroute(
+    pred: int,
+    gold: int,
+    tight: list[list[int]],
+    row_of: list[int],
+    col_of: list[int],
+    fixed: list[bool],
+) -> bool:
+    """Move ``pred`` onto ``gold`` along an alternating cycle of tight cells.
+
+    Searches from the row now holding ``gold`` for a path that ends at
+    the column ``pred`` gives up; on success every row on it shifts one
+    column along, which keeps the assignment optimal.
+    """
+    target = col_of[pred]
+    parent = {gold: gold}
+    frontier = [gold]
+    for col in frontier:
+        for nxt in tight[row_of[col]]:
+            if fixed[nxt] or nxt in parent:
+                continue
+            parent[nxt] = col
+            if nxt == target:
+                while nxt != gold:
+                    prev = parent[nxt]
+                    row_of[nxt] = row_of[prev]
+                    col_of[row_of[nxt]] = nxt
+                    nxt = prev
+                row_of[gold] = pred
+                col_of[pred] = gold
+                return True
+            frontier.append(nxt)
+    return False
+
+
+def find_optimal_matching(doc: Document, schema: Schema, config: AnalysisConfig | None = None) -> TemplateMatching:
+    """The F1-optimal matching of one document, by an exact assignment solve.
+
+    Maximizes the exact-match numerator, then minimizes the implied
+    errors, then takes the lexicographically smallest pair tuple; the
+    search is polynomial in the template counts. Raises
+    ComplexityGuardExceeded before scoring any pair when the closed-form
+    matching count (or, while scoring, any role's pairing count) exceeds
+    the configured caps.
     """
     config = config or AnalysisConfig()
     pred_count = len(doc.predicted_templates)
@@ -408,20 +550,8 @@ def find_optimal_matching(doc: Document, schema: Schema, config: AnalysisConfig 
         for p in range(pred_count)
         for g in range(gold_count)
     }
-    best_key = None
-    best: tuple[tuple[int, int], ...] = ()
-    for assignment in iter_template_matchings(pred_count, gold_count):
-        numerator = sum(cache[pair].numerator for pair in assignment)
-        errors = (
-            sum(cache[pair].errors for pair in assignment)
-            + (pred_count - len(assignment))
-            + (gold_count - len(assignment))
-        )
-        key = (-numerator, errors, assignment)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = assignment
-    error_tally = best_key[1] if best_key is not None else 0
+    best = _optimal_assignment(pred_count, gold_count, cache)
+    error_tally = sum(cache[pair].errors - 2 for pair in best) + pred_count + gold_count
     return _assemble(doc, schema, best, cache, error_tally, approximate=False)
 
 

@@ -198,14 +198,56 @@ def load_report(path: str) -> dict:
         raise ParseError(path, f"cannot read report: {exc}") from exc
 
 
+def _is_numbers(table, fields: tuple[str, ...] = ()) -> bool:
+    """A JSON object whose values are all numbers and that has ``fields``."""
+    return (
+        isinstance(table, dict)
+        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in table.values())
+        and all(name in table for name in fields)
+    )
+
+
+def _compared_names(report) -> tuple | None:
+    """The role names and (if present) the error names a comparison reads.
+
+    None when ``report`` is not a report: a section the comparison reads
+    is missing or holds something other than numbers.
+    """
+    scores = report.get("scores") if isinstance(report, dict) else None
+    per_role = scores.get("per_role") if isinstance(scores, dict) else None
+    if not isinstance(per_role, dict) or not all(
+        _is_numbers(triple, ("p", "r", "f1")) for triple in (scores.get("overall"), *per_role.values())
+    ):
+        return None
+    if "errors" not in report:
+        return set(per_role), None
+    errors = report["errors"]
+    if not (
+        isinstance(errors, dict)
+        and "per_role" in errors
+        and _is_numbers(errors.get("per_type"))
+        and _is_numbers(errors.get("side_tallies"))
+    ):
+        return None
+    return set(per_role), (set(errors["per_type"]), set(errors["side_tallies"]))
+
+
 def compare_reports(reports: list[dict]) -> dict:
     """Side-by-side counts and scores, with deltas against the first report."""
     if len(reports) < 2:
         raise IncompatibleReports("need at least two reports to compare")
+    names = [_compared_names(r) for r in reports]
+    for position, entry in enumerate(names, 1):
+        if entry is None:
+            raise IncompatibleReports(f"input {position} is not a {TOOL_NAME} report")
     schemas = [r.get("schema") for r in reports]
     if any(s != schemas[0] for s in schemas[1:]):
         raise IncompatibleReports("reports were produced against different schemas")
-    with_errors = all("errors" in r for r in reports)
+    if any(roles != names[0][0] for roles, _ in names):
+        raise IncompatibleReports("reports score different roles")
+    with_errors = all(errors is not None for _, errors in names)
+    if with_errors and any(errors != names[0][1] for _, errors in names):
+        raise IncompatibleReports("reports count different error types")
     base = reports[0]
     systems = []
     for report in reports:

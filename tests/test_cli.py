@@ -119,6 +119,49 @@ class TestAnalyze:
         report = json.loads(out.read_text())
         assert report["config"]["scs_mode"] == "geometric"
 
+    @pytest.mark.parametrize(
+        "cfg,flags",
+        [
+            ({"max_matchings": "lots"}, ()),
+            ({"max_mention_matchings": 2.5}, ()),
+            ({"parallel": "4"}, ()),
+            ({"max_matchings": -1}, ()),
+            ({"max_mention_matchings": -1}, ()),
+            ({"parallel": 0}, ()),
+            ({"scs_mode": "fuzzy"}, ()),
+            ({"on_guard": "retry"}, ()),
+            ({"format": "xml"}, ()),
+            ({"case_sensitive": "false"}, ()),
+            ({}, ("--parallel", "-1")),
+            ({}, ("--max-matchings", "-1")),
+        ],
+        ids=[
+            "max_matchings-string",
+            "max_mention_matchings-float",
+            "parallel-string",
+            "max_matchings-negative",
+            "max_mention_matchings-negative",
+            "parallel-zero",
+            "scs_mode-unknown",
+            "on_guard-unknown",
+            "format-unknown",
+            "case_sensitive-string",
+            "flag-parallel-negative",
+            "flag-max-matchings-negative",
+        ],
+    )
+    def test_bad_setting_is_parse_error(self, tmp_path, corpus_files, capsys, cfg, flags):
+        gold, pred, schema = corpus_files
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(cfg))
+        out = tmp_path / "report.json"
+        code = main(_analyze_args(gold, pred, schema, out, "--config", str(config), *flags))
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_parallel_smoke(self, tmp_path, corpus_files):
         gold, pred, schema = corpus_files
         one = tmp_path / "one.json"
@@ -169,6 +212,36 @@ class TestInject:
         assert report["errors"]["per_doc"] == ledger["per_doc"]
 
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            [{"span_error": 1}],
+            {"counts": [["span_error", 1]]},
+            {"counts": {"span_error": None}},
+            {"counts": {"span_error": 1}, "seed": "seven"},
+        ],
+        ids=["list", "counts-list", "count-null", "seed-string"],
+    )
+    def test_wrong_kind_of_spec_is_parse_error(self, tmp_path, corpus_files, capsys, spec):
+        gold, _, schema = corpus_files
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        code = main(
+            [
+                "inject",
+                "--gold", str(gold),
+                "--schema", str(schema),
+                "--spec", str(spec_path),
+                "--out", str(tmp_path / "injected.json"),
+                "--ledger", str(tmp_path / "ledger.json"),
+            ]
+        )
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+
 class TestCompare:
     def _make_report(self, tmp_path, corpus_files, name, *extra):
         gold, pred, schema = corpus_files
@@ -202,6 +275,27 @@ class TestCompare:
         other_path = tmp_path / "other.json"
         other_path.write_text(json.dumps(other))
         assert main(["compare", str(report_path), str(other_path)]) == EXIT_ERROR
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda report: [report],
+            lambda report: {k: v for k, v in report.items() if k != "scores"},
+            lambda report: {**report, "scores": {**report["scores"], "overall": "perfect"}},
+            lambda report: {**report, "scores": {**report["scores"], "per_role": {}}},
+            lambda report: {**report, "errors": []},
+            lambda report: {**report, "errors": {**report["errors"], "per_type": {"span_error": 1}}},
+        ],
+        ids=["list", "no-scores", "overall-not-numbers", "other-roles", "errors-not-object", "other-error-types"],
+    )
+    def test_non_report_is_incompatible(self, tmp_path, corpus_files, capsys, damage):
+        report = self._make_report(tmp_path, corpus_files, "r1.json")
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(damage(json.loads(report.read_text()))))
+        assert main(["compare", str(report), str(other)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_text_format(self, tmp_path, corpus_files):
         r1 = self._make_report(tmp_path, corpus_files, "r1.json", "--label", "a")

@@ -1,5 +1,7 @@
 """Matcher: counting formula, enumeration, optimality, guards, greedy fallback."""
 
+import random
+
 import pytest
 
 from oracles import brute_force_matching_count, naive_best_f1
@@ -8,6 +10,8 @@ from tfea.config import AnalysisConfig
 from tfea.exceptions import ComplexityGuardExceeded
 from tfea.matching import (
     Tally,
+    _optimal_assignment,
+    _PairScore,
     count_template_matchings,
     enumerate_mention_matchings,
     f1_from_tally,
@@ -177,6 +181,61 @@ class TestOptimalMatching:
         with pytest.raises(ComplexityGuardExceeded) as err:
             find_optimal_matching(doc, schema, config)
         assert "big" in str(err.value)
+
+
+def _lex_min_by_enumeration(pred_count, gold_count, cache):
+    return min(
+        (
+            -sum(cache[pair].numerator for pair in assignment),
+            sum(cache[pair].errors for pair in assignment)
+            + pred_count + gold_count - 2 * len(assignment),
+            assignment,
+        )
+        for assignment in iter_template_matchings(pred_count, gold_count)
+    )[2]
+
+
+class TestAssignmentSolver:
+    def test_tie_heavy_tables_match_enumeration(self):
+        """Few distinct scores make many optimal assignments tie on both sums."""
+        rng = random.Random(20221)
+        for _ in range(2500):
+            pred_count, gold_count = rng.randint(0, 5), rng.randint(0, 5)
+            cache = {
+                (p, g): _PairScore(rng.randint(0, 2), rng.randint(0, 6), {}, {})
+                for p in range(pred_count)
+                for g in range(gold_count)
+            }
+            assert _optimal_assignment(pred_count, gold_count, cache) == _lex_min_by_enumeration(
+                pred_count, gold_count, cache
+            ), (pred_count, gold_count, cache)
+
+    def test_twelve_by_twelve_is_solved_exactly(self):
+        """Beyond the reach of enumeration (over 10^11 matchings at 12x12)."""
+        from support import default_schema
+        from tfea.errors import ErrorType
+        from tfea.inject import GenerationParams, InjectionSpec, generate_corpus, inject_errors
+        from tfea.model import resolve_document_spans
+
+        schema = default_schema()
+        gold = generate_corpus(
+            GenerationParams(n_docs=1, templates_per_doc=(12, 12), entities_per_role=(1, 2)), seed=5
+        )
+        spec = InjectionSpec(
+            counts={
+                ErrorType.WRONG_TEMPLATE_FOR_ROLE_FILLER: 2,
+                ErrorType.SPAN_ERROR: 2,
+                ErrorType.SPURIOUS_ROLE_FILLER: 2,
+            }
+        )
+        doc = resolve_document_spans(inject_errors(gold, schema, spec, seed=5).documents[0])
+        assert len(doc.predicted_templates) == len(doc.gold_templates) == 12
+        config = AnalysisConfig(max_template_matchings=10**30)
+        exact = find_optimal_matching(doc, schema, config)
+        greedy = greedy_matching(doc, schema, config)
+        assert exact.approximate is False
+        assert exact.total.numerator >= greedy.total.numerator
+        assert exact.f1 >= greedy.f1
 
 
 class TestGreedy:
