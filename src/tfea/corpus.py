@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import Counter
 from typing import Mapping
 
 from .exceptions import ParseError, SchemaMismatch
@@ -125,6 +126,8 @@ def _template_from_dict(
     index: int,
     casefold: bool,
 ) -> Template:
+    if not isinstance(raw, Mapping):
+        raise ParseError(path, f"template must be an object, got {raw!r}", f"doc '{doc_id}' template {index}")
     fillers: dict = {}
     for role_name, value in raw.items():
         if role_name not in schema:
@@ -175,26 +178,54 @@ def texts_equal_inventory(value: str, inventory_value: str, casefold: bool) -> b
     return normalize(value, casefold) == normalize(inventory_value, casefold)
 
 
+class _RepeatedKeys(dict):
+    """A decoded JSON object that names some of its keys more than once."""
+
+    def __init__(self, pairs: list, repeated: list[str]):
+        super().__init__(pairs)
+        self.repeated = repeated
+
+
+def _decode_object(pairs: list) -> dict:
+    # json.load keeps the last value of a repeated key without a word.
+    decoded = dict(pairs)
+    if len(decoded) == len(pairs):
+        return decoded
+    counts = Counter(key for key, _ in pairs)
+    return _RepeatedKeys(pairs, [key for key in decoded if counts[key] > 1])
+
+
 def load_side(path: str, schema: Schema, gold: bool, casefold: bool = True) -> dict[str, tuple[str, tuple[Template, ...]]]:
     """Load one side (gold or predicted) of a corpus.
 
-    Returns doc id -> (document text, templates).
+    Returns doc id -> (document text, templates). A doc id given twice,
+    a ``doctext`` that is not a string, and ``templates`` that is not a
+    list of objects are parse errors; an absent ``templates`` is empty.
     """
     try:
         with open(path, encoding="utf-8") as handle:
-            raw = json.load(handle)
+            raw = json.load(handle, object_pairs_hook=_decode_object)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(path, f"cannot read corpus: {exc}") from exc
     if not isinstance(raw, Mapping):
         raise ParseError(path, "corpus must be an object keyed by document id")
+    repeated = getattr(raw, "repeated", None)
+    if repeated:
+        raise ParseError(path, "doc id appears more than once", f"doc '{repeated[0]}'")
     side: dict[str, tuple[str, tuple[Template, ...]]] = {}
     for doc_id, entry in raw.items():
+        where = f"doc '{doc_id}'"
         if not isinstance(entry, Mapping) or "doctext" not in entry:
-            raise ParseError(path, "document entry needs 'doctext'", f"doc '{doc_id}'")
+            raise ParseError(path, "document entry needs 'doctext'", where)
         text = entry["doctext"]
+        if not isinstance(text, str):
+            raise ParseError(path, f"'doctext' must be a string, got {text!r}", where)
+        raw_templates = entry.get("templates", [])
+        if not isinstance(raw_templates, list):
+            raise ParseError(path, f"'templates' must be a list, got {raw_templates!r}", where)
         templates = tuple(
             _template_from_dict(t, schema, gold, text, path, doc_id, i, casefold)
-            for i, t in enumerate(entry.get("templates", ()))
+            for i, t in enumerate(raw_templates)
         )
         side[doc_id] = (text, templates)
     return side

@@ -7,6 +7,16 @@ counts; within a template pair, every role is paired independently. Ties
 on F1 are broken by the fewest implied errors, then by the
 lexicographically smallest pair list.
 
+Every pairing question (is this predicted filler an exact or a partial
+match of that gold entity?) is answered by one per-document
+``MatchIndex``. It normalizes each mention text once and records only
+the cells where a predicted mention shares a normalized text with an
+entity or has a span that intersects one of the entity's spans; the
+rest, usually the large majority, are a shared "no match". Leaving them
+out is exact, not a heuristic: a disjoint, touching, zero-length or
+null span scores exactly 1 in both SCS modes, and 1 is never a partial
+match. The transformation derivation reads the same cells.
+
 Denominators are fixed per document (each predicted filler adds one to
 the precision denominator, each gold entity or set-fill value adds one
 to the recall denominator), so maximizing F1 reduces to maximizing the
@@ -16,13 +26,16 @@ shared numerator.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .config import AnalysisConfig
 from .exceptions import ComplexityGuardExceeded
-from .model import Document, GoldEntity, Mention, RoleKind, Schema, texts_match
-from .spans import ScsMode, best_gold_target
+from .model import Document, GoldEntity, Mention, RoleKind, Schema, normalize, texts_match
+from .spans import ScsMode, span_score
 
 PARTIAL_THRESHOLD = 1.0
 
@@ -75,27 +88,106 @@ class EntityMatch:
         return self.exact or self.score < PARTIAL_THRESHOLD
 
 
-def match_against_entity(
-    mention: Mention, entity: GoldEntity, mode: ScsMode, casefold: bool = True
-) -> EntityMatch:
-    """Compare a predicted mention to an entity's mention set.
+NO_MATCH = EntityMatch(False, 1.0, None)
+_NO_CELLS: Mapping = MappingProxyType({})
 
-    Exactness is decided on normalized text against any mention of the
-    entity; the score is the minimum SCS, with the arg-min mention kept
-    as the span-alteration target.
+
+class MatchIndex:
+    """The cells where a predicted mention meets a gold entity.
+
+    A cell is exact when the mention's normalized text equals that of
+    one of the entity's mentions (the first such mention is kept), and
+    partial when their SCS is below 1; either way its score is the
+    minimum SCS over the entity's mentions, and a partial cell keeps the
+    arg-min mention by ``(score, span start, mention order)`` as its
+    span-alteration target. Every other cell is ``NO_MATCH``.
+
+    Each mention text is normalized once. Exact cells come from a dict
+    of normalized gold texts, partial cells from the gold spans that
+    intersect the predicted span, found by bisecting the spans sorted by
+    start. Skipping every other gold mention is exact in both SCS modes:
+    a null span, a zero-length span, and spans that are disjoint or only
+    touch all score exactly 1 (in absolute mode, disjoint spans have
+    ``|Δstart| + |Δend| >= len(x) + len(y)``, which the cap turns into 1).
+
+    ``pred`` yields ``(row, mention)`` and ``gold`` yields ``(group,
+    entity index, entity)``; rows and groups are any hashable keys.
     """
-    exact_mention = None
-    for candidate in entity.mentions:
-        if texts_match(mention.text, candidate.text, casefold):
-            exact_mention = candidate
-            break
-    target = best_gold_target(mention, entity.mentions, mode)
-    score = target[1] if target is not None else 1.0
-    if exact_mention is not None:
-        return EntityMatch(True, score, exact_mention)
-    if target is not None and score < PARTIAL_THRESHOLD:
-        return EntityMatch(False, score, target[0])
-    return EntityMatch(False, 1.0, None)
+
+    def __init__(self, pred, gold, mode: ScsMode, casefold: bool):
+        normalized: dict[str, str] = {}
+
+        def norm(text: str) -> str:
+            if text not in normalized:
+                normalized[text] = normalize(text, casefold)
+            return normalized[text]
+
+        by_text: dict[str, dict[tuple, Mention]] = {}
+        spans = []
+        for group, entity_index, entity in gold:
+            cell = (group, entity_index)
+            for order, mention in enumerate(entity.mentions):
+                by_text.setdefault(norm(mention.text), {}).setdefault(cell, mention)
+                if mention.span is not None:
+                    spans.append((mention.span.start, mention.span.end, order, cell, mention))
+        spans.sort(key=lambda item: item[0])
+        starts = [item[0] for item in spans]
+        reach = max((end - start for start, end, *_ in spans), default=0)
+
+        self._rows: dict = {}
+        for row, mention in pred:
+            exact = by_text.get(norm(mention.text), _NO_CELLS)
+            nearest: dict[tuple, tuple] = {}
+            x = mention.span
+            if x is not None:
+                lo = bisect_left(starts, x.start - reach + 1)
+                for start, end, order, cell, candidate in spans[lo : bisect_left(starts, x.end)]:
+                    if end <= x.start:
+                        continue
+                    key = (span_score(x, candidate.span, mode), start, order)
+                    if cell not in nearest or key < nearest[cell][0]:
+                        nearest[cell] = (key, candidate)
+            cells = []
+            for cell, gold_mention in exact.items():
+                score = nearest[cell][0][0] if cell in nearest else 1.0
+                cells.append((cell, EntityMatch(True, score, gold_mention)))
+            for cell, ((score, _, _), target) in nearest.items():
+                if cell not in exact and score < PARTIAL_THRESHOLD:
+                    cells.append((cell, EntityMatch(False, score, target)))
+            if cells:
+                groups: dict = {}
+                for (group, entity_index), match in sorted(cells, key=lambda item: item[0][1]):
+                    groups.setdefault(group, {})[entity_index] = match
+                self._rows[row] = groups
+
+    @classmethod
+    def for_document(cls, doc: Document, schema: Schema, config: AnalysisConfig) -> "MatchIndex":
+        """Index of a document: rows ``(pred template, role, filler)``, groups ``(gold template, role)``."""
+        roles = [role.name for role in schema.string_fill_roles]
+        pred = [
+            ((p, role, i), mention)
+            for p, template in enumerate(doc.predicted_templates)
+            for role in roles
+            for i, mention in enumerate(template.mentions(role))
+        ]
+        gold = [
+            ((g, role), e, entity)
+            for g, template in enumerate(doc.gold_templates)
+            for role in roles
+            for e, entity in enumerate(template.entities(role))
+        ]
+        return cls(pred, gold, config.scs_mode, config.casefold)
+
+    def row(self, row) -> Mapping:
+        """Group -> {entity index: match} over the non-empty cells of one mention."""
+        return self._rows.get(row, _NO_CELLS)
+
+    def hits(self, row, group) -> Mapping[int, EntityMatch]:
+        """Entity index -> match for the non-empty cells of one mention in one group."""
+        return self.row(row).get(group, _NO_CELLS)
+
+    def cell(self, row, group, entity_index: int) -> EntityMatch:
+        return self.hits(row, group).get(entity_index, NO_MATCH)
 
 
 @dataclass(frozen=True)
@@ -124,12 +216,6 @@ class MentionPairing:
         return len(self.pairs) - self.exact_count
 
 
-def _match_matrix(
-    pred: Sequence[Mention], gold: Sequence[GoldEntity], mode: ScsMode, casefold: bool
-) -> list[list[EntityMatch]]:
-    return [[match_against_entity(m, e, mode, casefold) for e in gold] for m in pred]
-
-
 def _iter_index_pairings(eligible: list[list[int]]) -> Iterator[tuple[tuple[int, int], ...]]:
     def rec(i: int, used: set[int]) -> Iterator[tuple[tuple[int, int], ...]]:
         if i == len(eligible):
@@ -148,21 +234,29 @@ def _iter_index_pairings(eligible: list[list[int]]) -> Iterator[tuple[tuple[int,
     return rec(0, set())
 
 
+@lru_cache(maxsize=256)
+def _unpaired(pred_count: int, gold_count: int) -> MentionPairing:
+    # Most role pairings have no candidate pair at all; they share one value.
+    return MentionPairing((), tuple(range(pred_count)), tuple(range(gold_count)))
+
+
 def _build_pairing(
     index_pairs: tuple[tuple[int, int], ...],
-    matrix: list[list[EntityMatch]],
-    pred_count: int,
+    rows: list[Mapping[int, EntityMatch]],
     gold_count: int,
 ) -> MentionPairing:
+    """Pairing from index pairs; ``rows[i]`` maps entity index to match for pred ``i``."""
+    if not index_pairs:
+        return _unpaired(len(rows), gold_count)
     matched_pred = {i for i, _ in index_pairs}
     matched_gold = {j for _, j in index_pairs}
     pairs = tuple(
-        MentionPair(i, j, matrix[i][j].exact, matrix[i][j].score, matrix[i][j].gold_mention)
+        MentionPair(i, j, rows[i][j].exact, rows[i][j].score, rows[i][j].gold_mention)
         for i, j in index_pairs
     )
     return MentionPairing(
         pairs=pairs,
-        unmatched_pred=tuple(i for i in range(pred_count) if i not in matched_pred),
+        unmatched_pred=tuple(i for i in range(len(rows)) if i not in matched_pred),
         unmatched_gold=tuple(j for j in range(gold_count) if j not in matched_gold),
     )
 
@@ -181,23 +275,18 @@ def enumerate_mention_matchings(
     entity or overlaps one of its mention spans (SCS below 1): disjoint
     spans carry no evidence of a span mistake.
     """
-    matrix = _match_matrix(pred, gold, mode, casefold)
-    eligible = [[j for j, m in enumerate(row) if m.eligible] for row in matrix]
+    index = MatchIndex(enumerate(pred), ((None, j, e) for j, e in enumerate(gold)), mode, casefold)
+    rows = [index.hits(i, None) for i in range(len(pred))]
     out = []
-    for index_pairs in _iter_index_pairings(eligible):
-        out.append(_build_pairing(index_pairs, matrix, len(pred), len(gold)))
+    for index_pairs in _iter_index_pairings([list(row) for row in rows]):
+        out.append(_build_pairing(index_pairs, rows, len(gold)))
         if max_matchings is not None and len(out) > max_matchings:
             raise ComplexityGuardExceeded(doc_id, "mention matchings", len(out), max_matchings)
     return out
 
 
 def _best_role_pairing(
-    pred: Sequence[Mention],
-    gold: Sequence[GoldEntity],
-    mode: ScsMode,
-    casefold: bool,
-    cap: int,
-    doc_id: str,
+    rows: list[Mapping[int, EntityMatch]], gold_count: int, cap: int, doc_id: str
 ) -> MentionPairing:
     """Pick the pairing maximizing exact pairs, then partial pairs.
 
@@ -205,21 +294,19 @@ def _best_role_pairing(
     spurious plus one missing error with a single span error, so at a
     fixed numerator more partials means fewer errors.
     """
-    matrix = _match_matrix(pred, gold, mode, casefold)
-    eligible = [[j for j, m in enumerate(row) if m.eligible] for row in matrix]
     best_key = None
     best: tuple[tuple[int, int], ...] = ()
     seen = 0
-    for index_pairs in _iter_index_pairings(eligible):
+    for index_pairs in _iter_index_pairings([list(row) for row in rows]):
         seen += 1
         if seen > cap:
             raise ComplexityGuardExceeded(doc_id, "mention matchings", seen, cap)
-        exact = sum(1 for i, j in index_pairs if matrix[i][j].exact)
+        exact = sum(1 for i, j in index_pairs if rows[i][j].exact)
         key = (-exact, -(len(index_pairs) - exact), index_pairs)
         if best_key is None or key < best_key:
             best_key = key
             best = index_pairs
-    return _build_pairing(best, matrix, len(pred), len(gold))
+    return _build_pairing(best, rows, gold_count)
 
 
 @dataclass(frozen=True)
@@ -300,13 +387,23 @@ def _set_fill_outcome(pred_value: str | None, gold_value: str | None, casefold: 
     return 0, 0
 
 
+RolePairer = Callable[[list[Mapping[int, EntityMatch]], int], MentionPairing]
+
+
 def _score_template_pair(
     doc: Document,
     schema: Schema,
     pred_index: int,
     gold_index: int,
     config: AnalysisConfig,
+    index: MatchIndex,
+    pair_role: RolePairer,
 ) -> _PairScore:
+    """Score one template pair, pairing each string-fill role with ``pair_role``.
+
+    ``pair_role(rows, gold_count)`` gets, per predicted mention of the
+    role, its non-empty cells against the gold template's entities.
+    """
     pred = doc.predicted_templates[pred_index]
     gold = doc.gold_templates[gold_index]
     numerator = 0
@@ -325,14 +422,9 @@ def _score_template_pair(
             continue
         mentions = pred.mentions(role.name)
         entities = gold.entities(role.name)
-        pairing = _best_role_pairing(
-            mentions,
-            entities,
-            config.scs_mode,
-            config.casefold,
-            config.max_mention_matchings,
-            doc.doc_id,
-        )
+        group = (gold_index, role.name)
+        rows = [index.hits((pred_index, role.name, i), group) for i in range(len(mentions))]
+        pairing = pair_role(rows, len(entities))
         exact = pairing.exact_count
         numerator += exact
         if exact:
@@ -527,7 +619,12 @@ def _reroute(
     return False
 
 
-def find_optimal_matching(doc: Document, schema: Schema, config: AnalysisConfig | None = None) -> TemplateMatching:
+def find_optimal_matching(
+    doc: Document,
+    schema: Schema,
+    config: AnalysisConfig | None = None,
+    index: MatchIndex | None = None,
+) -> TemplateMatching:
     """The F1-optimal matching of one document, by an exact assignment solve.
 
     Maximizes the exact-match numerator, then minimizes the implied
@@ -535,7 +632,8 @@ def find_optimal_matching(doc: Document, schema: Schema, config: AnalysisConfig 
     search is polynomial in the template counts. Raises
     ComplexityGuardExceeded before scoring any pair when the closed-form
     matching count (or, while scoring, any role's pairing count) exceeds
-    the configured caps.
+    the configured caps. ``index`` is the document's match index, built
+    here when not given.
     """
     config = config or AnalysisConfig()
     pred_count = len(doc.predicted_templates)
@@ -545,8 +643,14 @@ def find_optimal_matching(doc: Document, schema: Schema, config: AnalysisConfig 
         raise ComplexityGuardExceeded(
             doc.doc_id, "template matchings", total_matchings, config.max_template_matchings
         )
+    if index is None:
+        index = MatchIndex.for_document(doc, schema, config)
+
+    def pair_role(rows: list[Mapping[int, EntityMatch]], gold_count: int) -> MentionPairing:
+        return _best_role_pairing(rows, gold_count, config.max_mention_matchings, doc.doc_id)
+
     cache = {
-        (p, g): _score_template_pair(doc, schema, p, g, config)
+        (p, g): _score_template_pair(doc, schema, p, g, config, index, pair_role)
         for p in range(pred_count)
         for g in range(gold_count)
     }
@@ -555,77 +659,55 @@ def find_optimal_matching(doc: Document, schema: Schema, config: AnalysisConfig 
     return _assemble(doc, schema, best, cache, error_tally, approximate=False)
 
 
-def _greedy_role_pairing(
-    pred: Sequence[Mention], gold: Sequence[GoldEntity], mode: ScsMode, casefold: bool
-) -> MentionPairing:
-    matrix = _match_matrix(pred, gold, mode, casefold)
+def _greedy_role_pairing(rows: list[Mapping[int, EntityMatch]], gold_count: int) -> MentionPairing:
+    """Exact pairs first, each pred taking its lowest free entity; then the nearest free span."""
     taken: set[int] = set()
     index_pairs = []
-    for i, row in enumerate(matrix):
-        for j, match in enumerate(row):
+    for i, row in enumerate(rows):
+        for j, match in row.items():
             if j not in taken and match.exact:
                 taken.add(j)
                 index_pairs.append((i, j))
                 break
     paired = {i for i, _ in index_pairs}
-    for i, row in enumerate(matrix):
+    for i, row in enumerate(rows):
         if i in paired:
             continue
-        candidates = [
-            (match.score, j) for j, match in enumerate(row) if j not in taken and match.eligible
-        ]
+        candidates = [(match.score, j) for j, match in row.items() if j not in taken]
         if candidates:
             _, j = min(candidates)
             taken.add(j)
             index_pairs.append((i, j))
     index_pairs.sort()
-    return _build_pairing(tuple(index_pairs), matrix, len(pred), len(gold))
+    return _build_pairing(tuple(index_pairs), rows, gold_count)
 
 
-def greedy_matching(doc: Document, schema: Schema, config: AnalysisConfig | None = None) -> TemplateMatching:
+def greedy_matching(
+    doc: Document,
+    schema: Schema,
+    config: AnalysisConfig | None = None,
+    index: MatchIndex | None = None,
+) -> TemplateMatching:
     """Approximate fallback: accept template pairs by descending pairwise F1.
 
-    Avoids the factorial search (and the pairing enumeration inside it)
-    at the cost of optimality; results are flagged approximate.
+    Avoids the assignment solve and the pairing enumeration inside each
+    role at the cost of optimality; results are flagged approximate. A
+    pair's F1 is taken over its own fillers only.
     """
     config = config or AnalysisConfig()
-    pred_count = len(doc.predicted_templates)
-    gold_count = len(doc.gold_templates)
+    if index is None:
+        index = MatchIndex.for_document(doc, schema, config)
+    pred_sizes = [sum(t.filler_counts(schema, gold=False).values()) for t in doc.predicted_templates]
+    gold_sizes = [sum(t.filler_counts(schema, gold=True).values()) for t in doc.gold_templates]
     cache: dict[tuple[int, int], _PairScore] = {}
     candidates = []
-    for p in range(pred_count):
-        for g in range(gold_count):
-            numerator = 0
-            errors = 0
-            role_numerators: dict[str, int] = {}
-            role_pairings: dict[str, MentionPairing] = {}
-            local = Tally()
-            pred = doc.predicted_templates[p]
-            gold = doc.gold_templates[g]
-            for role in schema:
-                if role.kind is RoleKind.SET_FILL:
-                    pv, gv = pred.set_fill(role.name), gold.set_fill(role.name)
-                    num, err = _set_fill_outcome(pv, gv, config.casefold)
-                    numerator += num
-                    errors += err
-                    if num:
-                        role_numerators[role.name] = num
-                    local += Tally(num, int(pv is not None), int(gv is not None))
-                    continue
-                mentions = pred.mentions(role.name)
-                entities = gold.entities(role.name)
-                pairing = _greedy_role_pairing(mentions, entities, config.scs_mode, config.casefold)
-                exact = pairing.exact_count
-                numerator += exact
-                if exact:
-                    role_numerators[role.name] = exact
-                errors += len(mentions) + len(entities) - 2 * exact - pairing.partial_count
-                role_pairings[role.name] = pairing
-                local += Tally(exact, len(mentions), len(entities))
-            cache[p, g] = _PairScore(numerator, errors, role_numerators, role_pairings)
-            empty = local.precision_denominator + local.recall_denominator == 0
-            if numerator > 0 or empty:
-                candidates.append((-f1_from_tally(local), errors, p, g))
+    for p, pred_size in enumerate(pred_sizes):
+        for g, gold_size in enumerate(gold_sizes):
+            score = _score_template_pair(doc, schema, p, g, config, index, _greedy_role_pairing)
+            cache[p, g] = score
+            if score.numerator > 0 or pred_size + gold_size == 0:
+                pair_f1 = f1_from_tally(Tally(score.numerator, pred_size, gold_size))
+                candidates.append((-pair_f1, score.errors, p, g))
     candidates.sort()
     used_pred: set[int] = set()
     used_gold: set[int] = set()
@@ -639,7 +721,7 @@ def greedy_matching(doc: Document, schema: Schema, config: AnalysisConfig | None
     chosen.sort()
     error_tally = (
         sum(cache[pair].errors for pair in chosen)
-        + (pred_count - len(chosen))
-        + (gold_count - len(chosen))
+        + (len(pred_sizes) - len(chosen))
+        + (len(gold_sizes) - len(chosen))
     )
     return _assemble(doc, schema, tuple(chosen), cache, error_tally, approximate=True)

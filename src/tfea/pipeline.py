@@ -14,7 +14,7 @@ from typing import Sequence
 from .config import AnalysisConfig
 from .errors import ErrorProfile, map_errors
 from .exceptions import ComplexityGuardExceeded
-from .matching import TemplateMatching, find_optimal_matching, greedy_matching
+from .matching import MatchIndex, TemplateMatching, find_optimal_matching, greedy_matching
 from .model import Document, Schema, resolve_document_spans
 from .scoring import Scores, score_corpus, score_document
 from .transforms import TransformationLog, derive_transformations
@@ -47,19 +47,20 @@ def analyze_document(
     """
     config = config or AnalysisConfig()
     doc = resolve_document_spans(doc, config.casefold)
+    index = MatchIndex.for_document(doc, schema, config)
     try:
-        matching = find_optimal_matching(doc, schema, config)
+        matching = find_optimal_matching(doc, schema, config, index)
     except ComplexityGuardExceeded as exc:
         if config.on_guard == "fail":
             raise
         if config.on_guard == "skip":
             return DocumentAnalysis(doc.doc_id, skipped=True, guard_message=str(exc))
-        matching = greedy_matching(doc, schema, config)
+        matching = greedy_matching(doc, schema, config, index)
     analysis = DocumentAnalysis(
         doc.doc_id, approximate=matching.approximate, matching=matching
     )
     if derive:
-        analysis.log = derive_transformations(doc, schema, matching, config)
+        analysis.log = derive_transformations(doc, schema, matching, config, index)
         analysis.profile = map_errors(analysis.log)
     return analysis
 

@@ -15,7 +15,7 @@ from enum import Enum
 
 from .config import AnalysisConfig
 from .exceptions import InconsistentLog
-from .matching import TemplateMatching, TemplatePair
+from .matching import MatchIndex, TemplateMatching, TemplatePair
 from .model import (
     Document,
     GoldEntity,
@@ -24,9 +24,9 @@ from .model import (
     Schema,
     Span,
     Template,
+    exact_match,
     texts_match,
 )
-from .spans import ScsMode, best_gold_target
 
 
 class TransformKind(str, Enum):
@@ -111,40 +111,47 @@ class TransformationLog:
         return list(order.values())
 
 
-def _exact_hit(mention: Mention, entity: GoldEntity, casefold: bool) -> Mention | None:
-    for candidate in entity.mentions:
-        if texts_match(mention.text, candidate.text, casefold):
-            return candidate
-    return None
-
-
-def _partial_hit(mention: Mention, entity: GoldEntity, mode: ScsMode, casefold: bool) -> Mention | None:
-    if _exact_hit(mention, entity, casefold) is not None:
-        return None
-    target = best_gold_target(mention, entity.mentions, mode)
-    if target is not None and target[1] < 1.0:
-        return target[0]
-    return None
+# The transformation kinds that explain an unmatched predicted filler,
+# by stage, most local first: 0 a duplicate of an entity the role pairing
+# already matched (same gold template, same role); 1 the same template,
+# another role; 2 another template, the same role; 3 another template,
+# another role.
+_UNMATCHED_STAGES = (
+    (TransformKind.REMOVE_DUPLICATE_ROLE_FILLER,),
+    (TransformKind.ALTER_ROLE,),
+    (TransformKind.REMOVE_CROSS_TEMPLATE_SPURIOUS_ROLE_FILLER,),
+    (TransformKind.ALTER_ROLE, TransformKind.REMOVE_CROSS_TEMPLATE_SPURIOUS_ROLE_FILLER),
+)
 
 
 def _classify_unmatched(
-    doc: Document,
     schema: Schema,
+    index: MatchIndex,
     pair: TemplatePair,
     role_name: str,
     filler_index: int,
     mention: Mention,
     matched_entities: list[int],
-    config: AnalysisConfig,
 ) -> list[Transformation]:
     """Attribute an unmatched predicted filler to its most local explanation.
 
     Precedence: duplicate of a matched entity, wrong role in the same
     template, right role in another template, wrong role in another
     template, and finally plain spurious. Within each category an exact
-    text match beats a partial span match.
+    text match beats a partial span match, then the lowest gold
+    template, role (in schema order) and entity index wins. A partial
+    match is preceded by an alter-span onto the arg-min gold mention.
     """
-    gold_template = doc.gold_templates[pair.gold_index]
+    role_rank = {role.name: rank for rank, role in enumerate(schema.string_fill_roles)}
+    best = None
+    for (gold_index, gold_role), cells in index.row((pair.pred_index, role_name, filler_index)).items():
+        stage = 2 * (gold_index != pair.gold_index) + (gold_role != role_name)
+        for entity_index, match in cells.items():
+            if stage == 0 and entity_index not in matched_entities:
+                continue
+            key = (stage, not match.exact, gold_index, role_rank[gold_role], entity_index)
+            if best is None or key < best[0]:
+                best = (key, gold_role, match.gold_mention)
     subject = dict(
         pred_template=pair.pred_index,
         role=role_name,
@@ -152,122 +159,21 @@ def _classify_unmatched(
         pred_text=mention.text,
         pred_span=mention.span,
     )
-
-    def alter_span(gold_index: int, gold_role: str, entity_index: int, target: Mention) -> Transformation:
-        return Transformation(
-            TransformKind.ALTER_SPAN,
+    if best is None:
+        return [Transformation(TransformKind.REMOVE_SPURIOUS_ROLE_FILLER, **subject)]
+    (stage, partial, gold_index, _, entity_index), gold_role, target = best
+    kinds = _UNMATCHED_STAGES[stage]
+    return [
+        Transformation(
+            kind,
             gold_template=gold_index,
             gold_role=gold_role,
             gold_entity=entity_index,
             gold_mention=target,
             **subject,
         )
-
-    def hit(entity: GoldEntity, exact: bool) -> Mention | None:
-        if exact:
-            return _exact_hit(mention, entity, config.casefold)
-        return _partial_hit(mention, entity, config.scs_mode, config.casefold)
-
-    # Duplicate of an entity already matched in this role of this pair.
-    entities = gold_template.entities(role_name)
-    for exact in (True, False):
-        for entity_index in sorted(matched_entities):
-            target = hit(entities[entity_index], exact)
-            if target is None:
-                continue
-            group = [] if exact else [alter_span(pair.gold_index, role_name, entity_index, target)]
-            group.append(
-                Transformation(
-                    TransformKind.REMOVE_DUPLICATE_ROLE_FILLER,
-                    gold_template=pair.gold_index,
-                    gold_role=role_name,
-                    gold_entity=entity_index,
-                    gold_mention=target,
-                    **subject,
-                )
-            )
-            return group
-
-    # Another role of the same gold template.
-    for exact in (True, False):
-        for other in schema.string_fill_roles:
-            if other.name == role_name:
-                continue
-            for entity_index, entity in enumerate(gold_template.entities(other.name)):
-                target = hit(entity, exact)
-                if target is None:
-                    continue
-                group = [] if exact else [alter_span(pair.gold_index, other.name, entity_index, target)]
-                group.append(
-                    Transformation(
-                        TransformKind.ALTER_ROLE,
-                        gold_template=pair.gold_index,
-                        gold_role=other.name,
-                        gold_entity=entity_index,
-                        gold_mention=target,
-                        **subject,
-                    )
-                )
-                return group
-
-    # Same role in a different gold template.
-    for exact in (True, False):
-        for gold_index, other_template in enumerate(doc.gold_templates):
-            if gold_index == pair.gold_index:
-                continue
-            for entity_index, entity in enumerate(other_template.entities(role_name)):
-                target = hit(entity, exact)
-                if target is None:
-                    continue
-                group = [] if exact else [alter_span(gold_index, role_name, entity_index, target)]
-                group.append(
-                    Transformation(
-                        TransformKind.REMOVE_CROSS_TEMPLATE_SPURIOUS_ROLE_FILLER,
-                        gold_template=gold_index,
-                        gold_role=role_name,
-                        gold_entity=entity_index,
-                        gold_mention=target,
-                        **subject,
-                    )
-                )
-                return group
-
-    # Different role in a different gold template.
-    for exact in (True, False):
-        for gold_index, other_template in enumerate(doc.gold_templates):
-            if gold_index == pair.gold_index:
-                continue
-            for other in schema.string_fill_roles:
-                if other.name == role_name:
-                    continue
-                for entity_index, entity in enumerate(other_template.entities(other.name)):
-                    target = hit(entity, exact)
-                    if target is None:
-                        continue
-                    group = [] if exact else [alter_span(gold_index, other.name, entity_index, target)]
-                    group.append(
-                        Transformation(
-                            TransformKind.ALTER_ROLE,
-                            gold_template=gold_index,
-                            gold_role=other.name,
-                            gold_entity=entity_index,
-                            gold_mention=target,
-                            **subject,
-                        )
-                    )
-                    group.append(
-                        Transformation(
-                            TransformKind.REMOVE_CROSS_TEMPLATE_SPURIOUS_ROLE_FILLER,
-                            gold_template=gold_index,
-                            gold_role=other.name,
-                            gold_entity=entity_index,
-                            gold_mention=target,
-                            **subject,
-                        )
-                    )
-                    return group
-
-    return [Transformation(TransformKind.REMOVE_SPURIOUS_ROLE_FILLER, **subject)]
+        for kind in ((TransformKind.ALTER_SPAN,) if partial else ()) + kinds
+    ]
 
 
 def derive_transformations(
@@ -275,9 +181,15 @@ def derive_transformations(
     schema: Schema,
     matching: TemplateMatching,
     config: AnalysisConfig | None = None,
+    index: MatchIndex | None = None,
 ) -> TransformationLog:
-    """Transformation sequence rewriting the predictions into the gold templates."""
+    """Transformation sequence rewriting the predictions into the gold templates.
+
+    ``index`` is the document's match index, built here when not given.
+    """
     config = config or AnalysisConfig()
+    if index is None:
+        index = MatchIndex.for_document(doc, schema, config)
     alterations: list[Transformation] = []
     removals: list[Transformation] = []
 
@@ -340,7 +252,7 @@ def derive_transformations(
                     )
                 elif filler_index in unmatched:
                     group = _classify_unmatched(
-                        doc, schema, pair, role.name, filler_index, mention, matched_entities, config
+                        schema, index, pair, role.name, filler_index, mention, matched_entities
                     )
                     if all(t.kind not in _REMOVAL_KINDS for t in group):
                         alterations.extend(group)
@@ -456,7 +368,9 @@ def apply_transformations(
 
     def covered(state: _TemplateState, role: str, entity: GoldEntity) -> bool:
         return any(
-            _exact_hit(current, entity, casefold) is not None for current in state.current(role)
+            exact_match(current, gold, casefold)
+            for current in state.current(role)
+            for gold in entity.mentions
         )
 
     def target_entity(entry: Transformation) -> GoldEntity:

@@ -10,6 +10,7 @@ from __future__ import annotations
 from itertools import combinations, permutations
 
 from tfea.model import Document, RoleKind, Schema, Template, normalize
+from tfea.spans import ScsMode
 
 
 def brute_force_matching_count(pred_count: int, gold_count: int) -> int:
@@ -29,6 +30,38 @@ def _geometric_scs(a, b) -> float:
         return 1.0
     overlap = max(0, min(a.end, b.end) - max(a.start, b.start))
     return 1.0 - (overlap * overlap) / (len_a * len_b)
+
+
+def _absolute_scs(a, b) -> float:
+    if a is None or b is None:
+        return 1.0
+    total = (a.end - a.start) + (b.end - b.start)
+    if total == 0:
+        return 1.0
+    return min(1.0, (abs(a.start - b.start) + abs(a.end - b.end)) / total)
+
+
+def entity_match_reference(mention, entity, mode: ScsMode, casefold: bool):
+    """``(exact, score, gold mention)`` of one predicted mention against one entity.
+
+    Straight from the definition, with every entity mention compared:
+    exact on the first mention with equal normalized text; the score is
+    the minimum SCS; otherwise partial on the arg-min of ``(score, span
+    start, mention order)`` when that score is below 1; otherwise no match.
+    """
+    scs = _absolute_scs if mode is ScsMode.ABSOLUTE else _geometric_scs
+    text = normalize(mention.text, casefold)
+    exact = [g for g in entity.mentions if normalize(g.text, casefold) == text]
+    ranked = sorted(
+        (scs(mention.span, g.span), g.span.start if g.span is not None else float("inf"), k)
+        for k, g in enumerate(entity.mentions)
+    )
+    score, _, k = ranked[0]
+    if exact:
+        return True, score, exact[0]
+    if score < 1.0:
+        return False, score, entity.mentions[k]
+    return False, 1.0, None
 
 
 def _pair_allowed(mention, entity, casefold: bool) -> bool:

@@ -162,6 +162,33 @@ class TestAnalyze:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_malformed_corpus_is_parse_error(self, tmp_path, corpus_files, capsys):
+        gold, pred, schema = corpus_files
+        raw = json.loads(gold.read_text(encoding="utf-8"))
+        doc_id = sorted(raw)[0]
+        cases = {f"templates={bad!r}": ("templates", bad) for bad in (5, "abc", None, [5])}
+        cases["doctext=5"] = ("doctext", 5)
+        for name, (field, bad) in cases.items():
+            broken = tmp_path / "broken.json"
+            broken.write_text(json.dumps({**raw, doc_id: {**raw[doc_id], field: bad}}), encoding="utf-8")
+            out = tmp_path / "report.json"
+            code = main(_analyze_args(broken, pred, schema, out))
+            err = capsys.readouterr().err
+            assert code == EXIT_ERROR, name
+            assert err.startswith("error: ") and f"doc '{doc_id}'" in err, (name, err)
+            assert "Traceback" not in err, name
+            assert not out.exists(), name
+        # A doc id given twice in one file; json.load alone keeps the last.
+        entries = [f"{json.dumps(key)}: {json.dumps(value)}" for key, value in raw.items()]
+        entries.append(f"{json.dumps(doc_id)}: {json.dumps(raw[doc_id])}")
+        twice = tmp_path / "twice.json"
+        twice.write_text("{" + ", ".join(entries) + "}", encoding="utf-8")
+        code = main(_analyze_args(gold, twice, schema, tmp_path / "report.json"))
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err.startswith("error: ") and f"doc '{doc_id}'" in err and "more than once" in err
+        assert "Traceback" not in err
+
     def test_parallel_smoke(self, tmp_path, corpus_files):
         gold, pred, schema = corpus_files
         one = tmp_path / "one.json"

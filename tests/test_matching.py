@@ -4,11 +4,12 @@ import random
 
 import pytest
 
-from oracles import brute_force_matching_count, naive_best_f1
+from oracles import brute_force_matching_count, entity_match_reference, naive_best_f1
 from support import fuzzed_corpus
 from tfea.config import AnalysisConfig
 from tfea.exceptions import ComplexityGuardExceeded
 from tfea.matching import (
+    MatchIndex,
     Tally,
     _optimal_assignment,
     _PairScore,
@@ -19,7 +20,8 @@ from tfea.matching import (
     greedy_matching,
     iter_template_matchings,
 )
-from tfea.model import Document, GoldEntity, Mention, RoleKind, RoleSpec, Schema, Span
+from tfea.model import Document, GoldEntity, Mention, RoleKind, RoleSpec, Schema, Span, Template
+from tfea.spans import ScsMode
 
 from conftest import gold_template, pred_template, span_mention
 
@@ -81,6 +83,106 @@ class TestMentionMatchings:
         gold = [GoldEntity((span_mention("x", 0),)) for _ in range(6)]
         with pytest.raises(ComplexityGuardExceeded):
             enumerate_mention_matchings(pred, gold, max_matchings=10)
+
+
+_INDEX_SCHEMA = Schema(
+    (
+        RoleSpec("status", RoleKind.SET_FILL, values=("a",)),
+        RoleSpec("agent", RoleKind.STRING_FILL),
+        RoleSpec("target", RoleKind.STRING_FILL),
+    )
+)
+_INDEX_ROLES = ("agent", "target")
+
+
+def _random_index_doc(rng: random.Random) -> Document:
+    """A tiny vocabulary in case and whitespace variants, over a 12-character text.
+
+    Spans are null, zero-length, or 1-4 characters long, so texts collide
+    across entities and roles, and spans nest, touch and tie on score.
+    """
+
+    def text() -> str:
+        word = rng.choice(("a", "b", "a b"))
+        if rng.random() < 0.3:
+            word = word.upper()
+        if rng.random() < 0.3:
+            word = word.replace(" ", "  ")
+        if rng.random() < 0.2:
+            word = f" {word}\t"
+        return word
+
+    def mention() -> Mention:
+        roll = rng.random()
+        start = rng.randint(0, 8)
+        if roll < 0.15:
+            return Mention(text())
+        if roll < 0.3:
+            return Mention(text(), Span(start, start))
+        return Mention(text(), Span(start, start + rng.randint(1, 4)))
+
+    def entity() -> GoldEntity:
+        return GoldEntity(tuple(mention() for _ in range(rng.randint(1, 3))))
+
+    gold = [
+        Template({"status": "a", **{r: tuple(entity() for _ in range(rng.randint(0, 2))) for r in _INDEX_ROLES}})
+        for _ in range(rng.randint(0, 2))
+    ]
+    pred = [
+        Template({"status": "A", **{r: tuple(mention() for _ in range(rng.randint(0, 3))) for r in _INDEX_ROLES}})
+        for _ in range(rng.randint(0, 2))
+    ]
+    return Document("d", " " * 12, tuple(gold), tuple(pred))
+
+
+def _index_cells(doc: Document):
+    """Every (row, mention, group, entity index, entity) cell of a document."""
+    for p, pred in enumerate(doc.predicted_templates):
+        for role in _INDEX_ROLES:
+            for i, mention in enumerate(pred.mentions(role)):
+                for g, gold in enumerate(doc.gold_templates):
+                    for gold_role in _INDEX_ROLES:
+                        for e, entity in enumerate(gold.entities(gold_role)):
+                            yield (p, role, i), mention, (g, gold_role), e, entity
+
+
+class TestMatchIndex:
+    def test_cells_equal_reference(self):
+        """Every cell, in both SCS modes and both case settings, against the definition."""
+        rng = random.Random(1013)
+        configs = [
+            AnalysisConfig(scs_mode=mode, case_sensitive=case_sensitive)
+            for mode in ScsMode
+            for case_sensitive in (False, True)
+        ]
+        seen = {"exact": 0, "partial": 0, "none": 0}
+        for _ in range(1000):
+            doc = _random_index_doc(rng)
+            for config in configs:
+                index = MatchIndex.for_document(doc, _INDEX_SCHEMA, config)
+                for row, mention, group, e, entity in _index_cells(doc):
+                    cell = index.cell(row, group, e)
+                    expected = entity_match_reference(mention, entity, config.scs_mode, config.casefold)
+                    assert (cell.exact, cell.score, cell.gold_mention) == expected, (
+                        config, mention, entity
+                    )
+                    seen["exact" if cell.exact else "partial" if cell.eligible else "none"] += 1
+        assert min(seen.values()) > 1000, seen
+
+    def test_bare_lists_read_the_same_cells(self):
+        pred = [Mention("Shining  Path", Span(0, 12)), Mention("path", Span(8, 12)), Mention("x")]
+        gold = [
+            GoldEntity((Mention("shining path", Span(20, 32)), Mention("Path", Span(8, 12)))),
+            GoldEntity((Mention("the path", Span(4, 12)),)),
+        ]
+        index = MatchIndex(enumerate(pred), ((None, j, e) for j, e in enumerate(gold)), ScsMode.GEOMETRIC, True)
+        for i, mention in enumerate(pred):
+            for j, entity in enumerate(gold):
+                cell = index.cell(i, None, j)
+                assert (cell.exact, cell.score, cell.gold_mention) == entity_match_reference(
+                    mention, entity, ScsMode.GEOMETRIC, True
+                )
+        assert index.row(2) == {}
 
 
 def _simple_schema():
