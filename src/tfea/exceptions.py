@@ -4,7 +4,20 @@ from __future__ import annotations
 
 
 class TfeaError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    Errors pickle as their message and attributes, not as constructor
+    arguments, so one raised in a pool worker reaches the parent intact.
+    """
+
+    def __reduce__(self):
+        return _restore, (type(self), self.args, self.__dict__)
+
+
+def _restore(cls: type[TfeaError], args: tuple, state: dict) -> TfeaError:
+    error = cls.__new__(cls, *args)
+    error.__dict__.update(state)
+    return error
 
 
 class ParseError(TfeaError):

@@ -378,3 +378,36 @@ def test_fresh_process_determinism(tmp_path, corpus_files):
         assert child.returncode == EXIT_OK, child.stderr
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_parallel_guard_fail_matches_serial(tmp_path, corpus_files):
+    """A guard error raised in a pool worker exits like the serial run."""
+    import os
+    import subprocess
+    import sys
+
+    import tfea
+
+    package_root = os.path.dirname(os.path.dirname(tfea.__file__))
+    gold, pred, schema = corpus_files
+    stderr = {}
+    for workers in ("1", "2"):
+        child = subprocess.run(
+            [
+                sys.executable, "-m", "tfea.cli",
+                *_analyze_args(gold, pred, schema, tmp_path / f"report-{workers}.json"),
+                "--parallel", workers,
+                "--max-matchings", "1",
+                "--on-guard", "fail",
+            ],
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+            cwd="/",
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert child.returncode == EXIT_GUARD, child.stderr
+        assert "Traceback" not in child.stderr
+        stderr[workers] = [line for line in child.stderr.splitlines() if line.startswith("error:")]
+    assert len(stderr["1"]) == 1
+    assert stderr["2"] == stderr["1"]

@@ -1,5 +1,10 @@
 """Pipeline: guard handling, case modes, score-only runs, parallel merge."""
 
+import dataclasses
+import os
+import subprocess
+import sys
+
 import pytest
 
 from tfea.config import AnalysisConfig
@@ -7,9 +12,11 @@ from tfea.errors import ErrorType, total_errors
 from tfea.exceptions import ComplexityGuardExceeded
 from tfea.inject import GenerationParams, InjectionSpec, default_schema, generate_corpus, inject_errors
 from tfea.model import Document
+from tfea import pipeline
 from tfea.pipeline import analyze_corpus, analyze_document
 
 from conftest import gold_template, pred_template, span_mention
+from support import fuzzed_corpus
 
 
 @pytest.fixture
@@ -91,3 +98,79 @@ class TestParallel:
         assert serial.profile == pooled.profile
         assert serial.scores == pooled.scores
         assert [d.matching for d in serial.analyzed] == [d.matching for d in pooled.analyzed]
+
+    @pytest.mark.parametrize(
+        "config,derive,flag",
+        [
+            (AnalysisConfig(max_template_matchings=7, on_guard="skip"), True, "skipped"),
+            (AnalysisConfig(max_template_matchings=7, on_guard="greedy"), True, "approximate"),
+            (AnalysisConfig(), False, None),
+        ],
+        ids=["skip", "greedy", "score-only"],
+    )
+    @pytest.mark.parametrize("workers", [2, 3, 8])
+    def test_batches_equal_serial(self, config, derive, flag, workers):
+        # 11 documents: batches of 2 for two workers (the last one short),
+        # of 1 for three and eight
+        documents, schema = fuzzed_corpus(1, n_docs=11)
+        serial = analyze_corpus(documents, schema, config, derive=derive)
+        if flag is not None:
+            # the cap sends some documents, not all, to the guard
+            assert 0 < sum(getattr(d, flag) for d in serial.documents) < len(documents)
+        pooled = analyze_corpus(documents, schema, config, parallel=workers, derive=derive)
+        assert len(pooled.documents) == len(serial.documents)
+        for ours, theirs in zip(pooled.documents, serial.documents):
+            for f in dataclasses.fields(theirs):
+                assert getattr(ours, f.name) == getattr(theirs, f.name), (theirs.doc_id, f.name)
+
+    def test_no_more_workers_than_documents(self, small_corpus, monkeypatch):
+        started = []
+
+        class RecordingPool(pipeline.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
+        documents, schema, _ = small_corpus
+        serial = analyze_corpus(documents, schema)
+        assert analyze_corpus(documents, schema, parallel=16).documents == serial.documents
+        assert analyze_corpus(documents[:1], schema, parallel=16).documents == serial.documents[:1]
+        assert started == [len(documents)]
+
+    def test_settings_do_not_leak_between_calls(self, two_role_schema):
+        base = TestCaseSensitivity()._doc()
+        documents = [dataclasses.replace(base, doc_id=f"case-{i}") for i in range(3)]
+        results = []
+        for case_sensitive in (False, True):
+            config = AnalysisConfig(case_sensitive=case_sensitive)
+            serial = analyze_corpus(documents, two_role_schema, config)
+            pooled = analyze_corpus(documents, two_role_schema, config, parallel=2)
+            assert pooled.documents == serial.documents
+            results.append(pooled.scores.overall.f1)
+        assert results == [1.0, 0.0]
+
+    def test_spawned_workers_equal_serial(self):
+        import tfea
+
+        script = (
+            "import multiprocessing\n"
+            "from support import fuzzed_corpus\n"
+            "from tfea.config import AnalysisConfig\n"
+            "from tfea.pipeline import analyze_corpus\n"
+            "multiprocessing.set_start_method('spawn')\n"
+            "documents, schema = fuzzed_corpus(1, n_docs=11)\n"
+            "config = AnalysisConfig(max_template_matchings=7, on_guard='greedy')\n"
+            "serial = analyze_corpus(documents, schema, config)\n"
+            "pooled = analyze_corpus(documents, schema, config, parallel=2)\n"
+            "assert pooled.documents == serial.documents\n"
+            "print(multiprocessing.get_start_method(), len(pooled.documents))\n"
+        )
+        package_root = os.path.dirname(os.path.dirname(tfea.__file__))
+        tests_dir = os.path.dirname(__file__)
+        env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": os.pathsep.join([package_root, tests_dir])}
+        child = subprocess.run(
+            [sys.executable, "-c", script], env=env, cwd="/", capture_output=True, text=True, timeout=120
+        )
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.split() == ["spawn", "11"]
