@@ -30,6 +30,7 @@ from .model import (
     Template,
     find_normalized,
     normalize,
+    texts_match,
 )
 
 log = logging.getLogger("tfea")
@@ -45,25 +46,33 @@ def load_schema(path: str) -> Schema:
 
 
 def schema_from_dict(raw: Mapping, path: str = "<schema>") -> Schema:
-    if not isinstance(raw, Mapping) or "roles" not in raw:
+    if not isinstance(raw, Mapping) or not isinstance(raw.get("roles"), list):
         raise ParseError(path, "schema must be an object with a 'roles' list")
     roles = []
-    for entry in raw["roles"]:
+    for i, entry in enumerate(raw["roles"]):
         try:
-            roles.append(
-                RoleSpec(
-                    name=entry["name"],
-                    kind=RoleKind(entry["kind"]),
-                    values=tuple(entry.get("values") or ()),
-                    multi=bool(entry.get("multi", True)),
-                )
-            )
+            roles.append(_role_from_dict(entry))
         except (KeyError, ValueError, TypeError) as exc:
-            raise ParseError(path, f"bad role entry {entry!r}: {exc}") from exc
+            raise ParseError(path, f"bad role entry {entry!r}: {exc}", f"role entry {i}") from exc
     try:
         return Schema(tuple(roles))
     except ValueError as exc:
         raise ParseError(path, str(exc)) from exc
+
+
+def _role_from_dict(entry) -> RoleSpec:
+    if not isinstance(entry, Mapping):
+        raise TypeError("a role entry must be an object")
+    name = entry["name"]
+    values = [] if entry.get("values") is None else entry["values"]
+    multi = entry.get("multi", True)
+    if not isinstance(name, str):
+        raise TypeError(f"'name' must be a string, got {name!r}")
+    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+        raise TypeError(f"'values' must be a list of strings, got {values!r}")
+    if not isinstance(multi, bool):
+        raise TypeError(f"'multi' must be true or false, got {multi!r}")
+    return RoleSpec(name=name, kind=RoleKind(entry["kind"]), values=tuple(values), multi=multi)
 
 
 def schema_to_dict(schema: Schema) -> dict:
@@ -137,7 +146,7 @@ def _template_from_dict(
         if role.kind is RoleKind.SET_FILL:
             if not isinstance(value, str):
                 raise ParseError(path, f"set-fill filler must be a string, got {value!r}", where)
-            if not any(texts_equal_inventory(value, v, casefold) for v in role.values):
+            if not any(texts_match(value, v, casefold) for v in role.values):
                 log.warning("%s: value %r is not in the role inventory", where, value)
             fillers[role_name] = value
             continue
@@ -172,10 +181,6 @@ def _template_from_dict(
         if not role.multi and len(fillers[role_name]) > 1:
             log.warning("%s: multiple fillers for a single-fill role", where)
     return Template(fillers)
-
-
-def texts_equal_inventory(value: str, inventory_value: str, casefold: bool) -> bool:
-    return normalize(value, casefold) == normalize(inventory_value, casefold)
 
 
 class _RepeatedKeys(dict):

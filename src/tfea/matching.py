@@ -17,6 +17,11 @@ out is exact, not a heuristic: a disjoint, touching, zero-length or
 null span scores exactly 1 in both SCS modes, and 1 is never a partial
 match. The transformation derivation reads the same cells.
 
+The exact and the greedy matcher share one table of template-pair
+scores per document. Only the roles that the index links by a cell in
+the same role are paired; a pair with no link, usually the large
+majority, is scored from its set-fill values and filler counts alone.
+
 Denominators are fixed per document (each predicted filler adds one to
 the precision denominator, each gold entity or set-fill value adds one
 to the recall denominator), so maximizing F1 reduces to maximizing the
@@ -34,7 +39,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 from .config import AnalysisConfig
 from .exceptions import ComplexityGuardExceeded
-from .model import Document, GoldEntity, Mention, RoleKind, Schema, normalize, texts_match
+from .model import Document, GoldEntity, Mention, Schema, Template, normalize
 from .spans import ScsMode, span_score
 
 PARTIAL_THRESHOLD = 1.0
@@ -177,6 +182,10 @@ class MatchIndex:
             for e, entity in enumerate(template.entities(role))
         ]
         return cls(pred, gold, config.scs_mode, config.casefold)
+
+    def items(self):
+        """``(row, group -> {entity index: match})`` for every mention with a cell."""
+        return self._rows.items()
 
     def row(self, row) -> Mapping:
         """Group -> {entity index: match} over the non-empty cells of one mention."""
@@ -372,66 +381,73 @@ class _PairScore:
     role_pairings: dict[str, MentionPairing]
 
 
-def _set_fill_outcome(pred_value: str | None, gold_value: str | None, casefold: bool) -> tuple[int, int]:
-    """(numerator, errors) for one set-fill role of a template pair.
-
-    A wrong value costs two errors: the spurious predicted value plus the
-    missing gold one; a one-sided value costs one.
-    """
-    if pred_value is not None and gold_value is not None:
-        if texts_match(pred_value, gold_value, casefold):
-            return 1, 0
-        return 0, 2
-    if pred_value is not None or gold_value is not None:
-        return 0, 1
-    return 0, 0
-
-
 RolePairer = Callable[[list[Mapping[int, EntityMatch]], int], MentionPairing]
 
 
-def _score_template_pair(
+def _pair_scores(
     doc: Document,
     schema: Schema,
-    pred_index: int,
-    gold_index: int,
     config: AnalysisConfig,
     index: MatchIndex,
     pair_role: RolePairer,
-) -> _PairScore:
-    """Score one template pair, pairing each string-fill role with ``pair_role``.
+) -> dict[tuple[int, int], _PairScore]:
+    """Score every (pred, gold) template pair of a document.
 
-    ``pair_role(rows, gold_count)`` gets, per predicted mention of the
-    role, its non-empty cells against the gold template's entities.
+    A set-fill role scores 1 on equal normalized values; a wrong value
+    costs two errors (spurious plus missing), a one-sided value one. A
+    string-fill role with ``m`` mentions and ``e`` entities costs
+    ``m + e - 2·exact - partial`` under its pairing. Only the roles that
+    the index links, by a cell with an entity of the same role, reach
+    ``pair_role(rows, e)``, where ``rows`` holds each mention's cells; a
+    cell in another role only feeds incorrect-role detection. Every other
+    role takes the empty ``_unpaired(m, e)``, so a pair with no linked
+    role is scored from its set-fill values, normalized once per
+    template, and its filler counts, without the role loop.
     """
-    pred = doc.predicted_templates[pred_index]
-    gold = doc.gold_templates[gold_index]
-    numerator = 0
-    errors = 0
-    role_numerators: dict[str, int] = {}
-    role_pairings: dict[str, MentionPairing] = {}
-    for role in schema:
-        if role.kind is RoleKind.SET_FILL:
-            num, err = _set_fill_outcome(
-                pred.set_fill(role.name), gold.set_fill(role.name), config.casefold
-            )
-            numerator += num
-            errors += err
-            if num:
-                role_numerators[role.name] = num
-            continue
-        mentions = pred.mentions(role.name)
-        entities = gold.entities(role.name)
-        group = (gold_index, role.name)
-        rows = [index.hits((pred_index, role.name, i), group) for i in range(len(mentions))]
-        pairing = pair_role(rows, len(entities))
-        exact = pairing.exact_count
-        numerator += exact
-        if exact:
-            role_numerators[role.name] = exact
-        errors += len(mentions) + len(entities) - 2 * exact - pairing.partial_count
-        role_pairings[role.name] = pairing
-    return _PairScore(numerator, errors, role_numerators, role_pairings)
+    set_roles = [role.name for role in schema.set_fill_roles]
+    string_roles = [role.name for role in schema.string_fill_roles]
+    position = {role: k for k, role in enumerate(string_roles)}
+    linked: dict[tuple[int, int], set[int]] = {}
+    for (p, role, _), groups in index.items():
+        for g, gold_role in groups:
+            if gold_role == role:
+                linked.setdefault((p, g), set()).add(position[role])
+
+    def fills(template: Template, gold: bool) -> tuple[list[str | None], list[int], int]:
+        values = [template.set_fill(role) for role in set_roles]
+        values = [None if v is None else normalize(v, config.casefold) for v in values]
+        counts = [len(template.entities(r) if gold else template.mentions(r)) for r in string_roles]
+        return values, counts, sum(counts)
+
+    golds = [fills(template, gold=True) for template in doc.gold_templates]
+    scores: dict[tuple[int, int], _PairScore] = {}
+    for p, template in enumerate(doc.predicted_templates):
+        pred_values, pred_counts, pred_total = fills(template, gold=False)
+        for g, (gold_values, gold_counts, gold_total) in enumerate(golds):
+            numerator = 0
+            errors = pred_total + gold_total
+            role_numerators: dict[str, int] = {}
+            for role, pred_value, gold_value in zip(set_roles, pred_values, gold_values):
+                if pred_value is None or gold_value is None:
+                    errors += (pred_value is not None) + (gold_value is not None)
+                elif pred_value == gold_value:
+                    numerator += 1
+                    role_numerators[role] = 1
+                else:
+                    errors += 2
+            role_pairings = dict(zip(string_roles, map(_unpaired, pred_counts, gold_counts)))
+            for k in sorted(linked.get((p, g), ())):
+                role = string_roles[k]
+                rows = [index.hits((p, role, i), (g, role)) for i in range(pred_counts[k])]
+                pairing = pair_role(rows, gold_counts[k])
+                exact = pairing.exact_count
+                numerator += exact
+                if exact:
+                    role_numerators[role] = exact
+                errors -= 2 * exact + pairing.partial_count
+                role_pairings[role] = pairing
+            scores[p, g] = _PairScore(numerator, errors, role_numerators, role_pairings)
+    return scores
 
 
 def document_denominators(doc: Document, schema: Schema) -> dict[str, Tally]:
@@ -631,9 +647,13 @@ def find_optimal_matching(
     errors, then takes the lexicographically smallest pair tuple; the
     search is polynomial in the template counts. Raises
     ComplexityGuardExceeded before scoring any pair when the closed-form
-    matching count (or, while scoring, any role's pairing count) exceeds
-    the configured caps. ``index`` is the document's match index, built
-    here when not given.
+    matching count exceeds its cap, or when the mention cap is below 1
+    and the document has a template pair and a string-fill role: the
+    empty pairing of such a role already counts as one, whether or not
+    the role is linked. While scoring, a linked role whose pairing count
+    exceeds the cap raises as well. Pairs are scored by ``_pair_scores``,
+    so roles and pairs without a link skip the pairing enumeration.
+    ``index`` is the document's match index, built here when not given.
     """
     config = config or AnalysisConfig()
     pred_count = len(doc.predicted_templates)
@@ -646,14 +666,16 @@ def find_optimal_matching(
     if index is None:
         index = MatchIndex.for_document(doc, schema, config)
 
-    def pair_role(rows: list[Mapping[int, EntityMatch]], gold_count: int) -> MentionPairing:
-        return _best_role_pairing(rows, gold_count, config.max_mention_matchings, doc.doc_id)
+    cap = config.max_mention_matchings
+    if cap < 1 and pred_count and gold_count and schema.string_fill_roles:
+        # Every string-fill role of a template pair has at least one
+        # pairing, the empty one, so a cap below 1 is exceeded at once.
+        raise ComplexityGuardExceeded(doc.doc_id, "mention matchings", 1, cap)
 
-    cache = {
-        (p, g): _score_template_pair(doc, schema, p, g, config, index, pair_role)
-        for p in range(pred_count)
-        for g in range(gold_count)
-    }
+    def pair_role(rows: list[Mapping[int, EntityMatch]], gold_count: int) -> MentionPairing:
+        return _best_role_pairing(rows, gold_count, cap, doc.doc_id)
+
+    cache = _pair_scores(doc, schema, config, index, pair_role)
     best = _optimal_assignment(pred_count, gold_count, cache)
     error_tally = sum(cache[pair].errors - 2 for pair in best) + pred_count + gold_count
     return _assemble(doc, schema, best, cache, error_tally, approximate=False)
@@ -692,19 +714,20 @@ def greedy_matching(
 
     Avoids the assignment solve and the pairing enumeration inside each
     role at the cost of optimality; results are flagged approximate. A
-    pair's F1 is taken over its own fillers only.
+    pair's F1 is taken over its own fillers only. Pairs are scored by
+    ``_pair_scores``, the table the exact matcher uses, with the greedy
+    role pairer on the linked roles; no mention cap applies here.
     """
     config = config or AnalysisConfig()
     if index is None:
         index = MatchIndex.for_document(doc, schema, config)
     pred_sizes = [sum(t.filler_counts(schema, gold=False).values()) for t in doc.predicted_templates]
     gold_sizes = [sum(t.filler_counts(schema, gold=True).values()) for t in doc.gold_templates]
-    cache: dict[tuple[int, int], _PairScore] = {}
+    cache = _pair_scores(doc, schema, config, index, _greedy_role_pairing)
     candidates = []
     for p, pred_size in enumerate(pred_sizes):
         for g, gold_size in enumerate(gold_sizes):
-            score = _score_template_pair(doc, schema, p, g, config, index, _greedy_role_pairing)
-            cache[p, g] = score
+            score = cache[p, g]
             if score.numerator > 0 or pred_size + gold_size == 0:
                 pair_f1 = f1_from_tally(Tally(score.numerator, pred_size, gold_size))
                 candidates.append((-pair_f1, score.errors, p, g))

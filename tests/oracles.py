@@ -98,6 +98,48 @@ def _best_role_numerator(mentions, entities, casefold: bool) -> int:
     return best
 
 
+def pair_scores_reference(doc: Document, schema: Schema, config, index, pair_role) -> dict:
+    """``(p, g) -> (numerator, errors, role numerators, role pairings)`` by the full role loop.
+
+    Every string-fill role of every template pair goes through
+    ``pair_role``, cells or not, and every set-fill role compares its two
+    values by normalizing both. The cells come from the library's
+    ``MatchIndex``, which is checked on its own against
+    ``entity_match_reference``; this oracle checks only which roles
+    may skip the pairer.
+    """
+    scores = {}
+    for p, pred in enumerate(doc.predicted_templates):
+        for g, gold in enumerate(doc.gold_templates):
+            numerator = errors = 0
+            role_numerators, role_pairings = {}, {}
+            for role in schema:
+                if role.kind is RoleKind.SET_FILL:
+                    pv, gv = pred.set_fill(role.name), gold.set_fill(role.name)
+                    if pv is not None and gv is not None:
+                        same = normalize(pv, config.casefold) == normalize(gv, config.casefold)
+                        num, err = (1, 0) if same else (0, 2)
+                    else:
+                        num, err = 0, int(pv is not None or gv is not None)
+                    numerator += num
+                    errors += err
+                    if num:
+                        role_numerators[role.name] = num
+                    continue
+                mentions, entities = pred.mentions(role.name), gold.entities(role.name)
+                group = (g, role.name)
+                rows = [index.hits((p, role.name, i), group) for i in range(len(mentions))]
+                pairing = pair_role(rows, len(entities))
+                exact = sum(1 for pair in pairing.pairs if pair.exact)
+                numerator += exact
+                if exact:
+                    role_numerators[role.name] = exact
+                errors += len(mentions) + len(entities) - 2 * exact - (len(pairing.pairs) - exact)
+                role_pairings[role.name] = pairing
+            scores[p, g] = (numerator, errors, role_numerators, role_pairings)
+    return scores
+
+
 def naive_denominators(doc: Document, schema: Schema, casefold: bool = True):
     p_den = r_den = 0
     for template in doc.predicted_templates:

@@ -1,12 +1,15 @@
 """CLI: subcommands, exit codes, output formats, config precedence."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from support import canonical_predictions
 from tfea.cli import EXIT_ERROR, EXIT_GUARD, EXIT_OK, main
 from tfea.corpus import dump_side, schema_to_dict
 from tfea.inject import GenerationParams, InjectionSpec, default_schema, generate_corpus, inject_errors
+from tfea.model import Template
 
 
 @pytest.fixture
@@ -188,6 +191,30 @@ class TestAnalyze:
         assert code == EXIT_ERROR
         assert err.startswith("error: ") and f"doc '{doc_id}'" in err and "more than once" in err
         assert "Traceback" not in err
+
+    def test_malformed_schema_is_parse_error(self, tmp_path, corpus_files, capsys):
+        gold, pred, schema = corpus_files
+        roles = json.loads(schema.read_text(encoding="utf-8"))["roles"]
+        status, agent = roles[0], roles[1]
+        cases = {
+            "roles=5": {"roles": 5},
+            "name=list": {"roles": [{**agent, "name": ["a"]}, *roles[1:]]},
+            "name=5": {"roles": [{**agent, "name": 5}, *roles[1:]]},
+            "values=str": {"roles": [{**status, "values": "xy"}, *roles[1:]]},
+            "multi=str": {"roles": [roles[0], {**agent, "multi": "no"}, *roles[2:]]},
+        }
+        for name, raw in cases.items():
+            broken = tmp_path / "broken_schema.json"
+            broken.write_text(json.dumps(raw), encoding="utf-8")
+            out = tmp_path / "report.json"
+            code = main(_analyze_args(gold, pred, broken, out))
+            err = capsys.readouterr().err
+            assert code == EXIT_ERROR, name
+            assert err.startswith("error: ") and str(broken) in err, (name, err)
+            assert "Traceback" not in err, name
+            assert not out.exists(), name
+            if name != "roles=5":
+                assert "role entry" in err, (name, err)
 
     def test_parallel_smoke(self, tmp_path, corpus_files):
         gold, pred, schema = corpus_files
@@ -411,3 +438,38 @@ def test_parallel_guard_fail_matches_serial(tmp_path, corpus_files):
         stderr[workers] = [line for line in child.stderr.splitlines() if line.startswith("error:")]
     assert len(stderr["1"]) == 1
     assert stderr["2"] == stderr["1"]
+
+
+@pytest.mark.parametrize("cap,skipped", [(0, [0, 1, 3]), (1, [0, 3])])
+def test_mention_guard_counts_the_empty_pairing(tmp_path, cap, skipped):
+    """The mention cap counts every role pairing, the empty one included.
+
+    A string-fill role with no candidate pair still has one pairing, so a
+    cap of 0 guards every document that has a template pair, while a cap
+    of 1 guards only those where some role has a pair to choose.
+    """
+    schema = default_schema()
+    docs = generate_corpus(GenerationParams(n_docs=4, templates_per_doc=(1, 2)), seed=5)
+    set_only = tuple(
+        Template({role.name: t.set_fill(role.name) for role in schema.set_fill_roles if t.set_fill(role.name)})
+        for t in docs[1].gold_templates
+    )
+    predictions = [
+        canonical_predictions(docs[0], schema),  # every role linked
+        set_only,  # template pairs, but no mention to pair
+        (),  # no template pair at all
+        canonical_predictions(docs[3], schema),
+    ]
+    docs = [replace(doc, predicted_templates=pred) for doc, pred in zip(docs, predictions)]
+    gold, pred = tmp_path / "gold.json", tmp_path / "pred.json"
+    schema_path, config = tmp_path / "schema.json", tmp_path / "cfg.json"
+    dump_side(docs, str(gold), gold=True)
+    dump_side(docs, str(pred), gold=False)
+    schema_path.write_text(json.dumps(schema_to_dict(schema)), encoding="utf-8")
+    config.write_text(json.dumps({"max_mention_matchings": cap}), encoding="utf-8")
+    out = tmp_path / "report.json"
+    args = _analyze_args(gold, pred, schema_path, out, "--config", str(config))
+    assert main([*args, "--on-guard", "skip"]) == EXIT_OK
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert [d["doc_id"] for d in report["skipped_documents"]] == [docs[i].doc_id for i in skipped]
+    assert main([*args, "--on-guard", "fail"]) == EXIT_GUARD

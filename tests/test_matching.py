@@ -1,17 +1,22 @@
 """Matcher: counting formula, enumeration, optimality, guards, greedy fallback."""
 
 import random
+from collections import Counter
+from functools import lru_cache
 
 import pytest
 
-from oracles import brute_force_matching_count, entity_match_reference, naive_best_f1
+from oracles import brute_force_matching_count, entity_match_reference, naive_best_f1, pair_scores_reference
 from support import fuzzed_corpus
 from tfea.config import AnalysisConfig
 from tfea.exceptions import ComplexityGuardExceeded
 from tfea.matching import (
     MatchIndex,
     Tally,
+    _best_role_pairing,
+    _greedy_role_pairing,
     _optimal_assignment,
+    _pair_scores,
     _PairScore,
     count_template_matchings,
     enumerate_mention_matchings,
@@ -20,7 +25,7 @@ from tfea.matching import (
     greedy_matching,
     iter_template_matchings,
 )
-from tfea.model import Document, GoldEntity, Mention, RoleKind, RoleSpec, Schema, Span, Template
+from tfea.model import Document, GoldEntity, Mention, RoleKind, RoleSpec, Schema, Span, Template, texts_match
 from tfea.spans import ScsMode
 
 from conftest import gold_template, pred_template, span_mention
@@ -183,6 +188,142 @@ class TestMatchIndex:
                     mention, entity, ScsMode.GEOMETRIC, True
                 )
         assert index.row(2) == {}
+
+
+_PAIR_SCHEMA = Schema(
+    (
+        RoleSpec("agent", RoleKind.STRING_FILL),
+        RoleSpec("status", RoleKind.SET_FILL, values=("a b", "c")),
+        RoleSpec("target", RoleKind.STRING_FILL),
+        RoleSpec("stage", RoleKind.SET_FILL, values=("a b", "c")),
+    )
+)
+
+
+def _random_pair_doc(rng: random.Random) -> Document:
+    """Templates over interleaved set-fill and string-fill roles, some empty.
+
+    Set-fill values and mention texts come in case and whitespace
+    variants of a tiny vocabulary, so values tie only after normalization
+    and mentions often meet entities of another role.
+    """
+
+    def variant(word: str) -> str:
+        if rng.random() < 0.3:
+            word = word.upper()
+        if rng.random() < 0.3:
+            word = word.replace(" ", "  ")
+        if rng.random() < 0.2:
+            word = f" {word}\t"
+        return word
+
+    def mention() -> Mention:
+        text = variant(rng.choice(("a", "b", "a b")))
+        if rng.random() < 0.2:
+            return Mention(text)
+        start = rng.randint(0, 8)
+        return Mention(text, Span(start, start + rng.randint(1, 4)))
+
+    def template(gold: bool) -> Template:
+        fillers: dict = {}
+        if rng.random() < 0.15:
+            return Template(fillers)
+        for role in _PAIR_SCHEMA:
+            if role.kind is RoleKind.SET_FILL:
+                if rng.random() < 0.8:
+                    fillers[role.name] = variant(rng.choice(role.values))
+            elif gold:
+                fillers[role.name] = tuple(
+                    GoldEntity(tuple(mention() for _ in range(rng.randint(1, 2))))
+                    for _ in range(rng.randint(0, 2))
+                )
+            else:
+                fillers[role.name] = tuple(mention() for _ in range(rng.randint(0, 3)))
+        return Template(fillers)
+
+    gold = tuple(template(gold=True) for _ in range(rng.randint(0, 3)))
+    pred = tuple(template(gold=False) for _ in range(rng.randint(0, 3)))
+    return Document("d", " " * 12, gold, pred)
+
+
+@lru_cache(maxsize=1)
+def _pair_score_cases() -> list[tuple[Document, Schema]]:
+    from tfea.model import resolve_document_spans
+
+    cases = []
+    for seed in range(300):
+        documents, schema = fuzzed_corpus(seed)
+        cases += [(resolve_document_spans(doc), schema) for doc in documents]
+    rng = random.Random(6061)
+    return cases + [(_random_pair_doc(rng), _PAIR_SCHEMA) for _ in range(600)]
+
+
+def _recorded(pair_role, calls: list):
+    """``pair_role`` that logs, per call, whether any row has a cell."""
+
+    def pairer(rows, gold_count):
+        calls.append(any(rows))
+        return pair_role(rows, gold_count)
+
+    return pairer
+
+
+_PAIRERS = {
+    "exact": lambda rows, gold_count: _best_role_pairing(rows, gold_count, 10**5, "d"),
+    "greedy": _greedy_role_pairing,
+}
+
+
+_PAIR_KINDS = ("linked", "cell-less", "other role only", "empty template", "equal after normalizing")
+
+
+def _pair_kinds(doc: Document, schema: Schema, index: MatchIndex, config: AnalysisConfig):
+    """The kinds of template pair a document offers, one entry per pair and kind."""
+    same, other = set(), set()
+    for (p, role, _), groups in index.items():
+        for g, gold_role in groups:
+            (same if gold_role == role else other).add((p, g))
+    for p, pred in enumerate(doc.predicted_templates):
+        for g, gold in enumerate(doc.gold_templates):
+            if (p, g) in same:
+                yield "linked"
+            else:
+                yield "cell-less"
+                if (p, g) in other:
+                    yield "other role only"
+            if not pred.role_fillers or not gold.role_fillers:
+                yield "empty template"
+            for role in schema.set_fill_roles:
+                pv, gv = pred.set_fill(role.name), gold.set_fill(role.name)
+                if pv is not None and gv is not None and pv != gv and texts_match(pv, gv, config.casefold):
+                    yield "equal after normalizing"
+
+
+class TestPairScores:
+    @pytest.mark.parametrize("case_sensitive", [False, True])
+    @pytest.mark.parametrize("mode", list(ScsMode))
+    @pytest.mark.parametrize("pairer", sorted(_PAIRERS))
+    def test_table_equals_full_role_loop(self, pairer, mode, case_sensitive):
+        """Skipping the pairer on unlinked roles changes no score, and only they skip it."""
+        config = AnalysisConfig(scs_mode=mode, case_sensitive=case_sensitive)
+        seen = Counter()
+        for doc, schema in _pair_score_cases():
+            index = MatchIndex.for_document(doc, schema, config)
+            reference_calls, calls = [], []
+            expected = pair_scores_reference(
+                doc, schema, config, index, _recorded(_PAIRERS[pairer], reference_calls)
+            )
+            actual = _pair_scores(doc, schema, config, index, _recorded(_PAIRERS[pairer], calls))
+            assert list(actual) == list(expected)
+            for pair, score in actual.items():
+                numerator, errors, role_numerators, role_pairings = expected[pair]
+                assert (score.numerator, score.errors, score.role_numerators) == (
+                    numerator, errors, role_numerators
+                ), (doc, pair)
+                assert list(score.role_pairings.items()) == list(role_pairings.items()), (doc, pair)
+            assert all(calls) and len(calls) == sum(reference_calls), doc
+            seen.update(_pair_kinds(doc, schema, index, config))
+        assert min(seen[kind] for kind in _PAIR_KINDS) > 20, seen
 
 
 def _simple_schema():
