@@ -208,16 +208,54 @@ def exact_match(a: Mention, b: Mention, casefold: bool = True) -> bool:
 
 
 def find_normalized(text: str, doc_text: str, casefold: bool = True) -> Span | None:
-    """First occurrence of ``text`` in ``doc_text`` under normalized comparison."""
+    """First occurrence of ``text`` in ``doc_text`` under normalized comparison.
+
+    ``text`` is normalized (NFC, whitespace collapsed, case-folded unless
+    ``casefold`` is False) and split into tokens; ``doc_text`` is searched
+    as it is, without NFC. The match is the first, by start offset, where
+    the tokens occur in order, each pair of neighbours separated by one
+    run of any whitespace characters. Letters compare case-insensitively
+    unless ``casefold`` is False (the ``case_sensitive`` setting). A match
+    may start or end inside a word. Returns None for a blank ``text`` or
+    when there is no match.
+
+    ASCII inputs are scanned token by token with no regex: there each
+    token starts with a non-space character, so a whitespace gap can only
+    be the whole run, and ``lower()`` is the regex's case-insensitivity.
+    Any other input goes through the regex, whose ``re.IGNORECASE``
+    matching (``ſ`` and ``s``, Kelvin sign and ``k``) ``lower()`` does not
+    reproduce.
+    """
     tokens = normalize(text, casefold).split(" ")
     if tokens == [""]:
         return None
+    if doc_text.isascii() and all(tok.isascii() for tok in tokens):
+        return _scan_tokens(tokens, doc_text.lower() if casefold else doc_text)
     pattern = r"\s+".join(re.escape(tok) for tok in tokens)
     flags = re.IGNORECASE if casefold else 0
     found = re.search(pattern, doc_text, flags)
     if found is None:
         return None
     return Span(found.start(), found.end())
+
+
+def _scan_tokens(tokens: list[str], hay: str) -> Span | None:
+    """First span of ``hay`` where ``tokens`` occur separated by whitespace runs."""
+    first, rest = tokens[0], tokens[1:]
+    start = hay.find(first)
+    while start != -1:
+        end = start + len(first)
+        for token in rest:
+            gap = end
+            while gap < len(hay) and hay[gap].isspace():
+                gap += 1
+            if gap == end or not hay.startswith(token, gap):
+                break
+            end = gap + len(token)
+        else:
+            return Span(start, end)
+        start = hay.find(first, start + 1)
+    return None
 
 
 def resolve_span(mention: Mention, doc: Document, casefold: bool = True) -> Mention:

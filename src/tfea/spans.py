@@ -50,7 +50,11 @@ def span_score(x: Span, y: Span, mode: ScsMode = ScsMode.GEOMETRIC) -> float:
 
 
 def mention_score(a: Mention, b: Mention, mode: ScsMode = ScsMode.GEOMETRIC) -> float:
-    """SCS between two mentions; a missing span scores as maximally distant."""
+    """SCS between two mentions; a missing span scores as maximally distant.
+
+    Analysis does not call this: ``matching.MatchIndex`` scores mentions
+    against gold entities, with the same treatment of missing spans.
+    """
     if a.span is None or b.span is None:
         return 1.0
     return span_score(a.span, b.span, mode)
@@ -66,6 +70,10 @@ def best_gold_target(
     Ties are broken by earliest document position, then by candidate
     order, so repeated runs pick the same target. Returns None only for
     an empty candidate list.
+
+    Analysis does not call this: ``matching.MatchIndex`` picks each
+    span-alteration target, with the same ``(score, start, order)``
+    tie-break.
     """
     best = None
     best_key = None

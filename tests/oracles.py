@@ -7,9 +7,10 @@ hide in the test that checks for it.
 
 from __future__ import annotations
 
+import re
 from itertools import combinations, permutations
 
-from tfea.model import Document, RoleKind, Schema, Template, normalize
+from tfea.model import Document, RoleKind, Schema, Span, Template, normalize
 from tfea.spans import ScsMode
 
 
@@ -20,6 +21,19 @@ def brute_force_matching_count(pred_count: int, gold_count: int) -> int:
             for _gold_perm in permutations(range(gold_count), size):
                 count += 1
     return count
+
+
+def find_normalized_reference(text: str, doc_text: str, casefold: bool = True):
+    """``model.find_normalized`` as one regex: the tokens joined by ``\\s+``."""
+    tokens = normalize(text, casefold).split(" ")
+    if tokens == [""]:
+        return None
+    pattern = r"\s+".join(re.escape(tok) for tok in tokens)
+    flags = re.IGNORECASE if casefold else 0
+    found = re.search(pattern, doc_text, flags)
+    if found is None:
+        return None
+    return Span(found.start(), found.end())
 
 
 def _geometric_scs(a, b) -> float:

@@ -1,9 +1,12 @@
 """Core model: normalization, exact match, span resolution, type invariants."""
 
+import random
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import find_normalized_reference
 from tfea.model import (
     Document,
     GoldEntity,
@@ -14,6 +17,7 @@ from tfea.model import (
     Span,
     Template,
     exact_match,
+    find_normalized,
     normalize,
     resolve_document_spans,
     resolve_span,
@@ -111,6 +115,79 @@ class TestResolveSpan:
         pred = resolved.predicted_templates[0].mentions("agent")
         assert pred[0].span == Span(11, 16)
         assert pred[1].span is None
+
+
+# Characters on which a token scan and the regex could disagree: letters
+# that case-fold across scripts (with their ASCII partners), letters whose
+# lowercase has another length, a decomposed accent and non-ASCII whitespace.
+UNICODE_HAZARDS = [
+    "ſ", "s", "\u212a", "k", "ı", "İ", "i", "ß", "e\u0301", "\u00a0", "\u0085", "\u3000", " ",
+]
+ASCII_WHITESPACE = " \t\n\r\v\f\x1c\x1d\x1e\x1f"
+hazard_text = st.lists(
+    st.one_of(st.characters(), st.sampled_from(UNICODE_HAZARDS)), max_size=8
+).map("".join)
+
+
+class TestFindNormalized:
+    def test_random_ascii_matches_reference(self):
+        rng = random.Random(7)
+        letters = "aAbB"
+        metas = ".*+([\\"
+        alphabet = letters * 4 + ASCII_WHITESPACE + metas
+        found = unfound = multi_token = 0
+        for case in range(120_000):
+            casefold = case % 2 == 0
+            doc = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 24)))
+            if doc and rng.random() < 0.5:
+                # Cut the mention from the document, so that many cases match.
+                i = rng.randrange(len(doc))
+                text = doc[i : i + rng.randint(1, 8)]
+                text = "".join(c.swapcase() if rng.random() < 0.3 else c for c in text)
+            else:
+                text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 6)))
+            expected = find_normalized_reference(text, doc, casefold)
+            assert find_normalized(text, doc, casefold) == expected, (text, doc, casefold)
+            if expected is None:
+                unfound += 1
+            else:
+                found += 1
+                multi_token += " " in normalize(text, casefold)
+        assert found >= 40_000 and unfound >= 40_000 and multi_token >= 8_000
+
+    @settings(max_examples=500)
+    @given(
+        text=hazard_text,
+        before=hazard_text,
+        after=hazard_text,
+        recase=st.sampled_from([str, str.upper, str.lower, str.swapcase, str.casefold]),
+        casefold=st.booleans(),
+    )
+    def test_unicode_matches_reference(self, text, before, after, recase, casefold):
+        for doc in (before + recase(text) + after, before + after):
+            expected = find_normalized_reference(text, doc, casefold)
+            assert find_normalized(text, doc, casefold) == expected
+
+    @pytest.mark.parametrize(
+        "text,doc,casefold,expected",
+        [
+            ("STRASSE", "die Straße", True, None),
+            ("ſtraße", "the strasse", True, Span(4, 11)),
+            ("\u212aelvin", "KELVIN", True, Span(0, 6)),
+            ("path", "İ path", True, Span(2, 6)),
+            ("a b", "x a\u00a0\u3000b", True, Span(2, 6)),
+            ("a b", "a\x1c\x1fb", True, Span(0, 4)),
+            ("ab", "a b", True, None),
+            ("a b", "ab a b", True, Span(3, 6)),
+            ("a b", "a a b", True, Span(2, 5)),
+            ("Ab", "ab Ab", False, Span(3, 5)),
+            ("a.b", "axb a.b", True, Span(4, 7)),
+            ("   ", "a b", True, None),
+        ],
+    )
+    def test_examples(self, text, doc, casefold, expected):
+        assert find_normalized(text, doc, casefold) == expected
+        assert find_normalized_reference(text, doc, casefold) == expected
 
 
 class TestTypes:
