@@ -29,7 +29,6 @@ from .matching import (
     TemplateMatching,
     TemplatePair,
     count_template_matchings,
-    enumerate_mention_matchings,
     find_optimal_matching,
     greedy_matching,
     iter_template_matchings,
@@ -101,7 +100,6 @@ __all__ = [
     "best_gold_target",
     "count_template_matchings",
     "derive_transformations",
-    "enumerate_mention_matchings",
     "exact_match",
     "find_optimal_matching",
     "generate_corpus",

@@ -43,6 +43,7 @@ EXIT_GUARD = 2
 
 SCS_MODE_CHOICES = tuple(mode.value for mode in ScsMode)
 FORMAT_CHOICES = ("json", "csv", "text")
+CONFIG_KEYS = ("scs_mode", "case_sensitive", "max_matchings", "on_guard", "parallel", "format", "label")
 
 
 def _setup_logging() -> None:
@@ -81,6 +82,9 @@ def _load_config_file(path: str | None) -> dict:
         raise ParseError(path, f"cannot read config: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError(path, "config must be a JSON object")
+    for key in raw:
+        if key not in CONFIG_KEYS:
+            raise ParseError(path, f"unknown setting; known: {', '.join(CONFIG_KEYS)}", key)
     return raw
 
 
@@ -119,9 +123,6 @@ def _resolve_settings(args: argparse.Namespace) -> tuple[AnalysisConfig, dict]:
         case_sensitive=case_sensitive,
         max_template_matchings=pick_int(
             args.max_matchings, "max_matchings", AnalysisConfig.max_template_matchings, 0
-        ),
-        max_mention_matchings=pick_int(
-            None, "max_mention_matchings", AnalysisConfig.max_mention_matchings, 0
         ),
         on_guard=pick_choice(args.on_guard, "on_guard", "skip", ON_GUARD_CHOICES),
     )

@@ -9,7 +9,6 @@ from .spans import ScsMode
 ON_GUARD_CHOICES = ("skip", "greedy", "fail")
 
 DEFAULT_MAX_TEMPLATE_MATCHINGS = 1_000_000
-DEFAULT_MAX_MENTION_MATCHINGS = 100_000
 
 
 @dataclass(frozen=True)
@@ -24,7 +23,6 @@ class AnalysisConfig:
     scs_mode: ScsMode = ScsMode.GEOMETRIC
     case_sensitive: bool = False
     max_template_matchings: int = DEFAULT_MAX_TEMPLATE_MATCHINGS
-    max_mention_matchings: int = DEFAULT_MAX_MENTION_MATCHINGS
     on_guard: str = "skip"
 
     def __post_init__(self):

@@ -45,11 +45,11 @@ class SchemaMismatch(TfeaError):
 
 
 class ComplexityGuardExceeded(TfeaError):
-    """A document is over a matching size cap.
+    """A document is over the template matching cap.
 
-    For templates the cap is on the closed-form matching count, a size
-    guard kept while the greedy fallback exists; for one role's mention
-    pairings it bounds an enumeration.
+    The cap is on the closed-form template matching count, a size guard
+    kept while the greedy fallback exists. Filler pairings have no cap:
+    they are solved, not enumerated.
     """
 
     def __init__(self, doc_id: str, what: str, count: int, cap: int):

@@ -3,9 +3,11 @@
 For each document, the injective partial pairing of predicted to gold
 templates with the best exact-match F1 is found by a rectangular
 linear-assignment solve (Hungarian method), polynomial in the template
-counts; within a template pair, every role is paired independently. Ties
-on F1 are broken by the fewest implied errors, then by the
-lexicographically smallest pair list.
+counts. Ties on F1 are broken by the fewest implied errors, then by the
+lexicographically smallest pair list. Within a template pair, every
+role's fillers are paired independently by the same lex-min assignment
+core (most exact pairs, then most partial pairs, then the smallest pair
+list), so neither level enumerates pairings.
 
 Every pairing question (is this predicted filler an exact or a partial
 match of that gold entity?) is answered by one per-document
@@ -35,11 +37,11 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping
 
 from .config import AnalysisConfig
 from .exceptions import ComplexityGuardExceeded
-from .model import Document, GoldEntity, Mention, Schema, Template, normalize
+from .model import Document, Mention, Schema, Template, normalize
 from .spans import ScsMode, span_score
 
 PARTIAL_THRESHOLD = 1.0
@@ -225,24 +227,6 @@ class MentionPairing:
         return len(self.pairs) - self.exact_count
 
 
-def _iter_index_pairings(eligible: list[list[int]]) -> Iterator[tuple[tuple[int, int], ...]]:
-    def rec(i: int, used: set[int]) -> Iterator[tuple[tuple[int, int], ...]]:
-        if i == len(eligible):
-            yield ()
-            return
-        for rest in rec(i + 1, used):
-            yield rest
-        for j in eligible[i]:
-            if j in used:
-                continue
-            used.add(j)
-            for rest in rec(i + 1, used):
-                yield ((i, j),) + rest
-            used.remove(j)
-
-    return rec(0, set())
-
-
 @lru_cache(maxsize=256)
 def _unpaired(pred_count: int, gold_count: int) -> MentionPairing:
     # Most role pairings have no candidate pair at all; they share one value.
@@ -270,52 +254,27 @@ def _build_pairing(
     )
 
 
-def enumerate_mention_matchings(
-    pred: Sequence[Mention],
-    gold: Sequence[GoldEntity],
-    mode: ScsMode = ScsMode.GEOMETRIC,
-    casefold: bool = True,
-    max_matchings: int | None = None,
-    doc_id: str = "<document>",
-) -> list[MentionPairing]:
-    """All injective partial pairings whose pairs are exact or span-eligible.
-
-    A pair is only allowed when the predicted mention exactly matches the
-    entity or overlaps one of its mention spans (SCS below 1): disjoint
-    spans carry no evidence of a span mistake.
-    """
-    index = MatchIndex(enumerate(pred), ((None, j, e) for j, e in enumerate(gold)), mode, casefold)
-    rows = [index.hits(i, None) for i in range(len(pred))]
-    out = []
-    for index_pairs in _iter_index_pairings([list(row) for row in rows]):
-        out.append(_build_pairing(index_pairs, rows, len(gold)))
-        if max_matchings is not None and len(out) > max_matchings:
-            raise ComplexityGuardExceeded(doc_id, "mention matchings", len(out), max_matchings)
-    return out
-
-
-def _best_role_pairing(
-    rows: list[Mapping[int, EntityMatch]], gold_count: int, cap: int, doc_id: str
-) -> MentionPairing:
-    """Pick the pairing maximizing exact pairs, then partial pairs.
+def _best_role_pairing(rows: list[Mapping[int, EntityMatch]], gold_count: int) -> MentionPairing:
+    """The pairing with the most exact pairs, then the most partial pairs.
 
     Exact pairs are the numerator; each partial pair replaces one
     spurious plus one missing error with a single span error, so at a
-    fixed numerator more partials means fewer errors.
+    fixed numerator more partials means fewer errors. Ties go to the
+    lexicographically smallest pair tuple. With ``K = len(rows)`` pairs
+    at most, a cost of ``-(K+1)`` per exact cell and ``-1`` per partial
+    one orders pairings the same way, so this is one lex-min assignment.
+    When no mention and no entity has two cells, no cell competes with
+    another and taking every cell is already that assignment.
     """
-    best_key = None
-    best: tuple[tuple[int, int], ...] = ()
-    seen = 0
-    for index_pairs in _iter_index_pairings([list(row) for row in rows]):
-        seen += 1
-        if seen > cap:
-            raise ComplexityGuardExceeded(doc_id, "mention matchings", seen, cap)
-        exact = sum(1 for i, j in index_pairs if rows[i][j].exact)
-        key = (-exact, -(len(index_pairs) - exact), index_pairs)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = index_pairs
-    return _build_pairing(best, rows, gold_count)
+    cells = tuple((i, j) for i, row in enumerate(rows) for j in row)
+    if len({i for i, _ in cells}) == len({j for _, j in cells}) == len(cells):
+        return _build_pairing(cells, rows, gold_count)
+    exact_cost = -(len(rows) + 1)
+    cost: list[list[int | None]] = [
+        [None if j not in row else exact_cost if row[j].exact else -1 for j in range(gold_count)]
+        for row in rows
+    ]
+    return _build_pairing(_lexmin_assignment(cost, gold_count), rows, gold_count)
 
 
 @dataclass(frozen=True)
@@ -398,7 +357,8 @@ def _pair_scores(
     string-fill role with ``m`` mentions and ``e`` entities costs
     ``m + e - 2·exact - partial`` under its pairing. Only the roles that
     the index links, by a cell with an entity of the same role, reach
-    ``pair_role(rows, e)``, where ``rows`` holds each mention's cells; a
+    ``pair_role(rows, e)``, where ``rows`` holds each mention's cells
+    (``_best_role_pairing`` for the exact matcher, a polynomial solve); a
     cell in another role only feeds incorrect-role detection. Every other
     role takes the empty ``_unpaired(m, e)``, so a pair with no linked
     role is scored from its set-fill values, normalized once per
@@ -552,10 +512,25 @@ def _optimal_assignment(
 
     Both sums add up over pairs, so one integer cost per pair,
     ``-numerator·M + (errors - 2)`` with ``M`` above any possible spread
-    of the error term, orders assignments by the first two keys. Padding
-    to a (P+G)-square matrix lets every pred row take its own dummy
-    column and every gold-dummy row take its gold column or any dummy
-    column, all at cost 0, so leaving a template unmatched is free.
+    of the error term, orders assignments by the first two keys.
+    """
+    big = 2 * sum(abs(score.errors - 2) for score in cache.values()) + 1
+    cost: list[list[int | None]] = [
+        [-cache[p, g].numerator * big + cache[p, g].errors - 2 for g in range(gold_count)]
+        for p in range(pred_count)
+    ]
+    return _lexmin_assignment(cost, gold_count)
+
+
+def _lexmin_assignment(cost: list[list[int | None]], gold_count: int) -> tuple[tuple[int, int], ...]:
+    """The pair tuple minimizing ``(Σ cost, pairs)`` over a P×G matrix.
+
+    ``cost[p][g]`` is the cost of pairing pred ``p`` with gold ``g``, or
+    ``None`` where that pair is forbidden; an unpaired row or column
+    costs 0. Padding to a (P+G)-square matrix lets every pred row take
+    its own dummy column and every gold-dummy row take its gold column
+    or any dummy column, all at cost 0, so leaving either side unmatched
+    is free.
 
     The optimal assignments are exactly the perfect matchings on the
     cells that are tight under the optimal duals. The lexicographic
@@ -564,23 +539,21 @@ def _optimal_assignment(
     smallest gold that an alternating cycle of tight cells can reroute
     the current assignment onto, else leave the pred unmatched.
     """
+    pred_count = len(cost)
     size = pred_count + gold_count
-    big = 2 * sum(abs(score.errors - 2) for score in cache.values()) + 1
-    cost: list[list[int | None]] = [
-        [-cache[p, g].numerator * big + cache[p, g].errors - 2 for g in range(gold_count)]
-        + [0 if j == p else None for j in range(pred_count)]
-        for p in range(pred_count)
+    padded: list[list[int | None]] = [
+        row + [0 if j == p else None for j in range(pred_count)] for p, row in enumerate(cost)
     ] + [
         [0 if j == g else None for j in range(gold_count)] + [0] * pred_count
         for g in range(gold_count)
     ]
-    row_of, u, v = _min_cost_assignment(cost)
+    row_of, u, v = _min_cost_assignment(padded)
     col_of = [0] * size
     for c, r in enumerate(row_of):
         col_of[r] = c
-    optimum = sum(cost[r][col_of[r]] for r in range(size))
+    optimum = sum(padded[r][col_of[r]] for r in range(size))
     tight = [
-        [c for c, w in enumerate(cost[r]) if w is not None and u[r] + v[c] == w]
+        [c for c, w in enumerate(padded[r]) if w is not None and u[r] + v[c] == w]
         for r in range(size)
     ]
     fixed = [False] * size  # columns taken by decided preds
@@ -594,7 +567,7 @@ def _optimal_assignment(
                 continue
             if g == col_of[p] or _reroute(p, g, tight, row_of, col_of, fixed):
                 chosen.append((p, g))
-                reached += cost[p][g]
+                reached += padded[p][g]
                 break
         fixed[col_of[p]] = True
     return tuple(chosen)
@@ -647,12 +620,9 @@ def find_optimal_matching(
     errors, then takes the lexicographically smallest pair tuple; the
     search is polynomial in the template counts. Raises
     ComplexityGuardExceeded before scoring any pair when the closed-form
-    matching count exceeds its cap, or when the mention cap is below 1
-    and the document has a template pair and a string-fill role: the
-    empty pairing of such a role already counts as one, whether or not
-    the role is linked. While scoring, a linked role whose pairing count
-    exceeds the cap raises as well. Pairs are scored by ``_pair_scores``,
-    so roles and pairs without a link skip the pairing enumeration.
+    matching count exceeds its cap. Pairs are scored by ``_pair_scores``
+    with ``_best_role_pairing``, the same lex-min assignment one level
+    down, so no role pairing is enumerated and no role has a cap.
     ``index`` is the document's match index, built here when not given.
     """
     config = config or AnalysisConfig()
@@ -665,17 +635,7 @@ def find_optimal_matching(
         )
     if index is None:
         index = MatchIndex.for_document(doc, schema, config)
-
-    cap = config.max_mention_matchings
-    if cap < 1 and pred_count and gold_count and schema.string_fill_roles:
-        # Every string-fill role of a template pair has at least one
-        # pairing, the empty one, so a cap below 1 is exceeded at once.
-        raise ComplexityGuardExceeded(doc.doc_id, "mention matchings", 1, cap)
-
-    def pair_role(rows: list[Mapping[int, EntityMatch]], gold_count: int) -> MentionPairing:
-        return _best_role_pairing(rows, gold_count, cap, doc.doc_id)
-
-    cache = _pair_scores(doc, schema, config, index, pair_role)
+    cache = _pair_scores(doc, schema, config, index, _best_role_pairing)
     best = _optimal_assignment(pred_count, gold_count, cache)
     error_tally = sum(cache[pair].errors - 2 for pair in best) + pred_count + gold_count
     return _assemble(doc, schema, best, cache, error_tally, approximate=False)
@@ -712,11 +672,10 @@ def greedy_matching(
 ) -> TemplateMatching:
     """Approximate fallback: accept template pairs by descending pairwise F1.
 
-    Avoids the assignment solve and the pairing enumeration inside each
-    role at the cost of optimality; results are flagged approximate. A
-    pair's F1 is taken over its own fillers only. Pairs are scored by
-    ``_pair_scores``, the table the exact matcher uses, with the greedy
-    role pairer on the linked roles; no mention cap applies here.
+    Avoids the assignment solves at the cost of optimality; results are
+    flagged approximate. A pair's F1 is taken over its own fillers only.
+    Pairs are scored by ``_pair_scores``, the table the exact matcher
+    uses, with the greedy role pairer on the linked roles.
     """
     config = config or AnalysisConfig()
     if index is None:

@@ -21,7 +21,6 @@ documents), and 0.41 s either way on guard_overflow (30 documents).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -134,6 +133,9 @@ def analyze_corpus(
     ordered = sorted(documents, key=lambda d: d.doc_id)
     workers = min(parallel, len(ordered))
     if workers > 1:
+        # Imported here: a run that starts no pool skips loading multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         job = (ordered, schema, config, derive)
         chunksize = math.ceil(len(ordered) / (4 * workers))
         with ProcessPoolExecutor(workers, initializer=_start_worker, initargs=job) as pool:

@@ -103,7 +103,6 @@ def config_echo(config: AnalysisConfig) -> dict:
         "scs_mode": config.scs_mode.value,
         "case_sensitive": config.case_sensitive,
         "max_template_matchings": config.max_template_matchings,
-        "max_mention_matchings": config.max_mention_matchings,
         "on_guard": config.on_guard,
     }
 

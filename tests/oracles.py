@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from itertools import combinations, permutations
 
+from tfea.matching import MentionPair, MentionPairing
 from tfea.model import Document, RoleKind, Schema, Span, Template, normalize
 from tfea.spans import ScsMode
 
@@ -76,6 +77,55 @@ def entity_match_reference(mention, entity, mode: ScsMode, casefold: bool):
     if score < 1.0:
         return False, score, entity.mentions[k]
     return False, 1.0, None
+
+
+def _mention_pairings(cells) -> list[tuple[int, int, tuple[tuple[int, int], ...]]]:
+    """``(-exact, -partial, pairs)`` of every injective partial pairing over ``cells``.
+
+    ``cells[i][j]`` is ``(exact, score, gold mention)``. A pair is allowed
+    only when its cell is exact or scores below 1: disjoint spans carry
+    no evidence of a span mistake. Pred ``i`` is first left unpaired,
+    then paired with each free allowed entity in index order.
+    """
+    out = []
+
+    def rec(i: int, used: frozenset, pairs: tuple, exact: int, partial: int):
+        if i == len(cells):
+            out.append((-exact, -partial, pairs))
+            return
+        rec(i + 1, used, pairs, exact, partial)
+        for j, (is_exact, score, _) in enumerate(cells[i]):
+            if j not in used and (is_exact or score < 1.0):
+                rec(i + 1, used | {j}, pairs + ((i, j),), exact + is_exact, partial + (not is_exact))
+
+    rec(0, frozenset(), (), 0, 0)
+    return out
+
+
+def _mention_pairing(pairs, cells, gold_count: int) -> MentionPairing:
+    paired_pred, paired_gold = {i for i, _ in pairs}, {j for _, j in pairs}
+    return MentionPairing(
+        tuple(MentionPair(i, j, *cells[i][j]) for i, j in pairs),
+        tuple(i for i in range(len(cells)) if i not in paired_pred),
+        tuple(j for j in range(gold_count) if j not in paired_gold),
+    )
+
+
+def _reference_cells(pred, gold, mode: ScsMode, casefold: bool):
+    return [[entity_match_reference(m, e, mode, casefold) for e in gold] for m in pred]
+
+
+def enumerate_mention_matchings(pred, gold, mode: ScsMode = ScsMode.GEOMETRIC, casefold: bool = True):
+    """Every pairing of mentions to entities, with cells from ``entity_match_reference``."""
+    cells = _reference_cells(pred, gold, mode, casefold)
+    return [_mention_pairing(pairs, cells, len(gold)) for *_, pairs in _mention_pairings(cells)]
+
+
+def best_mention_matching_reference(pred, gold, mode: ScsMode, casefold: bool) -> MentionPairing:
+    """Most exact pairs, then most partial pairs, then the smallest ``(pred, entity)`` tuple."""
+    cells = _reference_cells(pred, gold, mode, casefold)
+    *_, pairs = min(_mention_pairings(cells))
+    return _mention_pairing(pairs, cells, len(gold))
 
 
 def _pair_allowed(mention, entity, casefold: bool) -> bool:

@@ -1,15 +1,12 @@
 """CLI: subcommands, exit codes, output formats, config precedence."""
 
 import json
-from dataclasses import replace
 
 import pytest
 
-from support import canonical_predictions
 from tfea.cli import EXIT_ERROR, EXIT_GUARD, EXIT_OK, main
 from tfea.corpus import dump_side, schema_to_dict
 from tfea.inject import GenerationParams, InjectionSpec, default_schema, generate_corpus, inject_errors
-from tfea.model import Template
 
 
 @pytest.fixture
@@ -137,6 +134,8 @@ class TestAnalyze:
             ({"case_sensitive": "false"}, ()),
             ({}, ("--parallel", "-1")),
             ({}, ("--max-matchings", "-1")),
+            ({"max_mention_matchings": 10}, ()),
+            ({"max_matching": 5}, ()),
         ],
         ids=[
             "max_matchings-string",
@@ -151,6 +150,8 @@ class TestAnalyze:
             "case_sensitive-string",
             "flag-parallel-negative",
             "flag-max-matchings-negative",
+            "max_mention_matchings-retired",
+            "max_matching-unknown",
         ],
     )
     def test_bad_setting_is_parse_error(self, tmp_path, corpus_files, capsys, cfg, flags):
@@ -164,6 +165,15 @@ class TestAnalyze:
         assert err.startswith("error: ")
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["max_mention_matchings", "max_matching"])
+    def test_unknown_setting_names_the_key(self, tmp_path, corpus_files, capsys, key):
+        gold, pred, schema = corpus_files
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"label": "x", key: 5}))
+        out = tmp_path / "report.json"
+        assert main(_analyze_args(gold, pred, schema, out, "--config", str(config))) == EXIT_ERROR
+        assert f"({key}): unknown setting" in capsys.readouterr().err
 
     def test_malformed_corpus_is_parse_error(self, tmp_path, corpus_files, capsys):
         gold, pred, schema = corpus_files
@@ -438,38 +448,3 @@ def test_parallel_guard_fail_matches_serial(tmp_path, corpus_files):
         stderr[workers] = [line for line in child.stderr.splitlines() if line.startswith("error:")]
     assert len(stderr["1"]) == 1
     assert stderr["2"] == stderr["1"]
-
-
-@pytest.mark.parametrize("cap,skipped", [(0, [0, 1, 3]), (1, [0, 3])])
-def test_mention_guard_counts_the_empty_pairing(tmp_path, cap, skipped):
-    """The mention cap counts every role pairing, the empty one included.
-
-    A string-fill role with no candidate pair still has one pairing, so a
-    cap of 0 guards every document that has a template pair, while a cap
-    of 1 guards only those where some role has a pair to choose.
-    """
-    schema = default_schema()
-    docs = generate_corpus(GenerationParams(n_docs=4, templates_per_doc=(1, 2)), seed=5)
-    set_only = tuple(
-        Template({role.name: t.set_fill(role.name) for role in schema.set_fill_roles if t.set_fill(role.name)})
-        for t in docs[1].gold_templates
-    )
-    predictions = [
-        canonical_predictions(docs[0], schema),  # every role linked
-        set_only,  # template pairs, but no mention to pair
-        (),  # no template pair at all
-        canonical_predictions(docs[3], schema),
-    ]
-    docs = [replace(doc, predicted_templates=pred) for doc, pred in zip(docs, predictions)]
-    gold, pred = tmp_path / "gold.json", tmp_path / "pred.json"
-    schema_path, config = tmp_path / "schema.json", tmp_path / "cfg.json"
-    dump_side(docs, str(gold), gold=True)
-    dump_side(docs, str(pred), gold=False)
-    schema_path.write_text(json.dumps(schema_to_dict(schema)), encoding="utf-8")
-    config.write_text(json.dumps({"max_mention_matchings": cap}), encoding="utf-8")
-    out = tmp_path / "report.json"
-    args = _analyze_args(gold, pred, schema_path, out, "--config", str(config))
-    assert main([*args, "--on-guard", "skip"]) == EXIT_OK
-    report = json.loads(out.read_text(encoding="utf-8"))
-    assert [d["doc_id"] for d in report["skipped_documents"]] == [docs[i].doc_id for i in skipped]
-    assert main([*args, "--on-guard", "fail"]) == EXIT_GUARD

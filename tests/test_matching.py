@@ -6,7 +6,14 @@ from functools import lru_cache
 
 import pytest
 
-from oracles import brute_force_matching_count, entity_match_reference, naive_best_f1, pair_scores_reference
+from oracles import (
+    best_mention_matching_reference,
+    brute_force_matching_count,
+    entity_match_reference,
+    enumerate_mention_matchings,
+    naive_best_f1,
+    pair_scores_reference,
+)
 from support import fuzzed_corpus
 from tfea.config import AnalysisConfig
 from tfea.exceptions import ComplexityGuardExceeded
@@ -19,7 +26,6 @@ from tfea.matching import (
     _pair_scores,
     _PairScore,
     count_template_matchings,
-    enumerate_mention_matchings,
     f1_from_tally,
     find_optimal_matching,
     greedy_matching,
@@ -83,11 +89,52 @@ class TestMentionMatchings:
         assert len(pairings) == 1
         assert pairings[0].pairs == ()
 
-    def test_guard(self):
-        pred = [span_mention("x", 0) for _ in range(6)]
-        gold = [GoldEntity((span_mention("x", 0),)) for _ in range(6)]
-        with pytest.raises(ComplexityGuardExceeded):
-            enumerate_mention_matchings(pred, gold, max_matchings=10)
+    def test_role_pairing_matches_enumeration(self):
+        """The solved role pairing is the enumerated lex-min on tie-heavy roles."""
+        rng = random.Random(4417)
+        shapes, cells = Counter(), Counter()
+        for _ in range(10_000):
+            pred, gold = _random_role(rng)
+            mode, casefold = rng.choice(list(ScsMode)), rng.random() < 0.7
+            index = MatchIndex(enumerate(pred), ((None, j, e) for j, e in enumerate(gold)), mode, casefold)
+            rows = [index.hits(i, None) for i in range(len(pred))]
+            columns = [j for row in rows for j in row]
+            contested = any(len(row) > 1 for row in rows) or len(set(columns)) < len(columns)
+            shapes["contested" if contested else "uncontested"] += 1
+            cells.update(
+                "exact" if j in row and row[j].exact else "partial" if j in row else "absent"
+                for row in rows
+                for j in range(len(gold))
+            )
+            assert _best_role_pairing(rows, len(gold)) == best_mention_matching_reference(
+                pred, gold, mode, casefold
+            ), (pred, gold, mode, casefold)
+        assert min(shapes["contested"], shapes["uncontested"]) > 2000, shapes
+        assert min(cells["exact"], cells["partial"], cells["absent"]) > 10_000, cells
+
+
+def _random_role(rng: random.Random) -> tuple[list[Mention], list[GoldEntity]]:
+    """Up to six mentions and six entities over a small vocabulary and a 10-character text.
+
+    With one or two words most mentions have several exact cells that
+    tie; spans are null, zero-length or 1-3 characters long, so partial
+    cells nest, touch and tie on score.
+    """
+    words = rng.choice((("a",), ("a", "b"), ("a", "b"), tuple("abcdef"), tuple("abcdef")))
+
+    def mention() -> Mention:
+        text = rng.choice(words)
+        if rng.random() < 0.3:
+            text = text.upper()
+        roll = rng.random()
+        if roll < 0.15:
+            return Mention(text)
+        start = rng.randint(0, 7)
+        return Mention(text, Span(start, start + (0 if roll < 0.25 else rng.randint(1, 3))))
+
+    pred = [mention() for _ in range(rng.randint(0, 6))]
+    gold = [GoldEntity(tuple(mention() for _ in range(rng.randint(1, 2)))) for _ in range(rng.randint(0, 6))]
+    return pred, gold
 
 
 _INDEX_SCHEMA = Schema(
@@ -269,7 +316,7 @@ def _recorded(pair_role, calls: list):
 
 
 _PAIRERS = {
-    "exact": lambda rows, gold_count: _best_role_pairing(rows, gold_count, 10**5, "d"),
+    "exact": _best_role_pairing,
     "greedy": _greedy_role_pairing,
 }
 
@@ -452,6 +499,17 @@ class TestAssignmentSolver:
             assert _optimal_assignment(pred_count, gold_count, cache) == _lex_min_by_enumeration(
                 pred_count, gold_count, cache
             ), (pred_count, gold_count, cache)
+
+    def test_dense_role_is_solved_exactly(self):
+        """One 8-mention by 8-entity role where every cell is exact: 1,441,729 pairings."""
+        mentions = [span_mention("x", 2 * i) for i in range(8)]
+        doc = Document(
+            "dense", "x " * 8, (gold_template(agent=[[m] for m in mentions]),), (pred_template(agent=mentions),)
+        )
+        matching = find_optimal_matching(doc, _simple_schema())
+        pairing = matching.pairs[0].role_pairings["agent"]
+        assert [(p.pred_index, p.entity_index, p.exact) for p in pairing.pairs] == [(i, i, True) for i in range(8)]
+        assert matching.f1 == 1.0
 
     def test_twelve_by_twelve_is_solved_exactly(self):
         """Beyond the reach of enumeration (over 10^11 matchings at 12x12)."""

@@ -1,5 +1,6 @@
 """Pipeline: guard handling, case modes, score-only runs, parallel merge."""
 
+import concurrent.futures
 import dataclasses
 import os
 import subprocess
@@ -12,7 +13,6 @@ from tfea.errors import ErrorType, total_errors
 from tfea.exceptions import ComplexityGuardExceeded
 from tfea.inject import GenerationParams, InjectionSpec, default_schema, generate_corpus, inject_errors
 from tfea.model import Document
-from tfea import pipeline
 from tfea.pipeline import analyze_corpus, analyze_document
 
 from conftest import gold_template, pred_template, span_mention
@@ -126,12 +126,12 @@ class TestParallel:
     def test_no_more_workers_than_documents(self, small_corpus, monkeypatch):
         started = []
 
-        class RecordingPool(pipeline.ProcessPoolExecutor):
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, max_workers, **kwargs):
                 started.append(max_workers)
                 super().__init__(max_workers, **kwargs)
 
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         documents, schema, _ = small_corpus
         serial = analyze_corpus(documents, schema)
         assert analyze_corpus(documents, schema, parallel=16).documents == serial.documents
