@@ -9,6 +9,15 @@ where a filler is a plain string for set-fill roles, a list of entities
 mention objects on the predicted side. Mention objects are
 ``{"text": str, "start": int?, "end": int?}``, where ``start`` and ``end``
 are given together or not at all.
+
+Declared offsets are checked in this order: a slice ``doctext[start:end]``
+equal to ``text`` is accepted; otherwise a slice equal to ``text`` after
+``normalize`` is accepted, keeping the declared offsets; otherwise the
+mention is relocated to the first normalized occurrence in the document,
+with a warning. Offsets that are not a pair of ints with
+``0 <= start <= end <= len(doctext)`` are relocated with a warning too.
+A mention with no offsets keeps a null span here and is located later
+by ``resolve_document_spans``.
 """
 
 from __future__ import annotations
@@ -30,7 +39,6 @@ from .model import (
     Template,
     find_normalized,
     normalize,
-    texts_match,
 )
 
 log = logging.getLogger("tfea")
@@ -87,100 +95,114 @@ def schema_to_dict(schema: Schema) -> dict:
     return {"roles": roles}
 
 
-def _mention_from_dict(raw, doc_text: str, path: str, where: str, casefold: bool) -> Mention:
-    if not isinstance(raw, Mapping) or "text" not in raw:
-        raise ParseError(path, f"mention must be an object with 'text'", where)
-    text = raw["text"]
-    if not isinstance(text, str):
-        raise ParseError(path, f"mention text must be a string, got {text!r}", where)
-    start, end = raw.get("start"), raw.get("end")
-    if start is None and end is None:
-        # No offsets at all: resolve_document_spans locates the mention later.
-        return Mention(text)
-    # Offsets come as a pair of true ints; a lone offset, a float (which
-    # int() would truncate) or a bool (which int() turns into 0/1) is invalid.
-    if not (type(start) is int and type(end) is int and 0 <= start <= end):
-        log.warning("%s: invalid offsets [%r, %r) for %r, re-locating", where, start, end, text)
-        return _relocate(text, doc_text, casefold)
-    span = Span(start, end)
-    if span.end > len(doc_text):
-        log.warning("%s: span [%d, %d) falls outside the document, re-locating", where, span.start, span.end)
-        return _relocate(text, doc_text, casefold)
-    if normalize(doc_text[span.start : span.end], casefold) != normalize(text, casefold):
-        log.warning(
-            "%s: text %r does not match the document at [%d, %d), re-locating",
-            where,
-            text,
-            span.start,
-            span.end,
-        )
-        return _relocate(text, doc_text, casefold)
-    return Mention(text, span)
+class _SideReader:
+    """One pass over the decoded objects of one corpus side.
 
+    The schema becomes a role table once per side, with each set-fill
+    inventory normalized into a set, and each distinct text is normalized
+    at most once per side (set-fill values and the mention keys of the
+    shared-entity check). ``json.load`` decodes every object to a dict,
+    so the shape checks test for ``dict`` and ``list``.
+    """
 
-def _relocate(text: str, doc_text: str, casefold: bool) -> Mention:
-    # Declared offsets that disagree with the text are a warning, not a
-    # hard error: fall back to searching for the first occurrence.
-    span = find_normalized(text, doc_text, casefold)
-    return Mention(text, span)
-
-
-def _template_from_dict(
-    raw: Mapping,
-    schema: Schema,
-    gold: bool,
-    doc_text: str,
-    path: str,
-    doc_id: str,
-    index: int,
-    casefold: bool,
-) -> Template:
-    if not isinstance(raw, Mapping):
-        raise ParseError(path, f"template must be an object, got {raw!r}", f"doc '{doc_id}' template {index}")
-    fillers: dict = {}
-    for role_name, value in raw.items():
-        if role_name not in schema:
-            raise SchemaMismatch(role_name, doc_id)
-        role = schema.role(role_name)
-        where = f"doc '{doc_id}' template {index} role '{role_name}'"
-        if role.kind is RoleKind.SET_FILL:
-            if not isinstance(value, str):
-                raise ParseError(path, f"set-fill filler must be a string, got {value!r}", where)
-            if not any(texts_match(value, v, casefold) for v in role.values):
-                log.warning("%s: value %r is not in the role inventory", where, value)
-            fillers[role_name] = value
-            continue
-        if not isinstance(value, list):
-            raise ParseError(path, f"string-fill filler must be a list, got {value!r}", where)
-        if gold:
-            entities = []
-            for ent in value:
-                if not isinstance(ent, list) or not ent:
-                    raise ParseError(
-                        path, f"gold entity must be a non-empty mention list, got {ent!r}", where
-                    )
-                entities.append(
-                    GoldEntity(
-                        tuple(_mention_from_dict(m, doc_text, path, where, casefold) for m in ent)
-                    )
-                )
-            seen: set[str] = set()
-            for entity in entities:
-                for mention in entity.mentions:
-                    key = normalize(mention.text, casefold)
-                    if key in seen:
-                        log.warning("%s: mention %r appears in two entities", where, mention.text)
-                    seen.add(key)
-            fillers[role_name] = tuple(entities)
-        else:
-            # Duplicate identical strings are preserved so duplicate
-            # role filler errors stay observable.
-            fillers[role_name] = tuple(
-                _mention_from_dict(m, doc_text, path, where, casefold) for m in value
+    def __init__(self, path: str, schema: Schema, gold: bool, casefold: bool):
+        self.path = path
+        self.gold = gold
+        self.casefold = casefold
+        self.keys: dict[str, str] = {}
+        # role name -> (set-fill inventory or None for a string-fill role, multi)
+        self.roles: dict[str, tuple[frozenset | None, bool]] = {
+            role.name: (
+                frozenset(self.key(v) for v in role.values) if role.kind is RoleKind.SET_FILL else None,
+                role.multi,
             )
-        if not role.multi and len(fillers[role_name]) > 1:
-            log.warning("%s: multiple fillers for a single-fill role", where)
-    return Template(fillers)
+            for role in schema
+        }
+
+    def key(self, text: str) -> str:
+        key = self.keys.get(text)
+        if key is None:
+            key = self.keys[text] = normalize(text, self.casefold)
+        return key
+
+    def template(self, raw, doc_text: str, doc_id: str, index: int) -> Template:
+        if not isinstance(raw, dict):
+            raise ParseError(self.path, f"template must be an object, got {raw!r}", f"doc '{doc_id}' template {index}")
+        fillers: dict = {}
+        for role_name, value in raw.items():
+            role = self.roles.get(role_name)
+            if role is None:
+                raise SchemaMismatch(role_name, doc_id)
+            inventory, multi = role
+            where = f"doc '{doc_id}' template {index} role '{role_name}'"
+            if inventory is not None:
+                if not isinstance(value, str):
+                    raise ParseError(self.path, f"set-fill filler must be a string, got {value!r}", where)
+                if self.key(value) not in inventory:
+                    log.warning("%s: value %r is not in the role inventory", where, value)
+                fillers[role_name] = value
+                continue
+            if not isinstance(value, list):
+                raise ParseError(self.path, f"string-fill filler must be a list, got {value!r}", where)
+            if self.gold:
+                fillers[role_name] = self.entities(value, doc_text, where)
+            else:
+                # Duplicate identical strings are preserved so duplicate
+                # role filler errors stay observable.
+                fillers[role_name] = tuple(self.mention(m, doc_text, where) for m in value)
+            if not multi and len(fillers[role_name]) > 1:
+                log.warning("%s: multiple fillers for a single-fill role", where)
+        return Template(fillers)
+
+    def entities(self, value: list, doc_text: str, where: str) -> tuple[GoldEntity, ...]:
+        entities = []
+        for ent in value:
+            if not isinstance(ent, list) or not ent:
+                raise ParseError(self.path, f"gold entity must be a non-empty mention list, got {ent!r}", where)
+            entities.append(GoldEntity(tuple(self.mention(m, doc_text, where) for m in ent)))
+        seen: set[str] = set()
+        for entity in entities:
+            for mention in entity.mentions:
+                key = self.key(mention.text)
+                if key in seen:
+                    log.warning("%s: mention %r appears in two entities", where, mention.text)
+                seen.add(key)
+        return tuple(entities)
+
+    def mention(self, raw, doc_text: str, where: str) -> Mention:
+        if not isinstance(raw, dict) or "text" not in raw:
+            raise ParseError(self.path, "mention must be an object with 'text'", where)
+        text = raw["text"]
+        if not isinstance(text, str):
+            raise ParseError(self.path, f"mention text must be a string, got {text!r}", where)
+        start, end = raw.get("start"), raw.get("end")
+        if start is None and end is None:
+            # No offsets at all: resolve_document_spans locates the mention later.
+            return Mention(text)
+        # Offsets come as a pair of true ints; a lone offset, a float (which
+        # int() would truncate) or a bool (which int() turns into 0/1) is invalid.
+        if not (type(start) is int and type(end) is int and 0 <= start <= end):
+            log.warning("%s: invalid offsets [%r, %r) for %r, re-locating", where, start, end, text)
+            return self.relocate(text, doc_text)
+        if end > len(doc_text):
+            log.warning("%s: span [%d, %d) falls outside the document, re-locating", where, start, end)
+            return self.relocate(text, doc_text)
+        found = doc_text[start:end]
+        if found != text and normalize(found, self.casefold) != self.key(text):
+            log.warning(
+                "%s: text %r does not match the document at [%d, %d), re-locating",
+                where,
+                text,
+                start,
+                end,
+            )
+            return self.relocate(text, doc_text)
+        return Mention(text, Span(start, end))
+
+    def relocate(self, text: str, doc_text: str) -> Mention:
+        # Declared offsets that disagree with the text are a warning, not a
+        # hard error: fall back to searching for the first occurrence.
+        return Mention(text, find_normalized(text, doc_text, self.casefold))
 
 
 class _RepeatedKeys(dict):
@@ -212,15 +234,16 @@ def load_side(path: str, schema: Schema, gold: bool, casefold: bool = True) -> d
             raw = json.load(handle, object_pairs_hook=_decode_object)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(path, f"cannot read corpus: {exc}") from exc
-    if not isinstance(raw, Mapping):
+    if not isinstance(raw, dict):
         raise ParseError(path, "corpus must be an object keyed by document id")
     repeated = getattr(raw, "repeated", None)
     if repeated:
         raise ParseError(path, "doc id appears more than once", f"doc '{repeated[0]}'")
+    reader = _SideReader(path, schema, gold, casefold)
     side: dict[str, tuple[str, tuple[Template, ...]]] = {}
     for doc_id, entry in raw.items():
         where = f"doc '{doc_id}'"
-        if not isinstance(entry, Mapping) or "doctext" not in entry:
+        if not isinstance(entry, dict) or "doctext" not in entry:
             raise ParseError(path, "document entry needs 'doctext'", where)
         text = entry["doctext"]
         if not isinstance(text, str):
@@ -228,10 +251,7 @@ def load_side(path: str, schema: Schema, gold: bool, casefold: bool = True) -> d
         raw_templates = entry.get("templates", [])
         if not isinstance(raw_templates, list):
             raise ParseError(path, f"'templates' must be a list, got {raw_templates!r}", where)
-        templates = tuple(
-            _template_from_dict(t, schema, gold, text, path, doc_id, i, casefold)
-            for i, t in enumerate(raw_templates)
-        )
+        templates = tuple(reader.template(t, text, doc_id, i) for i, t in enumerate(raw_templates))
         side[doc_id] = (text, templates)
     return side
 

@@ -41,7 +41,7 @@ from typing import Callable, Iterator, Mapping
 
 from .config import AnalysisConfig
 from .exceptions import ComplexityGuardExceeded
-from .model import Document, Mention, Schema, Template, normalize
+from .model import Document, Mention, RoleKind, Schema, Template, normalize
 from .spans import ScsMode, span_score
 
 PARTIAL_THRESHOLD = 1.0
@@ -349,6 +349,7 @@ def _pair_scores(
     config: AnalysisConfig,
     index: MatchIndex,
     pair_role: RolePairer,
+    counts: _FillerCounts,
 ) -> dict[tuple[int, int], _PairScore]:
     """Score every (pred, gold) template pair of a document.
 
@@ -362,10 +363,12 @@ def _pair_scores(
     cell in another role only feeds incorrect-role detection. Every other
     role takes the empty ``_unpaired(m, e)``, so a pair with no linked
     role is scored from its set-fill values, normalized once per
-    template, and its filler counts, without the role loop.
+    template, and its filler counts, read from ``counts``, without the
+    role loop.
     """
     set_roles = [role.name for role in schema.set_fill_roles]
     string_roles = [role.name for role in schema.string_fill_roles]
+    string_columns = [k for k, role in enumerate(schema) if role.kind is RoleKind.STRING_FILL]
     position = {role: k for k, role in enumerate(string_roles)}
     linked: dict[tuple[int, int], set[int]] = {}
     for (p, role, _), groups in index.items():
@@ -373,16 +376,16 @@ def _pair_scores(
             if gold_role == role:
                 linked.setdefault((p, g), set()).add(position[role])
 
-    def fills(template: Template, gold: bool) -> tuple[list[str | None], list[int], int]:
+    def fills(template: Template, row: list[int]) -> tuple[list[str | None], list[int], int]:
         values = [template.set_fill(role) for role in set_roles]
         values = [None if v is None else normalize(v, config.casefold) for v in values]
-        counts = [len(template.entities(r) if gold else template.mentions(r)) for r in string_roles]
-        return values, counts, sum(counts)
+        string_counts = [row[k] for k in string_columns]
+        return values, string_counts, sum(string_counts)
 
-    golds = [fills(template, gold=True) for template in doc.gold_templates]
+    golds = list(map(fills, doc.gold_templates, counts.gold))
     scores: dict[tuple[int, int], _PairScore] = {}
     for p, template in enumerate(doc.predicted_templates):
-        pred_values, pred_counts, pred_total = fills(template, gold=False)
+        pred_values, pred_counts, pred_total = fills(template, counts.pred[p])
         for g, (gold_values, gold_counts, gold_total) in enumerate(golds):
             numerator = 0
             errors = pred_total + gold_total
@@ -410,27 +413,59 @@ def _pair_scores(
     return scores
 
 
+@dataclass(frozen=True)
+class _FillerCounts:
+    """Each template's filler count per schema role, in schema order.
+
+    A set-fill role counts 1 when it holds a value; a string-fill role
+    counts its mentions (predicted) or entities (gold). Counted once per
+    document and read by pair scoring, the denominators and the greedy
+    matcher's pair F1.
+    """
+
+    pred: tuple[list[int], ...]
+    gold: tuple[list[int], ...]
+
+
+def _filler_counts(doc: Document, schema: Schema) -> _FillerCounts:
+    # Rows are lists: a document's rows are freed together, and freed small
+    # tuples would stay cached in the interpreter's tuple free lists.
+    def row(template: Template, gold: bool) -> list[int]:
+        return [
+            int(template.set_fill(role.name) is not None)
+            if role.kind is RoleKind.SET_FILL
+            else len(template.entities(role.name) if gold else template.mentions(role.name))
+            for role in schema
+        ]
+
+    return _FillerCounts(
+        tuple(row(t, gold=False) for t in doc.predicted_templates),
+        tuple(row(t, gold=True) for t in doc.gold_templates),
+    )
+
+
 def document_denominators(doc: Document, schema: Schema) -> dict[str, Tally]:
     """Per-role denominators; independent of any matching choice."""
-    tallies = {role.name: Tally() for role in schema}
-    for template in doc.predicted_templates:
-        for role_name, count in template.filler_counts(schema, gold=False).items():
-            tallies[role_name] += Tally(0, count, 0)
-    for template in doc.gold_templates:
-        for role_name, count in template.filler_counts(schema, gold=True).items():
-            tallies[role_name] += Tally(0, 0, count)
-    return tallies
+    return _denominators(schema, _filler_counts(doc, schema))
+
+
+def _denominators(schema: Schema, counts: _FillerCounts) -> dict[str, Tally]:
+    return {
+        role.name: Tally(0, sum(row[k] for row in counts.pred), sum(row[k] for row in counts.gold))
+        for k, role in enumerate(schema)
+    }
 
 
 def _assemble(
     doc: Document,
     schema: Schema,
+    counts: _FillerCounts,
     chosen: tuple[tuple[int, int], ...],
     cache: dict[tuple[int, int], _PairScore],
     error_tally: int,
     approximate: bool,
 ) -> TemplateMatching:
-    role_tallies = document_denominators(doc, schema)
+    role_tallies = _denominators(schema, counts)
     pairs = []
     for pred_index, gold_index in chosen:
         score = cache[pred_index, gold_index]
@@ -635,10 +670,11 @@ def find_optimal_matching(
         )
     if index is None:
         index = MatchIndex.for_document(doc, schema, config)
-    cache = _pair_scores(doc, schema, config, index, _best_role_pairing)
+    counts = _filler_counts(doc, schema)
+    cache = _pair_scores(doc, schema, config, index, _best_role_pairing, counts)
     best = _optimal_assignment(pred_count, gold_count, cache)
     error_tally = sum(cache[pair].errors - 2 for pair in best) + pred_count + gold_count
-    return _assemble(doc, schema, best, cache, error_tally, approximate=False)
+    return _assemble(doc, schema, counts, best, cache, error_tally, approximate=False)
 
 
 def _greedy_role_pairing(rows: list[Mapping[int, EntityMatch]], gold_count: int) -> MentionPairing:
@@ -680,9 +716,10 @@ def greedy_matching(
     config = config or AnalysisConfig()
     if index is None:
         index = MatchIndex.for_document(doc, schema, config)
-    pred_sizes = [sum(t.filler_counts(schema, gold=False).values()) for t in doc.predicted_templates]
-    gold_sizes = [sum(t.filler_counts(schema, gold=True).values()) for t in doc.gold_templates]
-    cache = _pair_scores(doc, schema, config, index, _greedy_role_pairing)
+    counts = _filler_counts(doc, schema)
+    pred_sizes = list(map(sum, counts.pred))
+    gold_sizes = list(map(sum, counts.gold))
+    cache = _pair_scores(doc, schema, config, index, _greedy_role_pairing, counts)
     candidates = []
     for p, pred_size in enumerate(pred_sizes):
         for g, gold_size in enumerate(gold_sizes):
@@ -706,4 +743,4 @@ def greedy_matching(
         + (len(pred_sizes) - len(chosen))
         + (len(gold_sizes) - len(chosen))
     )
-    return _assemble(doc, schema, tuple(chosen), cache, error_tally, approximate=True)
+    return _assemble(doc, schema, counts, tuple(chosen), cache, error_tally, approximate=True)

@@ -8,11 +8,12 @@ since system output carries no coreference structure.
 
 from __future__ import annotations
 
+import operator
 import re
 import unicodedata
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Callable, Mapping
 
 
 def normalize(text: str, casefold: bool = True) -> str:
@@ -226,17 +227,30 @@ def find_normalized(text: str, doc_text: str, casefold: bool = True) -> Span | N
     matching (``ſ`` and ``s``, Kelvin sign and ``k``) ``lower()`` does not
     reproduce.
     """
-    tokens = normalize(text, casefold).split(" ")
-    if tokens == [""]:
-        return None
-    if doc_text.isascii() and all(tok.isascii() for tok in tokens):
-        return _scan_tokens(tokens, doc_text.lower() if casefold else doc_text)
-    pattern = r"\s+".join(re.escape(tok) for tok in tokens)
+    return _searcher(doc_text, casefold)(text)
+
+
+def _searcher(doc_text: str, casefold: bool) -> Callable[[str], Span | None]:
+    """``find_normalized`` over one document text, prepared once for many searches."""
+    hay = None
+    if doc_text.isascii():
+        hay = doc_text.lower() if casefold else doc_text
     flags = re.IGNORECASE if casefold else 0
-    found = re.search(pattern, doc_text, flags)
-    if found is None:
-        return None
-    return Span(found.start(), found.end())
+
+    def find(text: str) -> Span | None:
+        key = normalize(text, casefold)
+        if not key:
+            return None
+        tokens = key.split(" ")
+        if hay is not None and key.isascii():
+            return _scan_tokens(tokens, hay)
+        pattern = r"\s+".join(re.escape(tok) for tok in tokens)
+        found = re.search(pattern, doc_text, flags)
+        if found is None:
+            return None
+        return Span(found.start(), found.end())
+
+    return find
 
 
 def _scan_tokens(tokens: list[str], hay: str) -> Span | None:
@@ -273,35 +287,49 @@ def resolve_span(mention: Mention, doc: Document, casefold: bool = True) -> Ment
     return replace(mention, span=span)
 
 
-def _resolve_fillers(fillers: Iterable, doc: Document, casefold: bool):
-    resolved = []
-    for item in fillers:
-        if isinstance(item, GoldEntity):
-            resolved.append(
-                GoldEntity(tuple(resolve_span(m, doc, casefold) for m in item.mentions))
-            )
-        else:
-            resolved.append(resolve_span(item, doc, casefold))
-    return tuple(resolved)
-
-
 def resolve_document_spans(doc: Document, casefold: bool = True) -> Document:
-    """Return a copy of the document with every locatable mention span filled in."""
+    """Return the document with every locatable mention span filled in.
 
-    def resolve_templates(templates):
+    Only what gains a span is rebuilt: a located mention becomes
+    ``Mention(text, span)``, and the entities, filler tuples and templates
+    that hold one are new objects. Every other filler tuple, entity and
+    template is returned as it is (the same object), and so is the
+    document when nothing in it is located. The document text is
+    prepared for searching once.
+    """
+    find = _searcher(doc.text, casefold)
+
+    def locate(mention: Mention) -> Mention:
+        if mention.span is not None:
+            return mention
+        span = find(mention.text)
+        return mention if span is None else Mention(mention.text, span)
+
+    def locate_item(item):
+        if not isinstance(item, GoldEntity):
+            return locate(item)
+        mentions = tuple(map(locate, item.mentions))
+        if all(map(operator.is_, mentions, item.mentions)):
+            return item
+        return GoldEntity(mentions)
+
+    def resolve_templates(templates: tuple[Template, ...]) -> tuple[Template, ...]:
         out = []
         for template in templates:
-            fillers = {}
+            located = {}
             for role, value in template.role_fillers.items():
                 if isinstance(value, str):
-                    fillers[role] = value
-                else:
-                    fillers[role] = _resolve_fillers(value, doc, casefold)
-            out.append(Template(fillers))
+                    continue
+                items = tuple(map(locate_item, value))
+                if type(value) is not tuple or not all(map(operator.is_, items, value)):
+                    located[role] = items
+            out.append(Template({**template.role_fillers, **located}) if located else template)
+        if all(map(operator.is_, out, templates)):
+            return templates
         return tuple(out)
 
-    return replace(
-        doc,
-        gold_templates=resolve_templates(doc.gold_templates),
-        predicted_templates=resolve_templates(doc.predicted_templates),
-    )
+    gold = resolve_templates(doc.gold_templates)
+    predicted = resolve_templates(doc.predicted_templates)
+    if gold is doc.gold_templates and predicted is doc.predicted_templates:
+        return doc
+    return replace(doc, gold_templates=gold, predicted_templates=predicted)

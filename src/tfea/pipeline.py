@@ -12,10 +12,10 @@ caller as it would from a serial run.
 
 Measured with ``bench/run.py`` on 2 CPUs (medians of ten seeds, in the
 benchmark's reference-scaled seconds), a whole ``tfea analyze`` run on
-small_docs (400 documents) takes 0.76 s serial and 0.78 s with two
-workers. The pool no longer pays for itself on any of the three corpora:
-0.21 s with two workers against 0.18 s serial on wide_templates (8
-documents), and 0.41 s either way on guard_overflow (30 documents).
+small_docs (400 documents) takes 0.59 s serial and 0.66 s with two
+workers. The pool does not pay for itself on any of the three corpora:
+0.17 s with two workers against 0.13 s serial on wide_templates (8
+documents), and 0.34 s against 0.32 s on guard_overflow (30 documents).
 """
 
 from __future__ import annotations

@@ -7,11 +7,28 @@ hide in the test that checks for it.
 
 from __future__ import annotations
 
+import json
+import logging
 import re
+from collections import Counter
+from dataclasses import replace
 from itertools import combinations, permutations
+from typing import Mapping
 
+from tfea.exceptions import ParseError, SchemaMismatch
 from tfea.matching import MentionPair, MentionPairing
-from tfea.model import Document, RoleKind, Schema, Span, Template, normalize
+from tfea.model import (
+    Document,
+    GoldEntity,
+    Mention,
+    RoleKind,
+    Schema,
+    Span,
+    Template,
+    find_normalized,
+    normalize,
+    texts_match,
+)
 from tfea.spans import ScsMode
 
 
@@ -312,3 +329,163 @@ def templates_gold_equivalent(
         return False
 
     return rec(0, frozenset())
+
+
+# The corpus loader and span resolver written the plain way: every check
+# made directly, every text normalized where it is compared, and every
+# template rebuilt. ``tfea.corpus.load_side`` and
+# ``tfea.model.resolve_document_spans`` must agree with these exactly,
+# down to the text and order of the WARNING lines.
+
+_log = logging.getLogger("tfea")
+
+
+def _mention_reference(raw, doc_text: str, path: str, where: str, casefold: bool) -> Mention:
+    if not isinstance(raw, Mapping) or "text" not in raw:
+        raise ParseError(path, f"mention must be an object with 'text'", where)
+    text = raw["text"]
+    if not isinstance(text, str):
+        raise ParseError(path, f"mention text must be a string, got {text!r}", where)
+    start, end = raw.get("start"), raw.get("end")
+    if start is None and end is None:
+        return Mention(text)
+    if not (type(start) is int and type(end) is int and 0 <= start <= end):
+        _log.warning("%s: invalid offsets [%r, %r) for %r, re-locating", where, start, end, text)
+        return Mention(text, find_normalized(text, doc_text, casefold))
+    span = Span(start, end)
+    if span.end > len(doc_text):
+        _log.warning("%s: span [%d, %d) falls outside the document, re-locating", where, span.start, span.end)
+        return Mention(text, find_normalized(text, doc_text, casefold))
+    if normalize(doc_text[span.start : span.end], casefold) != normalize(text, casefold):
+        _log.warning(
+            "%s: text %r does not match the document at [%d, %d), re-locating",
+            where,
+            text,
+            span.start,
+            span.end,
+        )
+        return Mention(text, find_normalized(text, doc_text, casefold))
+    return Mention(text, span)
+
+
+def _template_reference(raw, schema: Schema, gold: bool, doc_text: str, path: str, doc_id: str, index: int, casefold: bool) -> Template:
+    if not isinstance(raw, Mapping):
+        raise ParseError(path, f"template must be an object, got {raw!r}", f"doc '{doc_id}' template {index}")
+    fillers: dict = {}
+    for role_name, value in raw.items():
+        if role_name not in schema:
+            raise SchemaMismatch(role_name, doc_id)
+        role = schema.role(role_name)
+        where = f"doc '{doc_id}' template {index} role '{role_name}'"
+        if role.kind is RoleKind.SET_FILL:
+            if not isinstance(value, str):
+                raise ParseError(path, f"set-fill filler must be a string, got {value!r}", where)
+            if not any(texts_match(value, v, casefold) for v in role.values):
+                _log.warning("%s: value %r is not in the role inventory", where, value)
+            fillers[role_name] = value
+            continue
+        if not isinstance(value, list):
+            raise ParseError(path, f"string-fill filler must be a list, got {value!r}", where)
+        if gold:
+            entities = []
+            for ent in value:
+                if not isinstance(ent, list) or not ent:
+                    raise ParseError(path, f"gold entity must be a non-empty mention list, got {ent!r}", where)
+                entities.append(
+                    GoldEntity(tuple(_mention_reference(m, doc_text, path, where, casefold) for m in ent))
+                )
+            seen: set[str] = set()
+            for entity in entities:
+                for mention in entity.mentions:
+                    key = normalize(mention.text, casefold)
+                    if key in seen:
+                        _log.warning("%s: mention %r appears in two entities", where, mention.text)
+                    seen.add(key)
+            fillers[role_name] = tuple(entities)
+        else:
+            fillers[role_name] = tuple(
+                _mention_reference(m, doc_text, path, where, casefold) for m in value
+            )
+        if not role.multi and len(fillers[role_name]) > 1:
+            _log.warning("%s: multiple fillers for a single-fill role", where)
+    return Template(fillers)
+
+
+class _RepeatedKeys(dict):
+    def __init__(self, pairs: list, repeated: list[str]):
+        super().__init__(pairs)
+        self.repeated = repeated
+
+
+def _decode_object(pairs: list) -> dict:
+    decoded = dict(pairs)
+    if len(decoded) == len(pairs):
+        return decoded
+    counts = Counter(key for key, _ in pairs)
+    return _RepeatedKeys(pairs, [key for key in decoded if counts[key] > 1])
+
+
+def load_side_reference(path: str, schema: Schema, gold: bool, casefold: bool = True) -> dict:
+    """``tfea.corpus.load_side``: doc id -> (document text, templates)."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            raw = json.load(handle, object_pairs_hook=_decode_object)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ParseError(path, f"cannot read corpus: {exc}") from exc
+    if not isinstance(raw, Mapping):
+        raise ParseError(path, "corpus must be an object keyed by document id")
+    repeated = getattr(raw, "repeated", None)
+    if repeated:
+        raise ParseError(path, "doc id appears more than once", f"doc '{repeated[0]}'")
+    side: dict = {}
+    for doc_id, entry in raw.items():
+        where = f"doc '{doc_id}'"
+        if not isinstance(entry, Mapping) or "doctext" not in entry:
+            raise ParseError(path, "document entry needs 'doctext'", where)
+        text = entry["doctext"]
+        if not isinstance(text, str):
+            raise ParseError(path, f"'doctext' must be a string, got {text!r}", where)
+        raw_templates = entry.get("templates", [])
+        if not isinstance(raw_templates, list):
+            raise ParseError(path, f"'templates' must be a list, got {raw_templates!r}", where)
+        side[doc_id] = (
+            text,
+            tuple(
+                _template_reference(t, schema, gold, text, path, doc_id, i, casefold)
+                for i, t in enumerate(raw_templates)
+            ),
+        )
+    return side
+
+
+def resolve_document_spans_reference(doc: Document, casefold: bool = True) -> Document:
+    """``tfea.model.resolve_document_spans``, rebuilding every template and entity."""
+
+    def resolve(mention: Mention) -> Mention:
+        if mention.span is not None:
+            return mention
+        span = find_normalized(mention.text, doc.text, casefold)
+        return mention if span is None else replace(mention, span=span)
+
+    def resolve_templates(templates):
+        out = []
+        for template in templates:
+            fillers = {}
+            for role, value in template.role_fillers.items():
+                if isinstance(value, str):
+                    fillers[role] = value
+                else:
+                    fillers[role] = tuple(
+                        GoldEntity(tuple(resolve(m) for m in item.mentions))
+                        if isinstance(item, GoldEntity)
+                        else resolve(item)
+                        for item in value
+                    )
+            out.append(Template(fillers))
+        return tuple(out)
+
+    return replace(
+        doc,
+        gold_templates=resolve_templates(doc.gold_templates),
+        predicted_templates=resolve_templates(doc.predicted_templates),
+    )

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import strategies as st
+
 from tfea.inject import _decoy_phrases, default_schema  # noqa: F401
 from tfea.model import Document, GoldEntity, Mention, RoleKind, Schema, Span, Template
 
@@ -165,3 +167,42 @@ def fuzzed_corpus(seed: int, n_docs: int = 2, max_templates: int = 3):
     gold = generate_corpus(params, seed=seed)
     documents = [mutate_predictions(doc, schema, seed) for doc in gold]
     return documents, schema
+
+
+def replace_subtree(payload, choices: list[int], value):
+    """``payload`` with one subtree replaced by ``value``.
+
+    Walks down from the root, taking child ``choice % len(children)`` of
+    each object or list for as long as ``choices`` last; the node reached
+    (the root itself when ``choices`` is empty) is replaced. An empty
+    object or list, or a scalar, ends the walk early.
+    """
+    if not choices or not isinstance(payload, (dict, list)) or not payload:
+        return value
+    keys = list(payload) if isinstance(payload, dict) else list(range(len(payload)))
+    key = keys[choices[0] % len(keys)]
+    payload[key] = replace_subtree(payload[key], choices[1:], value)
+    return payload
+
+
+def subtree_paths():
+    """A Hypothesis strategy for ``replace_subtree`` choices, of every depth down to a mention's offsets."""
+    return st.integers(0, 8).flatmap(lambda depth: st.lists(st.integers(0, 50), min_size=depth, max_size=depth))
+
+
+def json_values():
+    """A Hypothesis strategy for JSON values, keyed by names the corpus format uses."""
+    keys = st.sampled_from(["doctext", "templates", "text", "start", "end", "status", "agent", "target"])
+    scalars = (
+        st.none()
+        | st.booleans()
+        | st.integers(-3, 200)
+        | st.floats(allow_nan=False, allow_infinity=False)
+        | st.text(max_size=8)
+    )
+    return st.recursive(
+        scalars,
+        lambda children: st.lists(children, max_size=3)
+        | st.dictionaries(keys | st.text(max_size=4), children, max_size=3),
+        max_leaves=8,
+    )

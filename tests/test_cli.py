@@ -1,11 +1,17 @@
 """CLI: subcommands, exit codes, output formats, config precedence."""
 
+import io
 import json
+from contextlib import redirect_stderr
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from support import json_values, replace_subtree, subtree_paths
 from tfea.cli import EXIT_ERROR, EXIT_GUARD, EXIT_OK, main
-from tfea.corpus import dump_side, schema_to_dict
+from tfea.corpus import dump_side, schema_to_dict, side_to_dict
+from tfea.errors import ErrorType
 from tfea.inject import GenerationParams, InjectionSpec, default_schema, generate_corpus, inject_errors
 
 
@@ -448,3 +454,31 @@ def test_parallel_guard_fail_matches_serial(tmp_path, corpus_files):
         stderr[workers] = [line for line in child.stderr.splitlines() if line.startswith("error:")]
     assert len(stderr["1"]) == 1
     assert stderr["2"] == stderr["1"]
+
+
+def _fuzz_base_sides() -> dict[str, dict]:
+    schema = default_schema()
+    gold_docs = generate_corpus(
+        GenerationParams(n_docs=2, templates_per_doc=(1, 2), mentions_per_entity=(1, 2)), seed=5
+    )
+    spec = InjectionSpec(counts={ErrorType.SPAN_ERROR: 1, ErrorType.MISSING_ROLE_FILLER: 1})
+    documents = inject_errors(gold_docs, schema, spec, seed=3).documents
+    return {"gold": side_to_dict(documents, gold=True), "pred": side_to_dict(documents, gold=False)}
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(side=st.sampled_from(["gold", "pred"]), choices=subtree_paths(), value=json_values())
+def test_damaged_corpus_file_exits_cleanly(tmp_path_factory, side, choices, value):
+    """One subtree of a valid gold or pred file replaced by random JSON: an exit code, never a traceback."""
+    directory = tmp_path_factory.getbasetemp()
+    sides = _fuzz_base_sides()
+    sides[side] = replace_subtree(sides[side], choices, value)
+    paths = {}
+    for name, payload in [*sides.items(), ("schema", schema_to_dict(default_schema()))]:
+        paths[name] = directory / f"fuzz-{name}.json"
+        paths[name].write_text(json.dumps(payload), encoding="utf-8")
+    stderr = io.StringIO()
+    with redirect_stderr(stderr):
+        code = main(_analyze_args(paths["gold"], paths["pred"], paths["schema"], directory / "fuzz-report.json"))
+    assert code in (EXIT_OK, EXIT_ERROR, EXIT_GUARD)
+    assert "Traceback" not in stderr.getvalue()

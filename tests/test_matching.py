@@ -21,6 +21,7 @@ from tfea.matching import (
     MatchIndex,
     Tally,
     _best_role_pairing,
+    _filler_counts,
     _greedy_role_pairing,
     _optimal_assignment,
     _pair_scores,
@@ -360,7 +361,8 @@ class TestPairScores:
             expected = pair_scores_reference(
                 doc, schema, config, index, _recorded(_PAIRERS[pairer], reference_calls)
             )
-            actual = _pair_scores(doc, schema, config, index, _recorded(_PAIRERS[pairer], calls))
+            counts = _filler_counts(doc, schema)
+            actual = _pair_scores(doc, schema, config, index, _recorded(_PAIRERS[pairer], calls), counts)
             assert list(actual) == list(expected)
             for pair, score in actual.items():
                 numerator, errors, role_numerators, role_pairings = expected[pair]

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import find_normalized_reference
+from oracles import find_normalized_reference, resolve_document_spans_reference
+from support import fuzzed_corpus
 from tfea.model import (
     Document,
     GoldEntity,
@@ -116,6 +117,31 @@ class TestResolveSpan:
         assert pred[0].span == Span(11, 16)
         assert pred[1].span is None
 
+    @pytest.mark.parametrize("casefold", [True, False])
+    def test_resolution_matches_rebuild_everything_reference(self, casefold):
+        """Equal to the reference, and only what gains a span is a new object."""
+        kept = rebuilt = 0
+        for seed in range(80):
+            documents, _ = fuzzed_corpus(seed, n_docs=3, max_templates=3)
+            rng = random.Random(f"strip:{seed}")
+            for doc in map(lambda d: _strip_some_spans(d, rng), documents):
+                resolved = resolve_document_spans(doc, casefold)
+                assert resolved == resolve_document_spans_reference(doc, casefold)
+                for side in ("gold_templates", "predicted_templates"):
+                    for before, after in zip(getattr(doc, side), getattr(resolved, side)):
+                        for role, value in before.role_fillers.items():
+                            if isinstance(value, str) or _mentions(value) != _mentions(after.role_fillers[role]):
+                                continue
+                            assert after.role_fillers[role] is value
+                        if _mentions(before) == _mentions(after):
+                            assert after is before
+                            kept += 1
+                        else:
+                            rebuilt += 1
+                    if all(m.span is not None for t in getattr(doc, side) for m in _mentions(t)):
+                        assert getattr(resolved, side) is getattr(doc, side)
+        assert kept > 200 and rebuilt > 100, (kept, rebuilt)
+
 
 # Characters on which a token scan and the regex could disagree: letters
 # that case-fold across scripts (with their ASCII partners), letters whose
@@ -218,3 +244,36 @@ class TestTypes:
         role = RoleSpec("agent", RoleKind.STRING_FILL)
         with pytest.raises(ValueError):
             Schema((role, role))
+
+
+def _mentions(value) -> list[Mention]:
+    """The mentions of a template, an entity, or a filler tuple, in order."""
+    if isinstance(value, Template):
+        return [m for v in value.role_fillers.values() if not isinstance(v, str) for m in _mentions(v)]
+    if isinstance(value, GoldEntity):
+        return list(value.mentions)
+    return [m for item in value for m in _mentions(item)] if isinstance(value, tuple) else [value]
+
+
+def _strip_some_spans(doc: Document, rng: random.Random) -> Document:
+    """The document with about a third of its mentions turned span-less."""
+
+    def strip(mention: Mention) -> Mention:
+        return Mention(mention.text) if rng.random() < 0.34 else mention
+
+    def templates(side):
+        out = []
+        for template in side:
+            fillers = {}
+            for role, value in template.role_fillers.items():
+                if isinstance(value, str) or rng.random() < 0.5:
+                    fillers[role] = value
+                else:
+                    fillers[role] = tuple(
+                        GoldEntity(tuple(map(strip, item.mentions))) if isinstance(item, GoldEntity) else strip(item)
+                        for item in value
+                    )
+            out.append(Template(fillers) if rng.random() < 0.7 else template)
+        return tuple(out)
+
+    return Document(doc.doc_id, doc.text, templates(doc.gold_templates), templates(doc.predicted_templates))
