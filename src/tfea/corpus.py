@@ -18,6 +18,10 @@ with a warning. Offsets that are not a pair of ints with
 ``0 <= start <= end <= len(doctext)`` are relocated with a warning too.
 A mention with no offsets keeps a null span here and is located later
 by ``resolve_document_spans``.
+
+A key named twice in one object is a ``ParseError`` naming the object
+and the key, at every level (doc id, document entry, template, mention)
+and in the schema file: ``json.load`` alone would keep the last value.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ log = logging.getLogger("tfea")
 def load_schema(path: str) -> Schema:
     try:
         with open(path, encoding="utf-8") as handle:
-            raw = json.load(handle)
+            raw = json.load(handle, object_pairs_hook=_decode_object)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(path, f"cannot read schema: {exc}") from exc
     return schema_from_dict(raw, path=path)
@@ -56,8 +60,10 @@ def load_schema(path: str) -> Schema:
 def schema_from_dict(raw: Mapping, path: str = "<schema>") -> Schema:
     if not isinstance(raw, Mapping) or not isinstance(raw.get("roles"), list):
         raise ParseError(path, "schema must be an object with a 'roles' list")
+    _check_keys(path, raw, None)
     roles = []
     for i, entry in enumerate(raw["roles"]):
+        _check_keys(path, entry, f"role entry {i}")
         try:
             roles.append(_role_from_dict(entry))
         except (KeyError, ValueError, TypeError) as exc:
@@ -128,6 +134,7 @@ class _SideReader:
     def template(self, raw, doc_text: str, doc_id: str, index: int) -> Template:
         if not isinstance(raw, dict):
             raise ParseError(self.path, f"template must be an object, got {raw!r}", f"doc '{doc_id}' template {index}")
+        _check_keys(self.path, raw, f"doc '{doc_id}' template {index}")
         fillers: dict = {}
         for role_name, value in raw.items():
             role = self.roles.get(role_name)
@@ -172,6 +179,7 @@ class _SideReader:
     def mention(self, raw, doc_text: str, where: str) -> Mention:
         if not isinstance(raw, dict) or "text" not in raw:
             raise ParseError(self.path, "mention must be an object with 'text'", where)
+        _check_keys(self.path, raw, where)
         text = raw["text"]
         if not isinstance(text, str):
             raise ParseError(self.path, f"mention text must be a string, got {text!r}", where)
@@ -222,6 +230,12 @@ def _decode_object(pairs: list) -> dict:
     return _RepeatedKeys(pairs, [key for key in decoded if counts[key] > 1])
 
 
+def _check_keys(path: str, raw, where: str | None) -> None:
+    """Reject a decoded object that names a key twice; ``where`` locates it."""
+    if type(raw) is _RepeatedKeys:
+        raise ParseError(path, f"key '{raw.repeated[0]}' appears more than once", where)
+
+
 def load_side(path: str, schema: Schema, gold: bool, casefold: bool = True) -> dict[str, tuple[str, tuple[Template, ...]]]:
     """Load one side (gold or predicted) of a corpus.
 
@@ -245,6 +259,7 @@ def load_side(path: str, schema: Schema, gold: bool, casefold: bool = True) -> d
         where = f"doc '{doc_id}'"
         if not isinstance(entry, dict) or "doctext" not in entry:
             raise ParseError(path, "document entry needs 'doctext'", where)
+        _check_keys(path, entry, where)
         text = entry["doctext"]
         if not isinstance(text, str):
             raise ParseError(path, f"'doctext' must be a string, got {text!r}", where)

@@ -20,9 +20,11 @@ null span scores exactly 1 in both SCS modes, and 1 is never a partial
 match. The transformation derivation reads the same cells.
 
 The exact and the greedy matcher share one table of template-pair
-scores per document. Only the roles that the index links by a cell in
+scores per document: two ints per pair, the exact-match numerator and
+the implied errors. Only the roles that the index links by a cell in
 the same role are paired; a pair with no link, usually the large
-majority, is scored from its set-fill values and filler counts alone.
+majority, is scored from its set-fill values and filler counts alone,
+and a ``TemplatePair`` is built only for the pairs the matcher keeps.
 
 Denominators are fixed per document (each predicted filler adds one to
 the precision denominator, each gold entity or set-fill value adds one
@@ -37,7 +39,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .config import AnalysisConfig
 from .exceptions import ComplexityGuardExceeded
@@ -333,87 +335,6 @@ class TemplateMatching:
 
 
 @dataclass(frozen=True)
-class _PairScore:
-    numerator: int
-    errors: int
-    role_numerators: dict[str, int]
-    role_pairings: dict[str, MentionPairing]
-
-
-RolePairer = Callable[[list[Mapping[int, EntityMatch]], int], MentionPairing]
-
-
-def _pair_scores(
-    doc: Document,
-    schema: Schema,
-    config: AnalysisConfig,
-    index: MatchIndex,
-    pair_role: RolePairer,
-    counts: _FillerCounts,
-) -> dict[tuple[int, int], _PairScore]:
-    """Score every (pred, gold) template pair of a document.
-
-    A set-fill role scores 1 on equal normalized values; a wrong value
-    costs two errors (spurious plus missing), a one-sided value one. A
-    string-fill role with ``m`` mentions and ``e`` entities costs
-    ``m + e - 2·exact - partial`` under its pairing. Only the roles that
-    the index links, by a cell with an entity of the same role, reach
-    ``pair_role(rows, e)``, where ``rows`` holds each mention's cells
-    (``_best_role_pairing`` for the exact matcher, a polynomial solve); a
-    cell in another role only feeds incorrect-role detection. Every other
-    role takes the empty ``_unpaired(m, e)``, so a pair with no linked
-    role is scored from its set-fill values, normalized once per
-    template, and its filler counts, read from ``counts``, without the
-    role loop.
-    """
-    set_roles = [role.name for role in schema.set_fill_roles]
-    string_roles = [role.name for role in schema.string_fill_roles]
-    string_columns = [k for k, role in enumerate(schema) if role.kind is RoleKind.STRING_FILL]
-    position = {role: k for k, role in enumerate(string_roles)}
-    linked: dict[tuple[int, int], set[int]] = {}
-    for (p, role, _), groups in index.items():
-        for g, gold_role in groups:
-            if gold_role == role:
-                linked.setdefault((p, g), set()).add(position[role])
-
-    def fills(template: Template, row: list[int]) -> tuple[list[str | None], list[int], int]:
-        values = [template.set_fill(role) for role in set_roles]
-        values = [None if v is None else normalize(v, config.casefold) for v in values]
-        string_counts = [row[k] for k in string_columns]
-        return values, string_counts, sum(string_counts)
-
-    golds = list(map(fills, doc.gold_templates, counts.gold))
-    scores: dict[tuple[int, int], _PairScore] = {}
-    for p, template in enumerate(doc.predicted_templates):
-        pred_values, pred_counts, pred_total = fills(template, counts.pred[p])
-        for g, (gold_values, gold_counts, gold_total) in enumerate(golds):
-            numerator = 0
-            errors = pred_total + gold_total
-            role_numerators: dict[str, int] = {}
-            for role, pred_value, gold_value in zip(set_roles, pred_values, gold_values):
-                if pred_value is None or gold_value is None:
-                    errors += (pred_value is not None) + (gold_value is not None)
-                elif pred_value == gold_value:
-                    numerator += 1
-                    role_numerators[role] = 1
-                else:
-                    errors += 2
-            role_pairings = dict(zip(string_roles, map(_unpaired, pred_counts, gold_counts)))
-            for k in sorted(linked.get((p, g), ())):
-                role = string_roles[k]
-                rows = [index.hits((p, role, i), (g, role)) for i in range(pred_counts[k])]
-                pairing = pair_role(rows, gold_counts[k])
-                exact = pairing.exact_count
-                numerator += exact
-                if exact:
-                    role_numerators[role] = exact
-                errors -= 2 * exact + pairing.partial_count
-                role_pairings[role] = pairing
-            scores[p, g] = _PairScore(numerator, errors, role_numerators, role_pairings)
-    return scores
-
-
-@dataclass(frozen=True)
 class _FillerCounts:
     """Each template's filler count per schema role, in schema order.
 
@@ -446,49 +367,137 @@ def _filler_counts(doc: Document, schema: Schema) -> _FillerCounts:
 
 def document_denominators(doc: Document, schema: Schema) -> dict[str, Tally]:
     """Per-role denominators; independent of any matching choice."""
-    return _denominators(schema, _filler_counts(doc, schema))
+    return _role_tallies(schema, _filler_counts(doc, schema), [0] * len(schema.roles))
 
 
-def _denominators(schema: Schema, counts: _FillerCounts) -> dict[str, Tally]:
+def _role_tallies(schema: Schema, counts: _FillerCounts, numerators: Iterable[int]) -> dict[str, Tally]:
     return {
-        role.name: Tally(0, sum(row[k] for row in counts.pred), sum(row[k] for row in counts.gold))
-        for k, role in enumerate(schema)
+        role.name: Tally(n, sum(row[k] for row in counts.pred), sum(row[k] for row in counts.gold))
+        for k, (role, n) in enumerate(zip(schema, numerators))
     }
 
 
-def _assemble(
+RolePairer = Callable[[list[Mapping[int, EntityMatch]], int], MentionPairing]
+
+
+@dataclass(frozen=True)
+class _PairTable:
+    """The scores of every (pred, gold) template pair of one document.
+
+    ``numerators[p][g]`` and ``errors[p][g]`` are the pair's exact-match
+    numerator and implied errors. Role pairings are kept for linked roles
+    only; ``pair`` rebuilds the rest from set-fill values and filler counts.
+    """
+
+    numerators: list[list[int]]
+    errors: list[list[int]]
+    set_roles: list[str]
+    string_roles: list[tuple[str, int]]  # (role, schema column)
+    pred_values: list[list[str | None]]
+    gold_values: list[list[str | None]]
+    counts: _FillerCounts
+    linked: dict[tuple[int, int], dict[str, MentionPairing]]
+
+    def pair(self, p: int, g: int) -> tuple[TemplatePair, dict[str, int]]:
+        """The ``TemplatePair`` of ``(p, g)`` and its non-zero role numerators."""
+        numerators = {
+            role: 1
+            for role, pred_value, gold_value in zip(self.set_roles, self.pred_values[p], self.gold_values[g])
+            if pred_value is not None and pred_value == gold_value
+        }
+        linked = self.linked.get((p, g), {})
+        pairings = {
+            role: linked[role] if role in linked else _unpaired(self.counts.pred[p][k], self.counts.gold[g][k])
+            for role, k in self.string_roles
+        }
+        numerators.update((role, n) for role, pairing in linked.items() if (n := pairing.exact_count))
+        return TemplatePair(p, g, pairings), numerators
+
+
+def _pair_scores(
     doc: Document,
     schema: Schema,
+    config: AnalysisConfig,
+    index: MatchIndex,
+    pair_role: RolePairer,
     counts: _FillerCounts,
-    chosen: tuple[tuple[int, int], ...],
-    cache: dict[tuple[int, int], _PairScore],
-    error_tally: int,
-    approximate: bool,
+) -> _PairTable:
+    """Score every (pred, gold) template pair of a document.
+
+    A set-fill role scores 1 on equal normalized values; a wrong value
+    costs two errors (spurious plus missing), a one-sided value one. A
+    string-fill role with ``m`` mentions and ``e`` entities costs
+    ``m + e - 2·exact - partial`` under its pairing. Only the roles that
+    the index links, by a cell with an entity of the same role, reach
+    ``pair_role(rows, e)``, where ``rows`` holds each mention's cells
+    (``_best_role_pairing`` for the exact matcher, a polynomial solve); a
+    cell in another role only feeds incorrect-role detection. Every other
+    role is the empty ``_unpaired(m, e)``: an unlinked pair's two ints
+    come from its filler totals and its equal set-fill values, found by
+    grouping the gold templates by normalized value, with no allocation.
+    """
+    set_roles = [role.name for role in schema.set_fill_roles]
+    string_roles = [(role.name, k) for k, role in enumerate(schema) if role.kind is RoleKind.STRING_FILL]
+
+    def values(template: Template) -> list[str | None]:
+        return [None if v is None else normalize(v, config.casefold) for v in map(template.set_fill, set_roles)]
+
+    pred_values = list(map(values, doc.predicted_templates))
+    gold_values = list(map(values, doc.gold_templates))
+    golds_by_value: list[dict[str, list[int]]] = [{} for _ in set_roles]
+    for g, row in enumerate(gold_values):
+        for by_value, value in zip(golds_by_value, row):
+            if value is not None:
+                by_value.setdefault(value, []).append(g)
+    gold_sizes = list(map(sum, counts.gold))
+    numerators, errors = [], []
+    for row, pred_size in zip(pred_values, map(sum, counts.pred)):
+        numerator_row = [0] * len(gold_sizes)
+        for by_value, value in zip(golds_by_value, row):
+            for g in by_value.get(value, ()):
+                numerator_row[g] += 1
+        numerators.append(numerator_row)
+        errors.append([pred_size + gold_size - 2 * n for gold_size, n in zip(gold_sizes, numerator_row)])
+    position = {role: k for k, (role, _) in enumerate(string_roles)}
+    links: dict[tuple[int, int], set[int]] = {}
+    for (p, role, _), groups in index.items():
+        for g, gold_role in groups:
+            if gold_role == role:
+                links.setdefault((p, g), set()).add(position[role])
+    linked: dict[tuple[int, int], dict[str, MentionPairing]] = {}
+    for (p, g), positions in sorted(links.items()):
+        pairings = linked[p, g] = {}
+        for role, k in map(string_roles.__getitem__, sorted(positions)):
+            rows = [index.hits((p, role, i), (g, role)) for i in range(counts.pred[p][k])]
+            pairing = pairings[role] = pair_role(rows, counts.gold[g][k])
+            exact = pairing.exact_count
+            numerators[p][g] += exact
+            errors[p][g] -= 2 * exact + pairing.partial_count
+    return _PairTable(numerators, errors, set_roles, string_roles, pred_values, gold_values, counts, linked)
+
+
+def _assemble(
+    doc: Document, schema: Schema, chosen: tuple[tuple[int, int], ...], table: _PairTable, approximate: bool
 ) -> TemplateMatching:
-    role_tallies = _denominators(schema, counts)
+    """The matching of the chosen pairs, the only ones that get a ``TemplatePair``."""
+    numerators = dict.fromkeys((role.name for role in schema), 0)
     pairs = []
     for pred_index, gold_index in chosen:
-        score = cache[pred_index, gold_index]
-        for role_name, num in score.role_numerators.items():
-            role_tallies[role_name] += Tally(num, 0, 0)
-        pairs.append(TemplatePair(pred_index, gold_index, dict(score.role_pairings)))
+        pair, role_numerators = table.pair(pred_index, gold_index)
+        pairs.append(pair)
+        for role_name, num in role_numerators.items():
+            numerators[role_name] += num
+    counts = table.counts
     matched_pred = {p for p, _ in chosen}
     matched_gold = {g for _, g in chosen}
-    total = Tally()
-    for tally in role_tallies.values():
-        total += tally
     return TemplateMatching(
         doc_id=doc.doc_id,
         pairs=tuple(pairs),
-        spurious_templates=tuple(
-            i for i in range(len(doc.predicted_templates)) if i not in matched_pred
-        ),
-        missing_templates=tuple(
-            j for j in range(len(doc.gold_templates)) if j not in matched_gold
-        ),
-        role_tallies=role_tallies,
-        total=total,
-        error_tally=error_tally,
+        spurious_templates=tuple(i for i in range(len(doc.predicted_templates)) if i not in matched_pred),
+        missing_templates=tuple(j for j in range(len(doc.gold_templates)) if j not in matched_gold),
+        role_tallies=_role_tallies(schema, counts, numerators.values()),
+        total=Tally(sum(numerators.values()), sum(map(sum, counts.pred)), sum(map(sum, counts.gold))),
+        error_tally=sum(table.errors[p][g] - 2 for p, g in chosen) + len(counts.pred) + len(counts.gold),
         approximate=approximate,
     )
 
@@ -541,7 +550,7 @@ def _min_cost_assignment(cost: list[list[int | None]]) -> tuple[list[int], list[
 
 
 def _optimal_assignment(
-    pred_count: int, gold_count: int, cache: dict[tuple[int, int], _PairScore]
+    numerators: list[list[int]], errors: list[list[int]], gold_count: int
 ) -> tuple[tuple[int, int], ...]:
     """The pair tuple minimizing ``(-Σ numerator, Σ errors + P + G - 2|A|, pairs)``.
 
@@ -549,10 +558,10 @@ def _optimal_assignment(
     ``-numerator·M + (errors - 2)`` with ``M`` above any possible spread
     of the error term, orders assignments by the first two keys.
     """
-    big = 2 * sum(abs(score.errors - 2) for score in cache.values()) + 1
+    big = 2 * sum(abs(e - 2) for row in errors for e in row) + 1
     cost: list[list[int | None]] = [
-        [-cache[p, g].numerator * big + cache[p, g].errors - 2 for g in range(gold_count)]
-        for p in range(pred_count)
+        [-n * big + e - 2 for n, e in zip(numerator_row, error_row)]
+        for numerator_row, error_row in zip(numerators, errors)
     ]
     return _lexmin_assignment(cost, gold_count)
 
@@ -670,11 +679,9 @@ def find_optimal_matching(
         )
     if index is None:
         index = MatchIndex.for_document(doc, schema, config)
-    counts = _filler_counts(doc, schema)
-    cache = _pair_scores(doc, schema, config, index, _best_role_pairing, counts)
-    best = _optimal_assignment(pred_count, gold_count, cache)
-    error_tally = sum(cache[pair].errors - 2 for pair in best) + pred_count + gold_count
-    return _assemble(doc, schema, counts, best, cache, error_tally, approximate=False)
+    table = _pair_scores(doc, schema, config, index, _best_role_pairing, _filler_counts(doc, schema))
+    best = _optimal_assignment(table.numerators, table.errors, gold_count)
+    return _assemble(doc, schema, best, table, approximate=False)
 
 
 def _greedy_role_pairing(rows: list[Mapping[int, EntityMatch]], gold_count: int) -> MentionPairing:
@@ -717,16 +724,14 @@ def greedy_matching(
     if index is None:
         index = MatchIndex.for_document(doc, schema, config)
     counts = _filler_counts(doc, schema)
-    pred_sizes = list(map(sum, counts.pred))
     gold_sizes = list(map(sum, counts.gold))
-    cache = _pair_scores(doc, schema, config, index, _greedy_role_pairing, counts)
+    table = _pair_scores(doc, schema, config, index, _greedy_role_pairing, counts)
     candidates = []
-    for p, pred_size in enumerate(pred_sizes):
-        for g, gold_size in enumerate(gold_sizes):
-            score = cache[p, g]
-            if score.numerator > 0 or pred_size + gold_size == 0:
-                pair_f1 = f1_from_tally(Tally(score.numerator, pred_size, gold_size))
-                candidates.append((-pair_f1, score.errors, p, g))
+    for p, pred_size in enumerate(map(sum, counts.pred)):
+        for g, (gold_size, numerator, errors) in enumerate(zip(gold_sizes, table.numerators[p], table.errors[p])):
+            if numerator > 0 or pred_size + gold_size == 0:
+                pair_f1 = f1_from_tally(Tally(numerator, pred_size, gold_size))
+                candidates.append((-pair_f1, errors, p, g))
     candidates.sort()
     used_pred: set[int] = set()
     used_gold: set[int] = set()
@@ -738,9 +743,4 @@ def greedy_matching(
         used_gold.add(g)
         chosen.append((p, g))
     chosen.sort()
-    error_tally = (
-        sum(cache[pair].errors for pair in chosen)
-        + (len(pred_sizes) - len(chosen))
-        + (len(gold_sizes) - len(chosen))
-    )
-    return _assemble(doc, schema, counts, tuple(chosen), cache, error_tally, approximate=True)
+    return _assemble(doc, schema, tuple(chosen), table, approximate=True)

@@ -12,10 +12,12 @@ caller as it would from a serial run.
 
 Measured with ``bench/run.py`` on 2 CPUs (medians of ten seeds, in the
 benchmark's reference-scaled seconds), a whole ``tfea analyze`` run on
-small_docs (400 documents) takes 0.59 s serial and 0.66 s with two
+small_docs (400 documents) takes 0.61 s serial and 0.84 s with two
 workers. The pool does not pay for itself on any of the three corpora:
-0.17 s with two workers against 0.13 s serial on wide_templates (8
-documents), and 0.34 s against 0.32 s on guard_overflow (30 documents).
+0.21 s with two workers against 0.16 s serial on wide_templates (8
+documents), and 0.41 s against 0.29 s on guard_overflow (30 documents).
+On that machine two CPU-bound processes started together mostly took
+twice as long as one alone, so a second worker added little throughput.
 """
 
 from __future__ import annotations

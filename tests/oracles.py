@@ -16,7 +16,7 @@ from itertools import combinations, permutations
 from typing import Mapping
 
 from tfea.exceptions import ParseError, SchemaMismatch
-from tfea.matching import MentionPair, MentionPairing
+from tfea.matching import MentionPair, MentionPairing, Tally, TemplateMatching, TemplatePair
 from tfea.model import (
     Document,
     GoldEntity,
@@ -219,6 +219,44 @@ def pair_scores_reference(doc: Document, schema: Schema, config, index, pair_rol
                 role_pairings[role.name] = pairing
             scores[p, g] = (numerator, errors, role_numerators, role_pairings)
     return scores
+
+
+def matching_from_reference(doc: Document, schema: Schema, config, index, pair_role, chosen, approximate: bool):
+    """The ``TemplateMatching`` of the ``chosen`` pairs, assembled from ``pair_scores_reference``.
+
+    Denominators are counted from the templates, each role adds the
+    chosen pairs' role numerators one ``Tally`` at a time, and the error
+    tally is the chosen pairs' errors plus one per unmatched template.
+    """
+    scores = pair_scores_reference(doc, schema, config, index, pair_role)
+    preds, golds = doc.predicted_templates, doc.gold_templates
+
+    def fillers(template: Template, role, gold: bool) -> int:
+        if role.kind is RoleKind.SET_FILL:
+            return int(template.set_fill(role.name) is not None)
+        return len(template.entities(role.name) if gold else template.mentions(role.name))
+
+    role_tallies = {
+        role.name: Tally(0, sum(fillers(t, role, False) for t in preds), sum(fillers(t, role, True) for t in golds))
+        for role in schema
+    }
+    for pair in chosen:
+        for role_name, num in scores[pair][2].items():
+            role_tallies[role_name] += Tally(num, 0, 0)
+    total = Tally()
+    for tally in role_tallies.values():
+        total += tally
+    matched_pred, matched_gold = {p for p, _ in chosen}, {g for _, g in chosen}
+    return TemplateMatching(
+        doc_id=doc.doc_id,
+        pairs=tuple(TemplatePair(p, g, dict(scores[p, g][3])) for p, g in chosen),
+        spurious_templates=tuple(p for p in range(len(preds)) if p not in matched_pred),
+        missing_templates=tuple(g for g in range(len(golds)) if g not in matched_gold),
+        role_tallies=role_tallies,
+        total=total,
+        error_tally=sum(scores[pair][1] for pair in chosen) + len(preds) + len(golds) - 2 * len(chosen),
+        approximate=approximate,
+    )
 
 
 def naive_denominators(doc: Document, schema: Schema, casefold: bool = True):

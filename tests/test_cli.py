@@ -232,6 +232,45 @@ class TestAnalyze:
             if name != "roles=5":
                 assert "role entry" in err, (name, err)
 
+    @pytest.mark.parametrize("shape", ["template role", "mention text", "doctext", "schema role entry"])
+    def test_repeated_key_is_parse_error(self, tmp_path, corpus_files, capsys, shape):
+        """json.load alone keeps the last value of a key named twice, at any depth."""
+        gold, pred, schema = corpus_files
+        raw = json.loads(gold.read_text(encoding="utf-8"))
+        doc_id, index, role, entities = next(
+            (doc_id, index, role, value)
+            for doc_id in sorted(raw)
+            for index, template in enumerate(raw[doc_id]["templates"])
+            for role, value in template.items()
+            if isinstance(value, list) and value
+        )
+        template = raw[doc_id]["templates"][index]
+        # A placeholder key, renamed in the JSON text to the key it repeats.
+        twice = "__named_twice__"
+        if shape == "template role":
+            raw[doc_id]["templates"][index] = {**template, twice: [[{"text": "pier"}]]}
+            key, where, broken = role, f"doc '{doc_id}' template {index}", gold
+        elif shape == "mention text":
+            entities[0][0] = {**entities[0][0], twice: "twin pier"}
+            key, where, broken = "text", f"doc '{doc_id}' template {index} role '{role}'", gold
+        elif shape == "doctext":
+            raw = json.loads(pred.read_text(encoding="utf-8"))
+            raw[doc_id] = {**raw[doc_id], twice: raw[doc_id]["doctext"] + " more"}
+            key, where, broken = "doctext", f"doc '{doc_id}'", pred
+        else:
+            raw = json.loads(schema.read_text(encoding="utf-8"))
+            raw["roles"][1] = {**raw["roles"][1], twice: "target"}
+            key, where, broken = "name", "role entry 1", schema
+        named_twice = tmp_path / f"twice_{broken.name}"
+        named_twice.write_text(json.dumps(raw).replace(json.dumps(twice), json.dumps(key)), encoding="utf-8")
+        paths = {"gold": gold, "pred": pred, "schema": schema, broken.stem: named_twice}
+        out = tmp_path / "report.json"
+        code = main(_analyze_args(paths["gold"], paths["pred"], paths["schema"], out))
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err.startswith("error: ") and f"({where})" in err and f"key '{key}' appears more than once" in err, err
+        assert "Traceback" not in err and not out.exists()
+
     def test_parallel_smoke(self, tmp_path, corpus_files):
         gold, pred, schema = corpus_files
         one = tmp_path / "one.json"

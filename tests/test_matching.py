@@ -11,6 +11,7 @@ from oracles import (
     brute_force_matching_count,
     entity_match_reference,
     enumerate_mention_matchings,
+    matching_from_reference,
     naive_best_f1,
     pair_scores_reference,
 )
@@ -25,7 +26,6 @@ from tfea.matching import (
     _greedy_role_pairing,
     _optimal_assignment,
     _pair_scores,
-    _PairScore,
     count_template_matchings,
     f1_from_tally,
     find_optimal_matching,
@@ -352,7 +352,10 @@ class TestPairScores:
     @pytest.mark.parametrize("mode", list(ScsMode))
     @pytest.mark.parametrize("pairer", sorted(_PAIRERS))
     def test_table_equals_full_role_loop(self, pairer, mode, case_sensitive):
-        """Skipping the pairer on unlinked roles changes no score, and only they skip it."""
+        """Every pair's two ints and what ``pair`` hands to ``_assemble`` equal the full role loop.
+
+        Only unlinked roles skip the pairer, and every one of them does.
+        """
         config = AnalysisConfig(scs_mode=mode, case_sensitive=case_sensitive)
         seen = Counter()
         for doc, schema in _pair_score_cases():
@@ -362,17 +365,40 @@ class TestPairScores:
                 doc, schema, config, index, _recorded(_PAIRERS[pairer], reference_calls)
             )
             counts = _filler_counts(doc, schema)
-            actual = _pair_scores(doc, schema, config, index, _recorded(_PAIRERS[pairer], calls), counts)
-            assert list(actual) == list(expected)
-            for pair, score in actual.items():
-                numerator, errors, role_numerators, role_pairings = expected[pair]
-                assert (score.numerator, score.errors, score.role_numerators) == (
+            table = _pair_scores(doc, schema, config, index, _recorded(_PAIRERS[pairer], calls), counts)
+            shape = [len(doc.gold_templates)] * len(doc.predicted_templates)
+            assert list(map(len, table.numerators)) == list(map(len, table.errors)) == shape, doc
+            assert len(expected) == sum(shape), doc
+            for (p, g), (numerator, errors, role_numerators, role_pairings) in expected.items():
+                pair, pair_numerators = table.pair(p, g)
+                assert (table.numerators[p][g], table.errors[p][g], pair_numerators) == (
                     numerator, errors, role_numerators
-                ), (doc, pair)
-                assert list(score.role_pairings.items()) == list(role_pairings.items()), (doc, pair)
+                ), (doc, p, g)
+                assert (pair.pred_index, pair.gold_index) == (p, g)
+                assert list(pair.role_pairings.items()) == list(role_pairings.items()), (doc, p, g)
             assert all(calls) and len(calls) == sum(reference_calls), doc
             seen.update(_pair_kinds(doc, schema, index, config))
         assert min(seen[kind] for kind in _PAIR_KINDS) > 20, seen
+
+    @pytest.mark.parametrize("matcher", sorted(_PAIRERS))
+    def test_matching_equals_one_assembled_from_the_reference(self, matcher):
+        """The returned matching equals the chosen pairs assembled from ``pair_scores_reference``."""
+        config = AnalysisConfig()
+        match = find_optimal_matching if matcher == "exact" else greedy_matching
+        chosen_counts = Counter()
+        for doc, schema in _pair_score_cases():
+            index = MatchIndex.for_document(doc, schema, config)
+            matching = match(doc, schema, config, index)
+            chosen = tuple((pair.pred_index, pair.gold_index) for pair in matching.pairs)
+            expected = matching_from_reference(
+                doc, schema, config, index, _PAIRERS[matcher], chosen, approximate=matcher == "greedy"
+            )
+            assert matching == expected, doc
+            assert list(matching.role_tallies.items()) == list(expected.role_tallies.items()), doc
+            for pair, reference_pair in zip(matching.pairs, expected.pairs):
+                assert list(pair.role_pairings.items()) == list(reference_pair.role_pairings.items()), doc
+            chosen_counts[min(len(chosen), 2)] += 1
+        assert min(chosen_counts[n] for n in range(3)) > 50, chosen_counts
 
 
 def _simple_schema():
@@ -475,11 +501,11 @@ class TestOptimalMatching:
         assert "big" in str(err.value)
 
 
-def _lex_min_by_enumeration(pred_count, gold_count, cache):
+def _lex_min_by_enumeration(numerators, errors, pred_count, gold_count):
     return min(
         (
-            -sum(cache[pair].numerator for pair in assignment),
-            sum(cache[pair].errors for pair in assignment)
+            -sum(numerators[p][g] for p, g in assignment),
+            sum(errors[p][g] for p, g in assignment)
             + pred_count + gold_count - 2 * len(assignment),
             assignment,
         )
@@ -493,14 +519,12 @@ class TestAssignmentSolver:
         rng = random.Random(20221)
         for _ in range(2500):
             pred_count, gold_count = rng.randint(0, 5), rng.randint(0, 5)
-            cache = {
-                (p, g): _PairScore(rng.randint(0, 2), rng.randint(0, 6), {}, {})
-                for p in range(pred_count)
-                for g in range(gold_count)
-            }
-            assert _optimal_assignment(pred_count, gold_count, cache) == _lex_min_by_enumeration(
-                pred_count, gold_count, cache
-            ), (pred_count, gold_count, cache)
+            scores = [[(rng.randint(0, 2), rng.randint(0, 6)) for _ in range(gold_count)] for _ in range(pred_count)]
+            numerators = [[numerator for numerator, _ in row] for row in scores]
+            errors = [[error for _, error in row] for row in scores]
+            assert _optimal_assignment(numerators, errors, gold_count) == _lex_min_by_enumeration(
+                numerators, errors, pred_count, gold_count
+            ), (pred_count, gold_count, scores)
 
     def test_dense_role_is_solved_exactly(self):
         """One 8-mention by 8-entity role where every cell is exact: 1,441,729 pairings."""
