@@ -21,7 +21,6 @@ from .exceptions import (
     TfeaError,
     UnmappableSequence,
 )
-from .inject import GenerationParams, InjectionSpec, generate_corpus, inject_errors
 from .matching import (
     MentionPair,
     MentionPairing,
@@ -57,6 +56,19 @@ from .transforms import (
     apply_transformations,
     derive_transformations,
 )
+
+# The injector is loaded on first use (PEP 562), so that importing the
+# package, as every CLI command does, does not compile it.
+_INJECT_NAMES = ("GenerationParams", "InjectionSpec", "generate_corpus", "inject_errors")
+
+
+def __getattr__(name: str):
+    if name in _INJECT_NAMES:
+        from . import inject
+
+        return getattr(inject, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AnalysisConfig",

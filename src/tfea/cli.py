@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import argparse
-import json
+import gc
 import logging
 import os
 import sys
 from pathlib import Path
 
 from .config import ON_GUARD_CHOICES, AnalysisConfig
-from .corpus import dump_side, load_corpus, load_schema, load_side, merge_sides
+from .corpus import dump_side, load_corpus, load_schema, load_side, merge_sides, read_json
 from .errors import ErrorType
 from .exceptions import (
     ComplexityGuardExceeded,
@@ -20,7 +20,6 @@ from .exceptions import (
     SchemaMismatch,
     TfeaError,
 )
-from .inject import InjectionSpec, inject_errors
 from .matching import count_template_matchings
 from .pipeline import analyze_corpus
 from .reports import (
@@ -75,11 +74,7 @@ def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
-    try:
-        with open(path, encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(path, f"cannot read config: {exc}") from exc
+    raw = read_json(path, "config")
     if not isinstance(raw, dict):
         raise ParseError(path, "config must be a JSON object")
     for key in raw:
@@ -131,6 +126,8 @@ def _resolve_settings(args: argparse.Namespace) -> tuple[AnalysisConfig, dict]:
         "format": pick_choice(args.format, "format", "json", FORMAT_CHOICES),
         "label": pick(args.label, "label", None),
     }
+    if extras["label"] is not None and not isinstance(extras["label"], str):
+        raise ParseError(args.config, f"must be a string, got {extras['label']!r}", "label")
     return config, extras
 
 
@@ -164,23 +161,29 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 
 def _cmd_inject(args: argparse.Namespace) -> int:
+    # Imported here: analyze, score and the other commands never load the injector.
+    from .inject import InjectionSpec, inject_errors
+
     schema = load_schema(args.schema)
     gold_side = load_side(args.gold, schema, gold=True)
     documents = merge_sides(gold_side, {})
-    try:
-        with open(args.spec, encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(args.spec, f"cannot read injection spec: {exc}") from exc
+    raw = read_json(args.spec, "injection spec")
     if not isinstance(raw, dict):
         raise ParseError(args.spec, "injection spec must be a JSON object")
     raw_counts = raw["counts"] if "counts" in raw else {k: v for k, v in raw.items() if k != "seed"}
     if not isinstance(raw_counts, dict):
         raise ParseError(args.spec, "counts must be a JSON object", "counts")
-    try:
-        counts = {ErrorType(name): int(k) for name, k in raw_counts.items()}
-    except (TypeError, ValueError) as exc:
-        raise ParseError(args.spec, f"invalid counts entry: {exc}", "counts") from exc
+    counts = {}
+    for name, count in raw_counts.items():
+        where = f"counts '{name}'"
+        try:
+            etype = ErrorType(name)
+        except ValueError as exc:
+            known = ", ".join(t.value for t in ErrorType)
+            raise ParseError(args.spec, f"unknown error type; known: {known}", where) from exc
+        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+            raise ParseError(args.spec, f"count must be an integer of at least 0, got {count!r}", where)
+        counts[etype] = count
     seed = args.seed if args.seed is not None else raw.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ParseError(args.spec, f"must be an integer, got {seed!r}", "seed")
@@ -251,6 +254,14 @@ def main(argv=None) -> int:
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A command builds no reference cycles, so the cyclic collector would
+    # only rescan the live corpus and results while they are built (it
+    # made unpickling the --parallel results about three times slower).
+    # It is paused for the whole command, not around one stage: collections
+    # deferred by a stage would land right after it. The caller's state is
+    # restored, for callers that run main in-process.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except ComplexityGuardExceeded as exc:
@@ -260,6 +271,9 @@ def main(argv=None) -> int:
     except (ParseError, SchemaMismatch, IncompatibleReports, InfeasibleSpec, TfeaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

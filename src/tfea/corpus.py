@@ -22,6 +22,8 @@ by ``resolve_document_spans``.
 A key named twice in one object is a ``ParseError`` naming the object
 and the key, at every level (doc id, document entry, template, mention)
 and in the schema file: ``json.load`` alone would keep the last value.
+So is a document entry key other than ``doctext`` and ``templates``: a
+misspelled ``templates`` would otherwise load as no templates.
 """
 
 from __future__ import annotations
@@ -47,14 +49,25 @@ from .model import (
 
 log = logging.getLogger("tfea")
 
+DOCUMENT_KEYS = ("doctext", "templates")
 
-def load_schema(path: str) -> Schema:
+
+def read_json(path: str, what: str, object_pairs_hook=None):
+    """The JSON value in ``path``; any failure to read it is a ``ParseError``.
+
+    ``ValueError`` covers malformed JSON, bytes that are not UTF-8 and an
+    integer over the interpreter's digit limit; ``RecursionError`` covers
+    nesting too deep for the decoder.
+    """
     try:
         with open(path, encoding="utf-8") as handle:
-            raw = json.load(handle, object_pairs_hook=_decode_object)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(path, f"cannot read schema: {exc}") from exc
-    return schema_from_dict(raw, path=path)
+            return json.load(handle, object_pairs_hook=object_pairs_hook)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ParseError(path, f"cannot read {what}: {exc}") from exc
+
+
+def load_schema(path: str) -> Schema:
+    return schema_from_dict(read_json(path, "schema", _decode_object), path=path)
 
 
 def schema_from_dict(raw: Mapping, path: str = "<schema>") -> Schema:
@@ -240,14 +253,11 @@ def load_side(path: str, schema: Schema, gold: bool, casefold: bool = True) -> d
     """Load one side (gold or predicted) of a corpus.
 
     Returns doc id -> (document text, templates). A doc id given twice,
-    a ``doctext`` that is not a string, and ``templates`` that is not a
+    a document entry key other than ``doctext`` and ``templates``, a
+    ``doctext`` that is not a string, and ``templates`` that is not a
     list of objects are parse errors; an absent ``templates`` is empty.
     """
-    try:
-        with open(path, encoding="utf-8") as handle:
-            raw = json.load(handle, object_pairs_hook=_decode_object)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(path, f"cannot read corpus: {exc}") from exc
+    raw = read_json(path, "corpus", _decode_object)
     if not isinstance(raw, dict):
         raise ParseError(path, "corpus must be an object keyed by document id")
     repeated = getattr(raw, "repeated", None)
@@ -260,6 +270,9 @@ def load_side(path: str, schema: Schema, gold: bool, casefold: bool = True) -> d
         if not isinstance(entry, dict) or "doctext" not in entry:
             raise ParseError(path, "document entry needs 'doctext'", where)
         _check_keys(path, entry, where)
+        for key in entry:
+            if key not in DOCUMENT_KEYS:
+                raise ParseError(path, f"unknown key '{key}'; known: {', '.join(DOCUMENT_KEYS)}", where)
         text = entry["doctext"]
         if not isinstance(text, str):
             raise ParseError(path, f"'doctext' must be a string, got {text!r}", where)

@@ -10,18 +10,25 @@ any worker count, and an error raised in a worker, such as
 ``ComplexityGuardExceeded`` under ``on_guard="fail"``, reaches the
 caller as it would from a serial run.
 
-Measured with ``bench/run.py`` on 2 CPUs (medians of ten seeds, in the
-benchmark's reference-scaled seconds), a whole ``tfea analyze`` run on
-small_docs (400 documents) takes 0.61 s serial and 0.84 s with two
+The CLI runs with the cyclic garbage collector paused, and each worker
+pauses it too (``_start_worker``): nothing here builds reference cycles,
+so a collection only rescans the corpus and the results. With it on,
+unpickling the pool's results in the parent took about three times as
+long.
+
+Measured with ``bench/run.py`` on 2 CPUs (medians of twenty seeds, in
+the benchmark's reference-scaled seconds), a whole ``tfea analyze`` run
+on small_docs (400 documents) takes 0.57 s serial and 0.72 s with two
 workers. The pool does not pay for itself on any of the three corpora:
-0.21 s with two workers against 0.16 s serial on wide_templates (8
-documents), and 0.41 s against 0.29 s on guard_overflow (30 documents).
+0.19 s with two workers against 0.15 s serial on wide_templates (8
+documents), and 0.36 s against 0.28 s on guard_overflow (30 documents).
 On that machine two CPU-bound processes started together mostly took
 twice as long as one alone, so a second worker added little throughput.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -89,6 +96,9 @@ def _start_worker(
     documents: list[Document], schema: Schema, config: AnalysisConfig, derive: bool
 ) -> None:
     global _worker_job
+    # As in the CLI process: no cycles to collect. Under fork the worker
+    # inherits the paused collector; under spawn and forkserver it does not.
+    gc.disable()
     _worker_job = (documents, schema, config, derive)
 
 

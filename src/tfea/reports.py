@@ -9,12 +9,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 
 from . import __version__
 from .config import AnalysisConfig
-from .corpus import schema_to_dict
+from .corpus import read_json, schema_to_dict
 from .errors import ERROR_TYPES, ErrorProfile
-from .exceptions import IncompatibleReports, ParseError
+from .exceptions import IncompatibleReports
 from .model import Schema
 from .pipeline import CorpusAnalysis
 from .scoring import ScoreTriple, Scores
@@ -190,18 +191,21 @@ def render_text(report: dict) -> str:
 
 
 def load_report(path: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(path, f"cannot read report: {exc}") from exc
+    return read_json(path, "report")
 
 
 def _is_numbers(table, fields: tuple[str, ...] = ()) -> bool:
-    """A JSON object whose values are all numbers and that has ``fields``."""
+    """A JSON object whose values are all numbers and that has ``fields``.
+
+    A number is an int or a float within the float range, which the text
+    rendering can format with ``:.4f``; NaN and infinities are not numbers.
+    """
     return (
         isinstance(table, dict)
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in table.values())
+        and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+            for v in table.values()
+        )
         and all(name in table for name in fields)
     )
 
@@ -210,9 +214,12 @@ def _compared_names(report) -> tuple | None:
     """The role names and (if present) the error names a comparison reads.
 
     None when ``report`` is not a report: a section the comparison reads
-    is missing or holds something other than numbers.
+    is missing or holds something other than numbers, or the label is
+    not a string.
     """
-    scores = report.get("scores") if isinstance(report, dict) else None
+    if not isinstance(report, dict) or not isinstance(report.get("label", ""), str):
+        return None
+    scores = report.get("scores")
     per_role = scores.get("per_role") if isinstance(scores, dict) else None
     if not isinstance(per_role, dict) or not all(
         _is_numbers(triple, ("p", "r", "f1")) for triple in (scores.get("overall"), *per_role.values())

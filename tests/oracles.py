@@ -468,7 +468,7 @@ def load_side_reference(path: str, schema: Schema, gold: bool, casefold: bool = 
     try:
         with open(path, encoding="utf-8") as handle:
             raw = json.load(handle, object_pairs_hook=_decode_object)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(path, f"cannot read corpus: {exc}") from exc
     if not isinstance(raw, Mapping):
         raise ParseError(path, "corpus must be an object keyed by document id")
@@ -480,6 +480,9 @@ def load_side_reference(path: str, schema: Schema, gold: bool, casefold: bool = 
         where = f"doc '{doc_id}'"
         if not isinstance(entry, Mapping) or "doctext" not in entry:
             raise ParseError(path, "document entry needs 'doctext'", where)
+        for key in entry:
+            if key not in ("doctext", "templates"):
+                raise ParseError(path, f"unknown key '{key}'; known: doctext, templates", where)
         text = entry["doctext"]
         if not isinstance(text, str):
             raise ParseError(path, f"'doctext' must be a string, got {text!r}", where)

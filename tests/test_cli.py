@@ -142,6 +142,7 @@ class TestAnalyze:
             ({}, ("--max-matchings", "-1")),
             ({"max_mention_matchings": 10}, ()),
             ({"max_matching": 5}, ()),
+            ({"label": [1]}, ()),
         ],
         ids=[
             "max_matchings-string",
@@ -158,6 +159,7 @@ class TestAnalyze:
             "flag-max-matchings-negative",
             "max_mention_matchings-retired",
             "max_matching-unknown",
+            "label-list",
         ],
     )
     def test_bad_setting_is_parse_error(self, tmp_path, corpus_files, capsys, cfg, flags):
@@ -207,6 +209,21 @@ class TestAnalyze:
         assert code == EXIT_ERROR
         assert err.startswith("error: ") and f"doc '{doc_id}'" in err and "more than once" in err
         assert "Traceback" not in err
+
+    def test_unknown_document_key_is_parse_error(self, tmp_path, corpus_files, capsys):
+        """A misspelled 'templates' would otherwise load as a document with no templates."""
+        gold, pred, schema = corpus_files
+        raw = json.loads(pred.read_text(encoding="utf-8"))
+        doc_id = sorted(raw)[0]
+        raw[doc_id]["template"] = raw[doc_id].pop("templates")
+        broken = tmp_path / "misspelled.json"
+        broken.write_text(json.dumps(raw), encoding="utf-8")
+        out = tmp_path / "report.json"
+        assert main(_analyze_args(gold, broken, schema, out)) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"doc '{doc_id}'" in err and "unknown key 'template'" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_malformed_schema_is_parse_error(self, tmp_path, corpus_files, capsys):
         gold, pred, schema = corpus_files
@@ -351,6 +368,41 @@ class TestInject:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize(
+        "text,entry",
+        [
+            ('{"span_error": 1e400}', "counts 'span_error'"),
+            ('{"counts": {"span_error": -3}}', "counts 'span_error'"),
+            ('{"counts": {"span_error": 1.9}}', "counts 'span_error'"),
+            ('{"counts": {"span_error": 1.0}}', "counts 'span_error'"),
+            ('{"counts": {"span_error": true}}', "counts 'span_error'"),
+            ('{"counts": {"span_error": "2"}}', "counts 'span_error'"),
+            ('{"counts": {"span_error": 1, "typo_error": 1}}', "counts 'typo_error'"),
+        ],
+        ids=["overflow", "negative", "fraction", "float", "bool", "string", "unknown-type"],
+    )
+    def test_count_must_be_a_natural_number(self, tmp_path, corpus_files, capsys, text, entry):
+        gold, _, schema = corpus_files
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(text)
+        out = tmp_path / "injected.json"
+        code = main(
+            [
+                "inject",
+                "--gold", str(gold),
+                "--schema", str(schema),
+                "--spec", str(spec_path),
+                "--out", str(out),
+                "--ledger", str(tmp_path / "ledger.json"),
+            ]
+        )
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"({entry})" in err, err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestCompare:
     def _make_report(self, tmp_path, corpus_files, name, *extra):
         gold, pred, schema = corpus_files
@@ -406,11 +458,54 @@ class TestCompare:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("damage", [{"label": [1]}, {"label": None}, {"scores": {"overall": {"p": 10**400}}}])
+    def test_unprintable_field_is_incompatible(self, tmp_path, corpus_files, capsys, fmt, damage):
+        report = self._make_report(tmp_path, corpus_files, "r1.json")
+        raw = json.loads(report.read_text())
+        if "scores" in damage:
+            raw["scores"]["overall"]["p"] = damage["scores"]["overall"]["p"]
+        else:
+            raw.update(damage)
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(raw))
+        assert main(["compare", str(report), str(other), "--format", fmt]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_text_format(self, tmp_path, corpus_files):
         r1 = self._make_report(tmp_path, corpus_files, "r1.json", "--label", "a")
         out = tmp_path / "cmp.txt"
         assert main(["compare", str(r1), str(r1), "--format", "text", "--out", str(out)]) == EXIT_OK
         assert "error type" in out.read_text()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000, b'{"x": ' + b"9" * 5000 + b"}"],
+    ids=["not-utf8", "deep-nesting", "long-integer"],
+)
+@pytest.mark.parametrize("kind", ["gold", "schema", "config", "spec", "report"])
+def test_unreadable_json_is_parse_error(tmp_path, corpus_files, capsys, kind, content):
+    """Bytes that json.load rejects with something other than a JSONDecodeError."""
+    gold, pred, schema = corpus_files
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    out = tmp_path / "out.json"
+    argv = {
+        "gold": _analyze_args(bad, pred, schema, out),
+        "schema": _analyze_args(gold, pred, bad, out),
+        "config": _analyze_args(gold, pred, schema, out, "--config", str(bad)),
+        "spec": ["inject", "--gold", str(gold), "--schema", str(schema), "--spec", str(bad),
+                 "--out", str(out), "--ledger", str(tmp_path / "ledger.json")],
+        "report": ["compare", str(bad), str(bad), "--out", str(out)],
+    }[kind]
+    assert main(argv) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: cannot read ")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 class TestCountMatchings:
@@ -505,6 +600,20 @@ def _fuzz_base_sides() -> dict[str, dict]:
     return {"gold": side_to_dict(documents, gold=True), "pred": side_to_dict(documents, gold=False)}
 
 
+def _write_json(directory, name: str, payload) -> str:
+    path = directory / f"fuzz-{name}.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return str(path)
+
+
+def _assert_clean_exit(argv: list[str]) -> None:
+    stderr = io.StringIO()
+    with redirect_stderr(stderr):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_ERROR, EXIT_GUARD)
+    assert "Traceback" not in stderr.getvalue()
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(side=st.sampled_from(["gold", "pred"]), choices=subtree_paths(), value=json_values())
 def test_damaged_corpus_file_exits_cleanly(tmp_path_factory, side, choices, value):
@@ -512,12 +621,60 @@ def test_damaged_corpus_file_exits_cleanly(tmp_path_factory, side, choices, valu
     directory = tmp_path_factory.getbasetemp()
     sides = _fuzz_base_sides()
     sides[side] = replace_subtree(sides[side], choices, value)
-    paths = {}
-    for name, payload in [*sides.items(), ("schema", schema_to_dict(default_schema()))]:
-        paths[name] = directory / f"fuzz-{name}.json"
-        paths[name].write_text(json.dumps(payload), encoding="utf-8")
-    stderr = io.StringIO()
-    with redirect_stderr(stderr):
-        code = main(_analyze_args(paths["gold"], paths["pred"], paths["schema"], directory / "fuzz-report.json"))
-    assert code in (EXIT_OK, EXIT_ERROR, EXIT_GUARD)
-    assert "Traceback" not in stderr.getvalue()
+    paths = {name: _write_json(directory, name, payload) for name, payload in sides.items()}
+    schema = _write_json(directory, "schema", schema_to_dict(default_schema()))
+    _assert_clean_exit(_analyze_args(paths["gold"], paths["pred"], schema, directory / "fuzz-report.json"))
+
+
+def _fuzz_base_inputs(directory) -> dict[str, tuple[str, object]]:
+    """Valid files of every other input kind, as name -> (path, payload)."""
+    sides = _fuzz_base_sides()
+    gold = _write_json(directory, "base-gold", sides["gold"])
+    pred = _write_json(directory, "base-pred", sides["pred"])
+    schema_payload = schema_to_dict(default_schema())
+    schema = _write_json(directory, "base-schema", schema_payload)
+    report = directory / "fuzz-base-report.json"
+    assert main(_analyze_args(gold, pred, schema, report)) == EXIT_OK
+    return {
+        "gold": (gold, sides["gold"]),
+        "pred": (pred, sides["pred"]),
+        "schema": (schema, schema_payload),
+        "spec": (None, {"counts": {"span_error": 1, "missing_role_filler": 1}, "seed": 3}),
+        "config": (
+            None,
+            {
+                "scs_mode": "absolute",
+                "case_sensitive": False,
+                "max_matchings": 1000,
+                "on_guard": "skip",
+                "parallel": 1,
+                "format": "text",
+                "label": "fuzz",
+            },
+        ),
+        "report": (str(report), json.loads(report.read_text(encoding="utf-8"))),
+    }
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    kind=st.sampled_from(["schema", "spec", "config", "report"]),
+    fmt=st.sampled_from(["json", "text"]),
+    choices=subtree_paths(),
+    value=json_values(),
+)
+def test_damaged_input_file_exits_cleanly(tmp_path_factory, kind, fmt, choices, value):
+    """The same for the schema, an injection spec, a --config file and a report given to compare."""
+    directory = tmp_path_factory.getbasetemp()
+    base = _fuzz_base_inputs(directory)
+    damaged = _write_json(directory, f"damaged-{kind}", replace_subtree(base[kind][1], choices, value))
+    gold, pred, schema, report = (base[name][0] for name in ("gold", "pred", "schema", "report"))
+    out = str(directory / "fuzz-out.json")
+    argv = {
+        "schema": _analyze_args(gold, pred, damaged, out),
+        "config": _analyze_args(gold, pred, schema, out, "--config", damaged),
+        "spec": ["inject", "--gold", gold, "--schema", schema, "--spec", damaged, "--out", out,
+                 "--ledger", str(directory / "fuzz-ledger.json")],
+        "report": ["compare", report, damaged, "--format", fmt, "--out", out],
+    }[kind]
+    _assert_clean_exit(argv)

@@ -95,6 +95,12 @@ class TestCorpusLoading:
         with pytest.raises(SchemaMismatch):
             load_side(_write(tmp_path, "gold.json", gold), schema, gold=True)
 
+    @pytest.mark.parametrize("key", ["template", "Templates", "doc_text", "meta"])
+    def test_unknown_document_key_is_parse_error(self, tmp_path, schema, key):
+        gold = {"d1": {"doctext": "x", "templates": []}, "d2": {"doctext": "y", key: []}}
+        with pytest.raises(ParseError, match=f"doc 'd2'.*unknown key '{key}'"):
+            load_side(_write(tmp_path, "gold.json", gold), schema, gold=True)
+
     def test_malformed_filler_is_parse_error(self, tmp_path, schema):
         gold = {"d1": {"doctext": "x", "templates": [{"agent": "not-a-list"}]}}
         with pytest.raises(ParseError):
