@@ -7,7 +7,8 @@ decide which gold mention a mislocated predicted filler was aiming at.
 Run: python3 demos/span_scores_tour.py
 """
 
-from tfea import Mention, Span, best_gold_target, scs_absolute, scs_geometric
+from tfea import GoldEntity, Mention, Span, scs_absolute, scs_geometric
+from tfea.matching import MatchIndex
 from tfea.spans import ScsMode
 
 PAIRS = [
@@ -30,12 +31,13 @@ print("which is why it is the default: a one-character slip moves the")
 print("geometric score to", f"{scs_geometric(Span(0, 10), Span(1, 11)):.4f}",
       "but the absolute score only to", f"{scs_absolute(Span(0, 10), Span(1, 11)):.4f}.")
 
-# Choosing the nearest gold target for a mislocated prediction.
+# Choosing the gold mention a mislocated prediction was aiming at: the match
+# index keeps, for each (predicted mention, gold entity) cell below 1, the
+# entity mention with the lowest SCS as the span-alteration target.
+# Text: "the northern harbor was closed; the harbor reopened".
 predicted = Mention("the northern harbor", Span(0, 19))
-candidates = [
-    Mention("northern harbor", Span(4, 19)),
-    Mention("harbor authority", Span(13, 29)),
-]
-target, score = best_gold_target(predicted, candidates, ScsMode.GEOMETRIC)
+entity = GoldEntity((Mention("northern harbor", Span(4, 19)), Mention("the harbor", Span(32, 42))))
+index = MatchIndex([("pred", predicted)], [("gold", 0, entity)], ScsMode.GEOMETRIC, casefold=True)
+match = index.cell("pred", "gold", 0)
 print()
-print(f"predicted {predicted.text!r} -> nearest gold mention {target.text!r} (SCS {score:.4f})")
+print(f"predicted {predicted.text!r} -> nearest gold mention {match.gold_mention.text!r} (SCS {match.score:.4f})")

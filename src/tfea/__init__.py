@@ -30,7 +30,6 @@ from .matching import (
     count_template_matchings,
     find_optimal_matching,
     greedy_matching,
-    iter_template_matchings,
 )
 from .model import (
     Document,
@@ -41,14 +40,12 @@ from .model import (
     Schema,
     Span,
     Template,
-    exact_match,
     normalize,
     resolve_document_spans,
-    resolve_span,
 )
 from .pipeline import CorpusAnalysis, DocumentAnalysis, analyze_corpus, analyze_document
-from .scoring import Scores, ScoreTriple, score_corpus, score_document
-from .spans import ScsMode, best_gold_target, scs_absolute, scs_geometric, span_score
+from .scoring import Scores, score_corpus, score_document
+from .spans import ScsMode, scs_absolute, scs_geometric, span_score
 from .transforms import (
     Transformation,
     TransformationLog,
@@ -94,7 +91,6 @@ __all__ = [
     "Schema",
     "SchemaMismatch",
     "Scores",
-    "ScoreTriple",
     "ScsMode",
     "Span",
     "Tally",
@@ -109,19 +105,15 @@ __all__ = [
     "analyze_corpus",
     "analyze_document",
     "apply_transformations",
-    "best_gold_target",
     "count_template_matchings",
     "derive_transformations",
-    "exact_match",
     "find_optimal_matching",
     "generate_corpus",
     "greedy_matching",
     "inject_errors",
-    "iter_template_matchings",
     "map_errors",
     "normalize",
     "resolve_document_spans",
-    "resolve_span",
     "score_corpus",
     "score_document",
     "scs_absolute",

@@ -5,12 +5,13 @@ from __future__ import annotations
 import argparse
 import gc
 import logging
+import math
 import os
 import sys
 from pathlib import Path
 
 from .config import ON_GUARD_CHOICES, AnalysisConfig
-from .corpus import dump_side, load_corpus, load_schema, load_side, merge_sides, read_json
+from .corpus import load_corpus, load_schema, load_side, merge_sides, read_json, side_to_dict
 from .errors import ErrorType
 from .exceptions import (
     ComplexityGuardExceeded,
@@ -43,6 +44,9 @@ EXIT_GUARD = 2
 SCS_MODE_CHOICES = tuple(mode.value for mode in ScsMode)
 FORMAT_CHOICES = ("json", "csv", "text")
 CONFIG_KEYS = ("scs_mode", "case_sensitive", "max_matchings", "on_guard", "parallel", "format", "label")
+# count-matchings prints at most this many digits, Python's default cap on
+# converting an int to a string.
+MAX_COUNT_DIGITS = 4300
 
 
 def _setup_logging() -> None:
@@ -132,10 +136,14 @@ def _resolve_settings(args: argparse.Namespace) -> tuple[AnalysisConfig, dict]:
 
 
 def _write_output(text: str, out: str | None) -> None:
+    """Write ``text`` to the file ``out``, or to stdout when ``out`` is None."""
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise TfeaError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
 def _run_analysis(args: argparse.Namespace, derive: bool) -> int:
@@ -188,10 +196,8 @@ def _cmd_inject(args: argparse.Namespace) -> int:
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ParseError(args.spec, f"must be an integer, got {seed!r}", "seed")
     result = inject_errors(documents, schema, InjectionSpec(counts=counts), seed=seed)
-    dump_side(result.documents, args.out, gold=False)
-    ledger = errors_section(result.ledger, schema, result.per_doc)
-    with open(args.ledger, "w", encoding="utf-8") as handle:
-        handle.write(render_json(ledger))
+    _write_output(render_json(side_to_dict(result.documents, gold=False)), args.out)
+    _write_output(render_json(errors_section(result.ledger, schema, result.per_doc)), args.ledger)
     return EXIT_OK
 
 
@@ -206,7 +212,22 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_count_matchings(args: argparse.Namespace) -> int:
-    print(count_template_matchings(args.pred_count, args.gold_count))
+    sizes = {"pred_count": args.pred_count, "gold_count": args.gold_count}
+    for name, value in sizes.items():
+        if value < 0:
+            raise ParseError("command line", f"must be at least 0, got {value}", name)
+    small, large = sorted(sizes.values())
+    # The count is at least small! and (large - small + 1) ** small, so the
+    # first two tests rule out a count too long to print before summing it
+    # (2000! alone has 5,736 digits).
+    if (
+        small > 2000
+        or small * math.log10(large - small + 1) > MAX_COUNT_DIGITS
+        or (count := count_template_matchings(args.pred_count, args.gold_count)) >= 10**MAX_COUNT_DIGITS
+    ):
+        raise TfeaError(f"the matching count for {args.pred_count} and {args.gold_count} "
+                        f"has more than {MAX_COUNT_DIGITS} digits")
+    print(count)
     return EXIT_OK
 
 

@@ -347,9 +347,3 @@ def side_to_dict(documents: Mapping[str, Document] | list[Document], gold: bool)
         }
     return out
 
-
-def dump_side(documents, path: str, gold: bool) -> None:
-    payload = side_to_dict(documents, gold)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, ensure_ascii=False, indent=2, sort_keys=True)
-        handle.write("\n")

@@ -39,7 +39,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .config import AnalysisConfig
 from .exceptions import ComplexityGuardExceeded
@@ -62,26 +62,6 @@ def count_template_matchings(pred_count: int, gold_count: int) -> int:
         math.comb(pred_count, i) * math.perm(gold_count, i)
         for i in range(min(pred_count, gold_count) + 1)
     )
-
-
-def iter_template_matchings(pred_count: int, gold_count: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Yield every injective partial pairing as a pred-index-sorted pair tuple."""
-
-    def rec(pred_index: int, used: set[int]) -> Iterator[tuple[tuple[int, int], ...]]:
-        if pred_index == pred_count:
-            yield ()
-            return
-        for rest in rec(pred_index + 1, used):
-            yield rest
-        for gold_index in range(gold_count):
-            if gold_index in used:
-                continue
-            used.add(gold_index)
-            for rest in rec(pred_index + 1, used):
-                yield ((pred_index, gold_index),) + rest
-            used.remove(gold_index)
-
-    return rec(0, set())
 
 
 @dataclass(frozen=True)
@@ -281,7 +261,14 @@ def _best_role_pairing(rows: list[Mapping[int, EntityMatch]], gold_count: int) -
 
 @dataclass(frozen=True)
 class Tally:
-    """Raw precision/recall bookkeeping: numerator and the two denominators."""
+    """Exact-match counts of one role, template pair, document or corpus.
+
+    The numerator and the two denominators add up with ``+``; precision,
+    recall and F1 are derived from them. A zero denominator gives a ratio
+    of 1.0 (nothing was expected on that side, so nothing was wrong), so
+    a document with no gold and no predictions scores 1.0 while a
+    one-sided one scores 0.0.
+    """
 
     numerator: int = 0
     precision_denominator: int = 0
@@ -294,19 +281,20 @@ class Tally:
             self.recall_denominator + other.recall_denominator,
         )
 
+    @property
+    def precision(self) -> float:
+        return 1.0 if self.precision_denominator == 0 else self.numerator / self.precision_denominator
 
-def f1_from_tally(tally: Tally) -> float:
-    """Exact-match F1 with the degenerate-denominator conventions.
+    @property
+    def recall(self) -> float:
+        return 1.0 if self.recall_denominator == 0 else self.numerator / self.recall_denominator
 
-    An empty side yields precision or recall of 1.0 when nothing was
-    expected on it (0/0), so a document with no gold and no predictions
-    scores 1.0 while a one-sided document scores 0.0.
-    """
-    precision = 1.0 if tally.precision_denominator == 0 else tally.numerator / tally.precision_denominator
-    recall = 1.0 if tally.recall_denominator == 0 else tally.numerator / tally.recall_denominator
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
+    @property
+    def f1(self) -> float:
+        precision, recall = self.precision, self.recall
+        if precision + recall == 0.0:
+            return 0.0
+        return 2.0 * precision * recall / (precision + recall)
 
 
 @dataclass(frozen=True)
@@ -331,7 +319,7 @@ class TemplateMatching:
 
     @property
     def f1(self) -> float:
-        return f1_from_tally(self.total)
+        return self.total.f1
 
 
 @dataclass(frozen=True)
@@ -363,11 +351,6 @@ def _filler_counts(doc: Document, schema: Schema) -> _FillerCounts:
         tuple(row(t, gold=False) for t in doc.predicted_templates),
         tuple(row(t, gold=True) for t in doc.gold_templates),
     )
-
-
-def document_denominators(doc: Document, schema: Schema) -> dict[str, Tally]:
-    """Per-role denominators; independent of any matching choice."""
-    return _role_tallies(schema, _filler_counts(doc, schema), [0] * len(schema.roles))
 
 
 def _role_tallies(schema: Schema, counts: _FillerCounts, numerators: Iterable[int]) -> dict[str, Tally]:
@@ -730,7 +713,7 @@ def greedy_matching(
     for p, pred_size in enumerate(map(sum, counts.pred)):
         for g, (gold_size, numerator, errors) in enumerate(zip(gold_sizes, table.numerators[p], table.errors[p])):
             if numerator > 0 or pred_size + gold_size == 0:
-                pair_f1 = f1_from_tally(Tally(numerator, pred_size, gold_size))
+                pair_f1 = Tally(numerator, pred_size, gold_size).f1
                 candidates.append((-pair_f1, errors, p, g))
     candidates.sort()
     used_pred: set[int] = set()

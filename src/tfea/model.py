@@ -199,15 +199,6 @@ class Document:
         object.__setattr__(self, "predicted_templates", tuple(self.predicted_templates))
 
 
-def exact_match(a: Mention, b: Mention, casefold: bool = True) -> bool:
-    """True iff the two mention texts are equal after normalization.
-
-    Spans never affect exactness; a mention found at the wrong offset
-    still matches on text.
-    """
-    return texts_match(a.text, b.text, casefold)
-
-
 def find_normalized(text: str, doc_text: str, casefold: bool = True) -> Span | None:
     """First occurrence of ``text`` in ``doc_text`` under normalized comparison.
 
@@ -270,21 +261,6 @@ def _scan_tokens(tokens: list[str], hay: str) -> Span | None:
             return Span(start, end)
         start = hay.find(first, start + 1)
     return None
-
-
-def resolve_span(mention: Mention, doc: Document, casefold: bool = True) -> Mention:
-    """Locate a span-less mention in the document text.
-
-    Mentions whose text does not occur keep a null span; they score as
-    maximally distant in span comparisons but still match exactly on text.
-    Idempotent: mentions with a span are returned unchanged.
-    """
-    if mention.span is not None:
-        return mention
-    span = find_normalized(mention.text, doc.text, casefold)
-    if span is None:
-        return mention
-    return replace(mention, span=span)
 
 
 def resolve_document_spans(doc: Document, casefold: bool = True) -> Document:

@@ -16,31 +16,31 @@ from .config import AnalysisConfig
 from .corpus import read_json, schema_to_dict
 from .errors import ERROR_TYPES, ErrorProfile
 from .exceptions import IncompatibleReports
+from .matching import Tally
 from .model import Schema
 from .pipeline import CorpusAnalysis
-from .scoring import ScoreTriple, Scores
+from .scoring import Scores
 from .transforms import Transformation
 
 TOOL_NAME = "tfea"
 
 
-def _triple_dict(triple: ScoreTriple) -> dict:
+def _triple_dict(tally: Tally) -> dict:
     return {
-        "num": triple.numerator,
-        "p_den": triple.precision_denominator,
-        "r_den": triple.recall_denominator,
-        "p": triple.precision,
-        "r": triple.recall,
-        "f1": triple.f1,
+        "num": tally.numerator,
+        "p_den": tally.precision_denominator,
+        "r_den": tally.recall_denominator,
+        "p": tally.precision,
+        "r": tally.recall,
+        "f1": tally.f1,
     }
 
 
 def _scores_dict(scores: Scores, schema: Schema) -> dict:
-    empty = ScoreTriple(0, 0, 0)
     return {
         "overall": _triple_dict(scores.overall),
         "per_role": {
-            role: _triple_dict(scores.per_role.get(role, empty)) for role in schema.names
+            role: _triple_dict(scores.per_role.get(role, Tally())) for role in schema.names
         },
     }
 

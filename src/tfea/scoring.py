@@ -9,57 +9,19 @@ from .matching import Tally, TemplateMatching
 
 
 @dataclass(frozen=True)
-class ScoreTriple:
-    """Numerator, denominators, and the derived ratios for one role or total."""
-
-    numerator: int
-    precision_denominator: int
-    recall_denominator: int
-
-    @property
-    def precision(self) -> float:
-        # 0/0 counts as a perfect 1.0: nothing was predicted and nothing
-        # was wrong. Only degenerate corpora hit this.
-        if self.precision_denominator == 0:
-            return 1.0
-        return self.numerator / self.precision_denominator
-
-    @property
-    def recall(self) -> float:
-        if self.recall_denominator == 0:
-            return 1.0
-        return self.numerator / self.recall_denominator
-
-    @property
-    def f1(self) -> float:
-        p, r = self.precision, self.recall
-        if p + r == 0.0:
-            return 0.0
-        return 2.0 * p * r / (p + r)
-
-    @classmethod
-    def from_tally(cls, tally: Tally) -> "ScoreTriple":
-        return cls(tally.numerator, tally.precision_denominator, tally.recall_denominator)
-
-
-@dataclass(frozen=True)
 class Scores:
-    per_role: dict[str, ScoreTriple]
-    overall: ScoreTriple
+    """Per-role and overall tallies; each gives its precision, recall and F1."""
+
+    per_role: dict[str, Tally]
+    overall: Tally
 
 
 def _totaled(role_tallies: Mapping[str, Tally]) -> Scores:
-    total = Tally()
-    for tally in role_tallies.values():
-        total += tally
-    return Scores(
-        per_role={role: ScoreTriple.from_tally(t) for role, t in role_tallies.items()},
-        overall=ScoreTriple.from_tally(total),
-    )
+    return Scores(per_role=dict(role_tallies), overall=sum(role_tallies.values(), Tally()))
 
 
 def score_document(matching: TemplateMatching) -> Scores:
-    """Per-role and overall triples for one document's chosen matching."""
+    """Per-role and overall tallies for one document's chosen matching."""
     return _totaled(matching.role_tallies)
 
 

@@ -24,7 +24,6 @@ from .model import (
     Schema,
     Span,
     Template,
-    exact_match,
     texts_match,
 )
 
@@ -368,7 +367,7 @@ def apply_transformations(
 
     def covered(state: _TemplateState, role: str, entity: GoldEntity) -> bool:
         return any(
-            exact_match(current, gold, casefold)
+            texts_match(current.text, gold.text, casefold)
             for current in state.current(role)
             for gold in entity.mentions
         )

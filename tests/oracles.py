@@ -13,7 +13,7 @@ import re
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations, permutations
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from tfea.exceptions import ParseError, SchemaMismatch
 from tfea.matching import MentionPair, MentionPairing, Tally, TemplateMatching, TemplatePair
@@ -39,6 +39,26 @@ def brute_force_matching_count(pred_count: int, gold_count: int) -> int:
             for _gold_perm in permutations(range(gold_count), size):
                 count += 1
     return count
+
+
+def iter_template_matchings(pred_count: int, gold_count: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Yield every injective partial pairing as a pred-index-sorted pair tuple."""
+
+    def rec(pred_index: int, used: set[int]) -> Iterator[tuple[tuple[int, int], ...]]:
+        if pred_index == pred_count:
+            yield ()
+            return
+        for rest in rec(pred_index + 1, used):
+            yield rest
+        for gold_index in range(gold_count):
+            if gold_index in used:
+                continue
+            used.add(gold_index)
+            for rest in rec(pred_index + 1, used):
+                yield ((pred_index, gold_index),) + rest
+            used.remove(gold_index)
+
+    return rec(0, set())
 
 
 def find_normalized_reference(text: str, doc_text: str, casefold: bool = True):

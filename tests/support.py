@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 from hypothesis import strategies as st
 
+from tfea.corpus import side_to_dict
 from tfea.inject import _decoy_phrases, default_schema  # noqa: F401
 from tfea.model import Document, GoldEntity, Mention, RoleKind, Schema, Span, Template
+
+
+def dump_side(documents, path, gold: bool) -> None:
+    """Write one side of a corpus as the JSON file that ``corpus.load_side`` reads."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(side_to_dict(documents, gold), handle, ensure_ascii=False, indent=2, sort_keys=True)
 
 
 def mention(text: str, start: int | None = None, end: int | None = None) -> Mention:

@@ -10,11 +10,11 @@ import json
 import random
 import time
 
-from oracles import naive_best_f1, templates_gold_equivalent
-from support import fuzzed_corpus
+from oracles import iter_template_matchings, naive_best_f1, templates_gold_equivalent
+from support import dump_side, fuzzed_corpus
 from tfea.cli import EXIT_OK, main
 from tfea.config import AnalysisConfig
-from tfea.corpus import dump_side, load_corpus, load_schema, schema_to_dict
+from tfea.corpus import load_corpus, load_schema, schema_to_dict
 from tfea.errors import ERROR_TYPES, ErrorType, map_errors
 from tfea.inject import (
     GenerationParams,
@@ -23,11 +23,7 @@ from tfea.inject import (
     generate_corpus,
     inject_errors,
 )
-from tfea.matching import (
-    count_template_matchings,
-    find_optimal_matching,
-    iter_template_matchings,
-)
+from tfea.matching import count_template_matchings, find_optimal_matching
 from tfea.model import Span, resolve_document_spans
 from tfea.pipeline import analyze_corpus
 from tfea.spans import scs_absolute, scs_geometric

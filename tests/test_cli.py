@@ -8,11 +8,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from support import json_values, replace_subtree, subtree_paths
+from support import dump_side, json_values, replace_subtree, subtree_paths
 from tfea.cli import EXIT_ERROR, EXIT_GUARD, EXIT_OK, main
-from tfea.corpus import dump_side, schema_to_dict, side_to_dict
+from tfea.corpus import schema_to_dict, side_to_dict
 from tfea.errors import ErrorType
 from tfea.inject import GenerationParams, InjectionSpec, default_schema, generate_corpus, inject_errors
+from tfea.matching import count_template_matchings
 
 
 @pytest.fixture
@@ -509,10 +510,54 @@ def test_unreadable_json_is_parse_error(tmp_path, corpus_files, capsys, kind, co
 
 
 class TestCountMatchings:
-    @pytest.mark.parametrize("p,g,expected", [(2, 2, "7"), (0, 5, "1"), (4, 4, "209")])
+    @pytest.mark.parametrize("p,g,expected", [(2, 2, "7"), (0, 5, "1"), (4, 4, "209"), (1, 1, "2")])
     def test_prints_count(self, capsys, p, g, expected):
         assert main(["count-matchings", str(p), str(g)]) == EXIT_OK
         assert capsys.readouterr().out.strip() == expected
+
+    @pytest.mark.parametrize("p,g,name", [("-1", "2", "pred_count"), ("2", "-3", "gold_count")])
+    def test_negative_count_is_parse_error(self, capsys, p, g, name):
+        assert main(["count-matchings", p, g]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: command line ({name}): must be at least 0"), err
+
+    def test_long_count_prints_in_full(self, capsys):
+        assert main(["count-matchings", "1500", "1500"]) == EXIT_OK
+        assert capsys.readouterr().out.strip() == str(count_template_matchings(1500, 1500))
+        assert main(["count-matchings", str(10**30), "1"]) == EXIT_OK
+        assert capsys.readouterr().out.strip() == str(10**30 + 1)
+
+    @pytest.mark.parametrize(
+        "p,g", [(2000, 2000), (10**30, 10**30), (10**30, 200), (2, 10**2200)], ids=["square", "huge", "wide", "long"]
+    )
+    def test_count_too_long_to_print_is_an_error(self, capsys, p, g):
+        assert main(["count-matchings", str(p), str(g)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: the matching count for {p} and {g} has more than 4300 digits\n"
+
+
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+@pytest.mark.parametrize("command", ["analyze", "score", "compare", "inject-out", "inject-ledger"])
+def test_unwritable_output_is_an_error(tmp_path, corpus_files, capsys, command, target):
+    gold, pred, schema = corpus_files
+    bad = tmp_path if target == "directory" else tmp_path / "missing" / "out.json"
+    report = tmp_path / "report.json"
+    assert main(_analyze_args(gold, pred, schema, report)) == EXIT_OK
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"counts": {"span_error": 1}}))
+    inject = ["inject", "--gold", str(gold), "--schema", str(schema), "--spec", str(spec)]
+    argv = {
+        "analyze": _analyze_args(gold, pred, schema, bad),
+        "score": ["score", *_analyze_args(gold, pred, schema, bad)[1:]],
+        "compare": ["compare", str(report), str(report), "--out", str(bad)],
+        "inject-out": [*inject, "--out", str(bad), "--ledger", str(tmp_path / "ledger.json")],
+        "inject-ledger": [*inject, "--out", str(tmp_path / "injected.json"), "--ledger", str(bad)],
+    }[command]
+    assert main(argv) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {bad}: "), err
+    assert "Traceback" not in err
 
 
 def test_tfea_log_env(tmp_path, corpus_files, monkeypatch):

@@ -16,11 +16,11 @@ from contextlib import contextmanager, redirect_stderr
 import pytest
 
 import tfea
-from support import fuzzed_corpus
+from support import dump_side, fuzzed_corpus
 from tfea import pipeline
 from tfea.cli import EXIT_ERROR, EXIT_GUARD, EXIT_OK, main
 from tfea.config import AnalysisConfig
-from tfea.corpus import dump_side, load_corpus, schema_to_dict
+from tfea.corpus import load_corpus, schema_to_dict
 from tfea.inject import GenerationParams, InjectionSpec, default_schema, generate_corpus, inject_errors
 from tfea.pipeline import analyze_corpus
 

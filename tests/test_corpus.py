@@ -5,8 +5,8 @@ import logging
 
 import pytest
 
+from support import dump_side
 from tfea.corpus import (
-    dump_side,
     load_corpus,
     load_schema,
     load_side,

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import find_normalized_reference, resolve_document_spans_reference
 from support import fuzzed_corpus
+from tfea.matching import MatchIndex
 from tfea.model import (
     Document,
     GoldEntity,
@@ -17,12 +18,12 @@ from tfea.model import (
     Schema,
     Span,
     Template,
-    exact_match,
     find_normalized,
     normalize,
     resolve_document_spans,
-    resolve_span,
+    texts_match,
 )
+from tfea.spans import ScsMode
 
 
 class TestNormalize:
@@ -61,46 +62,50 @@ class TestExactMatch:
         ],
     )
     def test_examples(self, a, b, expected):
-        assert exact_match(Mention(a), Mention(b)) is expected
+        assert texts_match(a, b) is expected
 
     def test_spans_ignored(self):
-        assert exact_match(Mention("x", Span(0, 1)), Mention("x", Span(50, 51)))
+        # A mention found at the wrong offset still matches on text.
+        entity = GoldEntity((Mention("x", Span(50, 51)),))
+        index = MatchIndex([("m", Mention("x", Span(0, 1)))], [("g", 0, entity)], ScsMode.GEOMETRIC, casefold=True)
+        assert index.cell("m", "g", 0).exact
 
     def test_case_sensitive_flag(self):
-        assert not exact_match(Mention("Newcastle"), Mention("newcastle"), casefold=False)
+        assert not texts_match("Newcastle", "newcastle", casefold=False)
 
     @given(st.text(max_size=40), st.text(max_size=40), st.text(max_size=40))
     def test_equivalence_relation(self, a, b, c):
-        ma, mb, mc = Mention(a), Mention(b), Mention(c)
-        assert exact_match(ma, ma)
-        assert exact_match(ma, mb) == exact_match(mb, ma)
-        if exact_match(ma, mb) and exact_match(mb, mc):
-            assert exact_match(ma, mc)
+        assert texts_match(a, a)
+        assert texts_match(a, b) == texts_match(b, a)
+        if texts_match(a, b) and texts_match(b, c):
+            assert texts_match(a, c)
 
 
 class TestResolveSpan:
-    DOC = Document("d1", "An outbreak of Newcastle disease was confirmed in Newcastle county")
+    TEXT = "An outbreak of Newcastle disease was confirmed in Newcastle county"
+
+    def _resolve(self, mention: Mention) -> Mention:
+        doc = Document("d1", self.TEXT, predicted_templates=(Template({"agent": (mention,)}),))
+        return resolve_document_spans(doc).predicted_templates[0].mentions("agent")[0]
 
     def test_first_occurrence(self):
-        resolved = resolve_span(Mention("Newcastle"), self.DOC)
-        assert resolved.span == Span(15, 24)
+        assert find_normalized("Newcastle", self.TEXT) == Span(15, 24)
 
     def test_not_found_keeps_null_span(self):
-        resolved = resolve_span(Mention("acme virus"), self.DOC)
-        assert resolved.span is None
+        assert self._resolve(Mention("acme virus")).span is None
 
     def test_idempotent_on_present_span(self):
         m = Mention("Newcastle", Span(51, 60))
-        assert resolve_span(m, self.DOC) is m
+        assert self._resolve(m) is m
 
     def test_never_changes_text(self):
         m = Mention("newcastle DISEASE")
-        assert resolve_span(m, self.DOC).text == m.text
+        resolved = self._resolve(m)
+        assert resolved.text == m.text
+        assert resolved.span == Span(15, 32)
 
     def test_whitespace_flexible(self):
-        doc = Document("d2", "the shining  path group")
-        resolved = resolve_span(Mention("Shining Path"), doc)
-        assert resolved.span == Span(4, 17)
+        assert find_normalized("Shining Path", "the shining  path group") == Span(4, 17)
 
     def test_resolve_document_spans(self):
         doc = Document(

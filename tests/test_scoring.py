@@ -1,28 +1,28 @@
-"""Scorer: per-role triples, conventions, and micro-averaging."""
+"""Scorer: per-role tallies, conventions, and micro-averaging."""
 
 import pytest
 
 from tfea.config import AnalysisConfig
 from tfea.matching import Tally, find_optimal_matching
 from tfea.model import Document, resolve_document_spans
-from tfea.scoring import ScoreTriple, score_corpus, score_document
+from tfea.scoring import score_corpus, score_document
 
 from conftest import gold_template, pred_template, span_mention
 
 
-class TestScoreTriple:
+class TestTally:
     def test_plain_ratios(self):
-        t = ScoreTriple(1, 2, 2)
+        t = Tally(1, 2, 2)
         assert t.precision == 0.5
         assert t.recall == 0.5
         assert t.f1 == pytest.approx(0.5)
 
     def test_zero_denominator_conventions(self):
-        assert ScoreTriple(0, 0, 0).precision == 1.0
-        assert ScoreTriple(0, 0, 0).recall == 1.0
-        assert ScoreTriple(0, 0, 0).f1 == 1.0
-        assert ScoreTriple(0, 0, 3).f1 == 0.0
-        assert ScoreTriple(0, 3, 0).f1 == 0.0
+        assert Tally(0, 0, 0).precision == 1.0
+        assert Tally(0, 0, 0).recall == 1.0
+        assert Tally(0, 0, 0).f1 == 1.0
+        assert Tally(0, 0, 3).f1 == 0.0
+        assert Tally(0, 3, 0).f1 == 0.0
 
 
 class TestScoreDocument:

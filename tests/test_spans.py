@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tfea.model import Mention, Span
-from tfea.spans import ScsMode, best_gold_target, mention_score, scs_absolute, scs_geometric
+from tfea.matching import NO_MATCH, MatchIndex
+from tfea.model import GoldEntity, Mention, Span
+from tfea.spans import ScsMode, scs_absolute, scs_geometric
 
 spans = st.builds(
     lambda a, b: Span(min(a, b), max(a, b)),
@@ -83,43 +84,42 @@ def test_geometric_disjointness(x, y):
     assert (scs_geometric(x, y) == 1.0) == disjoint
 
 
+def _cell(mention, entity_mentions):
+    """The match-index cell of ``mention`` against one entity of ``entity_mentions``."""
+    entity = GoldEntity(tuple(entity_mentions))
+    return MatchIndex([("m", mention)], [("g", 0, entity)], ScsMode.GEOMETRIC, casefold=True).cell("m", "g", 0)
+
+
 class TestBestGoldTarget:
+    """The span-alteration target that ``MatchIndex`` keeps for a partial cell."""
+
     def test_exact_span_wins(self):
         m = Mention("m", Span(5, 15))
         candidates = [Mention("a", Span(0, 10)), Mention("b", Span(5, 15)), Mention("c", Span(20, 30))]
-        target, score = best_gold_target(m, candidates)
-        assert target is candidates[1]
-        assert score == 0.0
+        match = _cell(m, candidates)
+        assert match.gold_mention is candidates[1]
+        assert match.score == 0.0
 
     def test_lowest_score_wins(self):
         m = Mention("m", Span(0, 10))
         candidates = [Mention("a", Span(5, 15)), Mention("b", Span(8, 20))]
-        target, score = best_gold_target(m, candidates)
-        assert target is candidates[0]
-        assert score == pytest.approx(0.75, abs=1e-12)
+        match = _cell(m, candidates)
+        assert match.gold_mention is candidates[0]
+        assert match.score == pytest.approx(0.75, abs=1e-12)
 
     def test_null_span_scores_one_everywhere(self):
-        m = Mention("m")
-        candidates = [Mention("a", Span(3, 9)), Mention("b", Span(30, 40))]
-        target, score = best_gold_target(m, candidates)
-        assert score == 1.0
-        assert target is candidates[0]  # earliest position breaks the tie
+        # A score of 1 is never a partial match, so there is no cell and no target.
+        assert _cell(Mention("m"), [Mention("a", Span(3, 9)), Mention("b", Span(30, 40))]) is NO_MATCH
+        assert _cell(Mention("m", Span(0, 5)), [Mention("b")]) is NO_MATCH
 
     def test_tie_breaks_by_position_then_order(self):
-        m = Mention("m", Span(100, 110))
-        first = Mention("a", Span(0, 5))
-        later = Mention("b", Span(10, 15))
-        target, score = best_gold_target(m, [later, first])
-        assert score == 1.0
-        assert target is first
-
-    def test_empty_candidates(self):
-        assert best_gold_target(Mention("m", Span(0, 5)), []) is None
-
-
-def test_mention_score_null_span():
-    assert mention_score(Mention("a"), Mention("b", Span(0, 5))) == 1.0
-    assert mention_score(Mention("a", Span(0, 5)), Mention("b")) == 1.0
+        m = Mention("m", Span(5, 15))
+        later = Mention("a", Span(10, 20))
+        first = Mention("b", Span(0, 10))
+        twin = Mention("c", Span(0, 10))
+        match = _cell(m, [later, first, twin])
+        assert match.score == 0.75
+        assert match.gold_mention is first
 
 
 def test_mode_dispatch():
