@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import gc
 import logging
-import math
 import os
 import sys
 from pathlib import Path
@@ -21,7 +20,7 @@ from .exceptions import (
     SchemaMismatch,
     TfeaError,
 )
-from .matching import count_template_matchings
+from .matching import MAX_COUNT_DIGITS, printable_template_matchings
 from .pipeline import analyze_corpus
 from .reports import (
     build_report,
@@ -44,9 +43,6 @@ EXIT_GUARD = 2
 SCS_MODE_CHOICES = tuple(mode.value for mode in ScsMode)
 FORMAT_CHOICES = ("json", "csv", "text")
 CONFIG_KEYS = ("scs_mode", "case_sensitive", "max_matchings", "on_guard", "parallel", "format", "label")
-# count-matchings prints at most this many digits, Python's default cap on
-# converting an int to a string.
-MAX_COUNT_DIGITS = 4300
 
 
 def _setup_logging() -> None:
@@ -216,15 +212,8 @@ def _cmd_count_matchings(args: argparse.Namespace) -> int:
     for name, value in sizes.items():
         if value < 0:
             raise ParseError("command line", f"must be at least 0, got {value}", name)
-    small, large = sorted(sizes.values())
-    # The count is at least small! and (large - small + 1) ** small, so the
-    # first two tests rule out a count too long to print before summing it
-    # (2000! alone has 5,736 digits).
-    if (
-        small > 2000
-        or small * math.log10(large - small + 1) > MAX_COUNT_DIGITS
-        or (count := count_template_matchings(args.pred_count, args.gold_count)) >= 10**MAX_COUNT_DIGITS
-    ):
+    count = printable_template_matchings(args.pred_count, args.gold_count)
+    if count is None:
         raise TfeaError(f"the matching count for {args.pred_count} and {args.gold_count} "
                         f"has more than {MAX_COUNT_DIGITS} digits")
     print(count)

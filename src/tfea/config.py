@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .model import record
 from .spans import ScsMode
 
 ON_GUARD_CHOICES = ("skip", "greedy", "fail")
@@ -11,7 +10,7 @@ ON_GUARD_CHOICES = ("skip", "greedy", "fail")
 DEFAULT_MAX_TEMPLATE_MATCHINGS = 1_000_000
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AnalysisConfig:
     """Effective settings for one analysis run.
 

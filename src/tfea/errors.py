@@ -8,10 +8,10 @@ template-level mistake is not double-billed as many filler mistakes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .exceptions import UnmappableSequence
+from .model import Factory, record
 from .transforms import Transformation, TransformationLog, TransformKind
 
 
@@ -77,7 +77,7 @@ _GOLD_ROLE_ATTRIBUTION = {
 _TEMPLATE_LEVEL = {ErrorType.SPURIOUS_TEMPLATE, ErrorType.MISSING_TEMPLATE}
 
 
-@dataclass
+@record
 class ErrorProfile:
     """Error counts per type and role, plus the template-filler side tallies.
 
@@ -85,10 +85,8 @@ class ErrorProfile:
     per-document mapping followed by a fold gives the corpus profile.
     """
 
-    counts: dict[ErrorType, int] = field(
-        default_factory=lambda: {etype: 0 for etype in ERROR_TYPES}
-    )
-    per_role: dict[str, dict[ErrorType, int]] = field(default_factory=dict)
+    counts: dict[ErrorType, int] = Factory(lambda: {etype: 0 for etype in ERROR_TYPES})
+    per_role: dict[str, dict[ErrorType, int]] = Factory(dict)
     spurious_template_role_fillers: int = 0
     missing_template_role_fillers: int = 0
 

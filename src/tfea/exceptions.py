@@ -49,10 +49,10 @@ class ComplexityGuardExceeded(TfeaError):
 
     The cap is on the closed-form template matching count, a size guard
     kept while the greedy fallback exists. Filler pairings have no cap:
-    they are solved, not enumerated.
+    they are solved, not enumerated. A count too long to print is text.
     """
 
-    def __init__(self, doc_id: str, what: str, count: int, cap: int):
+    def __init__(self, doc_id: str, what: str, count: int | str, cap: int):
         self.doc_id = doc_id
         self.what = what
         self.count = count

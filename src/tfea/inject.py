@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
 from itertools import product
 from typing import Sequence
 
@@ -21,6 +20,7 @@ from .errors import ErrorProfile, ErrorType
 from .exceptions import InfeasibleSpec
 from .model import (
     Document,
+    Factory,
     GoldEntity,
     Mention,
     RoleKind,
@@ -28,6 +28,7 @@ from .model import (
     Schema,
     Span,
     Template,
+    record,
 )
 
 MENTION_ADJECTIVES = (
@@ -60,7 +61,7 @@ def default_schema() -> Schema:
     )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GenerationParams:
     """Shape of a synthetic corpus; ranges are inclusive."""
 
@@ -70,14 +71,14 @@ class GenerationParams:
     mentions_per_entity: tuple[int, int] = (1, 2)
     tail_glue_words: int = 24
     doc_id_prefix: str = "doc"
-    schema: Schema = field(default_factory=default_schema)
+    schema: Schema = Factory(default_schema)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class InjectionSpec:
     """Number of each error type to inject into every document."""
 
-    counts: dict[ErrorType, int] = field(default_factory=dict)
+    counts: dict[ErrorType, int] = Factory(dict)
     seed: int = 0
 
     def count(self, etype: ErrorType) -> int:
@@ -151,7 +152,7 @@ def generate_corpus(params: GenerationParams, seed: int = 0) -> list[Document]:
     return documents
 
 
-@dataclass
+@record
 class InjectionResult:
     documents: list[Document]
     per_doc: dict[str, ErrorProfile]

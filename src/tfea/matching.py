@@ -36,17 +36,19 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
 from .config import AnalysisConfig
 from .exceptions import ComplexityGuardExceeded
-from .model import Document, Mention, RoleKind, Schema, Template, normalize
+from .model import Document, Factory, Mention, RoleKind, Schema, Template, normalize, record
 from .spans import ScsMode, span_score
 
 PARTIAL_THRESHOLD = 1.0
+# Python's default cap on converting an int to a string: a longer template
+# matching count cannot be printed.
+MAX_COUNT_DIGITS = 4300
 
 
 def count_template_matchings(pred_count: int, gold_count: int) -> int:
@@ -64,7 +66,25 @@ def count_template_matchings(pred_count: int, gold_count: int) -> int:
     )
 
 
-@dataclass(frozen=True)
+def printable_template_matchings(pred_count: int, gold_count: int) -> int | None:
+    """``count_template_matchings``, or None when it has more than MAX_COUNT_DIGITS digits.
+
+    The count is at least ``small!`` (1,559! has 4,303 digits) and
+    ``(large - small + 1) ** small``, so these bounds rule most such counts
+    out before summing. 2000! is over the limit, and a larger int may not fit
+    the float ``lgamma`` takes.
+    """
+    small, large = sorted((pred_count, gold_count))
+    if (
+        math.lgamma(min(small, 2000) + 1) / math.log(10) > MAX_COUNT_DIGITS
+        or small * math.log10(large - small + 1) > MAX_COUNT_DIGITS
+        or (count := count_template_matchings(pred_count, gold_count)) >= 10**MAX_COUNT_DIGITS
+    ):
+        return None
+    return count
+
+
+@record(frozen=True)
 class EntityMatch:
     """How one predicted mention relates to one gold entity."""
 
@@ -183,7 +203,7 @@ class MatchIndex:
         return self.hits(row, group).get(entity_index, NO_MATCH)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MentionPair:
     pred_index: int
     entity_index: int
@@ -192,7 +212,7 @@ class MentionPair:
     gold_mention: Mention
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MentionPairing:
     """Injective partial pairing of one role's predicted mentions to entities."""
 
@@ -259,7 +279,7 @@ def _best_role_pairing(rows: list[Mapping[int, EntityMatch]], gold_count: int) -
     return _build_pairing(_lexmin_assignment(cost, gold_count), rows, gold_count)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Tally:
     """Exact-match counts of one role, template pair, document or corpus.
 
@@ -297,14 +317,14 @@ class Tally:
         return 2.0 * precision * recall / (precision + recall)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TemplatePair:
     pred_index: int
     gold_index: int
-    role_pairings: dict[str, MentionPairing] = field(default_factory=dict)
+    role_pairings: dict[str, MentionPairing] = Factory(dict)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TemplateMatching:
     """The chosen pairing for one document plus its score bookkeeping."""
 
@@ -322,7 +342,7 @@ class TemplateMatching:
         return self.total.f1
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class _FillerCounts:
     """Each template's filler count per schema role, in schema order.
 
@@ -363,7 +383,7 @@ def _role_tallies(schema: Schema, counts: _FillerCounts, numerators: Iterable[in
 RolePairer = Callable[[list[Mapping[int, EntityMatch]], int], MentionPairing]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class _PairTable:
     """The scores of every (pred, gold) template pair of one document.
 
@@ -655,11 +675,10 @@ def find_optimal_matching(
     config = config or AnalysisConfig()
     pred_count = len(doc.predicted_templates)
     gold_count = len(doc.gold_templates)
-    total_matchings = count_template_matchings(pred_count, gold_count)
-    if total_matchings > config.max_template_matchings:
-        raise ComplexityGuardExceeded(
-            doc.doc_id, "template matchings", total_matchings, config.max_template_matchings
-        )
+    total_matchings = printable_template_matchings(pred_count, gold_count)
+    if total_matchings is None or total_matchings > config.max_template_matchings:
+        shown = f"more than {MAX_COUNT_DIGITS} digits" if total_matchings is None else total_matchings
+        raise ComplexityGuardExceeded(doc.doc_id, "template matchings", shown, config.max_template_matchings)
     if index is None:
         index = MatchIndex.for_document(doc, schema, config)
     table = _pair_scores(doc, schema, config, index, _best_role_pairing, _filler_counts(doc, schema))

@@ -11,9 +11,69 @@ from __future__ import annotations
 import operator
 import re
 import unicodedata
-from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Mapping
+
+
+class Factory:
+    """A ``record`` field default built anew for each instance, as in ``Factory(dict)``."""
+
+    def __init__(self, make: Callable[[], object]):
+        self.make = make
+
+    def __repr__(self) -> str:
+        return "<factory>"
+
+
+def record(cls=None, *, frozen: bool = False, order: bool = False):
+    """Class decorator: a class whose fields are its annotations, in order.
+
+    Adds what the standard library's ``@dataclass`` adds for the same flags,
+    with the same behaviour: ``__init__`` (a class attribute is a field's
+    default, a ``Factory`` one is called per instance; ``__post_init__``
+    runs last), ``__repr__``, ``__eq__`` on field tuples of one class, and
+    for ``frozen`` a field-tuple ``__hash__`` and no assignment; a mutable
+    record is unhashable. ``order`` adds ``<``, ``<=``, ``>`` and ``>=``.
+    Compiled in one ``exec``, where ``@dataclass`` takes six for a frozen
+    class and its module imports ``inspect``, which a CLI run otherwise never loads.
+    """
+    if cls is None:
+        return lambda cls: record(cls, frozen=frozen, order=order)
+    annotations = cls.__dict__.get("__annotations__", {})
+    names = tuple(annotations)
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    ns = {"_setattr": object.__setattr__, **{f"_d_{name}": value for name, value in defaults.items()}}
+    params = [f"{name}=_d_{name}" if name in defaults else name for name in names]
+    body = [f"{name} = _d_{name}.make() if {name} is _d_{name} else {name}"
+            for name, value in defaults.items() if isinstance(value, Factory)]
+    body += [f"_setattr(self, {name!r}, {name})" if frozen else f"self.{name} = {name}" for name in names]
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    mine = "(" + "".join(f"self.{name}," for name in names) + ")"
+    theirs = "(" + "".join(f"other.{name}," for name in names) + ")"
+    fields_repr = ", ".join(f"{name}={{self.{name}!r}}" for name in names)
+    compare = "(self, other):\n if other.__class__ is self.__class__: return {} {} {}\n return NotImplemented"
+    methods = {
+        "__init__": f"(self, {', '.join(params)}):\n " + "\n ".join(body),
+        "__repr__": f"(self): return f'{{type(self).__qualname__}}({fields_repr})'",
+        "__eq__": compare.format(mine, "==", theirs),
+    }
+    if frozen:
+        methods["__hash__"] = f"(self): return hash({mine})"
+        methods["__setattr__"] = "(self, name, value): raise AttributeError(f'cannot assign to field {name!r}')"
+        methods["__delattr__"] = "(self, name): raise AttributeError(f'cannot delete field {name!r}')"
+    if order:
+        for method, sign in (("__lt__", "<"), ("__le__", "<="), ("__gt__", ">"), ("__ge__", ">=")):
+            methods[method] = compare.format(mine, sign, theirs)
+    exec("".join(f"def {method}{code}\n" for method, code in methods.items()), ns)
+    for method in methods:
+        ns[method].__qualname__ = f"{cls.__qualname__}.{method}"
+        setattr(cls, method, ns[method])
+    cls.__init__.__annotations__ = {**annotations, "return": None}
+    if not frozen:
+        cls.__hash__ = None
+    cls.__match_args__ = names
+    return cls
 
 
 def normalize(text: str, casefold: bool = True) -> str:
@@ -37,7 +97,7 @@ class RoleKind(str, Enum):
     STRING_FILL = "string_fill"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class RoleSpec:
     """One role of a template schema.
 
@@ -60,7 +120,7 @@ class RoleSpec:
             raise ValueError(f"string-fill role '{self.name}' cannot list allowed values")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Schema:
     """Ordered role list; the order drives matching and transformation detection."""
 
@@ -97,7 +157,7 @@ class Schema:
         return tuple(r for r in self.roles if r.kind is RoleKind.SET_FILL)
 
 
-@dataclass(frozen=True, order=True)
+@record(frozen=True, order=True)
 class Span:
     """Half-open character interval [start, end) into a document text."""
 
@@ -116,7 +176,7 @@ class Span:
         return min(self.end, other.end) - max(self.start, other.start)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Mention:
     """A string filler, optionally located in the document by a span."""
 
@@ -124,7 +184,7 @@ class Mention:
     span: Span | None = None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GoldEntity:
     """A non-empty set of coreferent gold mentions; counts once toward recall."""
 
@@ -145,7 +205,7 @@ class GoldEntity:
 Filler = "str | tuple[GoldEntity, ...] | tuple[Mention, ...]"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Template:
     """Role name to filler mapping; absent roles mean empty."""
 
@@ -181,7 +241,7 @@ class Template:
         return counts
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Document:
     """One document with its gold and predicted template lists.
 
@@ -308,4 +368,4 @@ def resolve_document_spans(doc: Document, casefold: bool = True) -> Document:
     predicted = resolve_templates(doc.predicted_templates)
     if gold is doc.gold_templates and predicted is doc.predicted_templates:
         return doc
-    return replace(doc, gold_templates=gold, predicted_templates=predicted)
+    return Document(doc.doc_id, doc.text, gold, predicted)

@@ -16,12 +16,13 @@ so a collection only rescans the corpus and the results. With it on,
 unpickling the pool's results in the parent took about three times as
 long.
 
-Measured with ``bench/run.py`` on 2 CPUs (medians of twenty seeds, in
-the benchmark's reference-scaled seconds), a whole ``tfea analyze`` run
-on small_docs (400 documents) takes 0.57 s serial and 0.72 s with two
-workers. The pool does not pay for itself on any of the three corpora:
-0.19 s with two workers against 0.15 s serial on wide_templates (8
-documents), and 0.36 s against 0.28 s on guard_overflow (30 documents).
+Measured with ``bench/run.py`` on 2 CPUs (medians of ten seeds in
+``BENCH_13.json``, in the benchmark's reference-scaled seconds), a whole
+``tfea analyze`` run on small_docs (400 documents) takes 0.56 s serial
+and 0.73 s with two workers. The pool does not pay for itself on any of
+the three corpora: 0.17 s with two workers against 0.13 s serial on
+wide_templates (8 documents), and 0.33 s against 0.25 s on
+guard_overflow (30 documents).
 On that machine two CPU-bound processes started together mostly took
 twice as long as one alone, so a second worker added little throughput.
 """
@@ -30,19 +31,18 @@ from __future__ import annotations
 
 import gc
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .config import AnalysisConfig
 from .errors import ErrorProfile, map_errors
 from .exceptions import ComplexityGuardExceeded
 from .matching import MatchIndex, TemplateMatching, find_optimal_matching, greedy_matching
-from .model import Document, Schema, resolve_document_spans
+from .model import Document, Factory, Schema, record, resolve_document_spans
 from .scoring import Scores, score_corpus, score_document
 from .transforms import TransformationLog, derive_transformations
 
 
-@dataclass
+@record
 class DocumentAnalysis:
     doc_id: str
     skipped: bool = False
@@ -107,10 +107,10 @@ def _analyze_nth(i: int) -> DocumentAnalysis:
     return analyze_document(documents[i], schema, config, derive)
 
 
-@dataclass
+@record
 class CorpusAnalysis:
     schema: Schema
-    documents: list[DocumentAnalysis] = field(default_factory=list)
+    documents: list[DocumentAnalysis] = Factory(list)
 
     @property
     def analyzed(self) -> list[DocumentAnalysis]:

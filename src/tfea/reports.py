@@ -6,7 +6,6 @@ and configuration produce byte-identical files.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import sys
@@ -142,6 +141,8 @@ def render_json(report: dict) -> str:
 
 def render_csv(report: dict) -> str:
     """Scores as CSV, one row per role plus the overall row."""
+    import csv  # imported here: the other formats never load it
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["role", "num", "p_den", "r_den", "precision", "recall", "f1"])

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .matching import Tally, TemplateMatching
+from .model import record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Scores:
     """Per-role and overall tallies; each gives its precision, recall and F1."""
 

@@ -10,7 +10,6 @@ list order, then unmatched templates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .config import AnalysisConfig
@@ -18,12 +17,14 @@ from .exceptions import InconsistentLog
 from .matching import MatchIndex, TemplateMatching, TemplatePair
 from .model import (
     Document,
+    Factory,
     GoldEntity,
     Mention,
     RoleKind,
     Schema,
     Span,
     Template,
+    record,
     texts_match,
 )
 
@@ -54,7 +55,7 @@ _REMOVAL_KINDS = {
 }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Transformation:
     """One atomic edit.
 
@@ -86,7 +87,7 @@ class Transformation:
         return ("introduce_template", self.gold_template)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TransformationLog:
     doc_id: str
     entries: tuple[Transformation, ...]
@@ -304,12 +305,12 @@ def canonical_template(gold_template: Template) -> Template:
     return Template(fillers)
 
 
-@dataclass
+@record
 class _TemplateState:
     removed: bool = False
-    set_values: dict = field(default_factory=dict)
-    slots: dict = field(default_factory=dict)
-    extras: dict = field(default_factory=dict)
+    set_values: dict = Factory(dict)
+    slots: dict = Factory(dict)
+    extras: dict = Factory(dict)
 
     @classmethod
     def from_template(cls, template: Template) -> "_TemplateState":

@@ -11,7 +11,6 @@ import json
 import logging
 import re
 from collections import Counter
-from dataclasses import replace
 from itertools import combinations, permutations
 from typing import Iterator, Mapping
 
@@ -526,7 +525,7 @@ def resolve_document_spans_reference(doc: Document, casefold: bool = True) -> Do
         if mention.span is not None:
             return mention
         span = find_normalized(mention.text, doc.text, casefold)
-        return mention if span is None else replace(mention, span=span)
+        return mention if span is None else Mention(mention.text, span)
 
     def resolve_templates(templates):
         out = []
@@ -545,8 +544,9 @@ def resolve_document_spans_reference(doc: Document, casefold: bool = True) -> Do
             out.append(Template(fillers))
         return tuple(out)
 
-    return replace(
-        doc,
-        gold_templates=resolve_templates(doc.gold_templates),
-        predicted_templates=resolve_templates(doc.predicted_templates),
+    return Document(
+        doc.doc_id,
+        doc.text,
+        resolve_templates(doc.gold_templates),
+        resolve_templates(doc.predicted_templates),
     )

@@ -43,6 +43,22 @@ def _analyze_args(gold, pred, schema, out, *extra):
     ]
 
 
+def _empty_template_files(tmp_path, n):
+    """Gold, pred and schema files of one document with ``n`` empty templates a side."""
+    side = {"wide": {"doctext": "no mentions here", "templates": [{}] * n}}
+    paths = [tmp_path / name for name in ("gold.json", "pred.json", "schema.json")]
+    for path, data in zip(paths, (side, side, schema_to_dict(default_schema()))):
+        path.write_text(json.dumps(data), encoding="utf-8")
+    return paths
+
+
+# 1,800 templates a side give a matching count of more than 4,300 digits,
+# too long for Python to format into the guard message.
+TOO_LONG_GUARD_MESSAGE = (
+    "document 'wide': template matchings (more than 4300 digits) exceeds the configured cap (1000000)"
+)
+
+
 class TestAnalyze:
     def test_self_analysis_report(self, tmp_path, corpus_files):
         gold, pred, schema = corpus_files
@@ -93,6 +109,23 @@ class TestAnalyze:
         assert code == EXIT_OK
         report = json.loads(out.read_text())
         assert len(report["skipped_documents"]) > 0
+
+    def test_guard_skip_count_too_long_to_print(self, tmp_path, capsys):
+        gold, pred, schema = _empty_template_files(tmp_path, 1800)
+        out = tmp_path / "report.json"
+        assert main(_analyze_args(gold, pred, schema, out, "--on-guard", "skip")) == EXIT_OK
+        report = json.loads(out.read_text())
+        assert report["skipped_documents"] == [{"doc_id": "wide", "reason": TOO_LONG_GUARD_MESSAGE}]
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_guard_fail_count_too_long_to_print(self, tmp_path, capsys):
+        gold, pred, schema = _empty_template_files(tmp_path, 1800)
+        out = tmp_path / "report.json"
+        assert main(_analyze_args(gold, pred, schema, out, "--on-guard", "fail")) == EXIT_GUARD
+        err = capsys.readouterr().err
+        assert f"error: {TOO_LONG_GUARD_MESSAGE}\n" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_guard_greedy_flags_approximate(self, tmp_path, corpus_files):
         gold, pred, schema = corpus_files

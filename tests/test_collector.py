@@ -129,9 +129,14 @@ def test_pool_worker_start_pauses_the_collector(monkeypatch):
 
 def test_cli_import_does_not_load_the_injector():
     package_root = os.path.dirname(os.path.dirname(tfea.__file__))
+    # Importing the CLI loads neither the injector, nor what only some runs
+    # use (csv output, a --parallel pool), nor dataclasses and the inspect
+    # module it imports, which the package does not use.
+    unused = ("dataclasses", "inspect", "csv", "concurrent.futures.process")
     probe = (
         "import sys, tfea.cli\n"
         "print('tfea.inject' in sys.modules)\n"
+        f"print(*[name for name in {unused!r} if name in sys.modules])\n"
         "from tfea import inject_errors, InjectionSpec\n"
         "print(inject_errors.__module__, InjectionSpec.__module__)\n"
     )
