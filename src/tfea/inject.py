@@ -115,6 +115,7 @@ def generate_corpus(params: GenerationParams, seed: int = 0) -> list[Document]:
     phrase_pool = [f"{a} {n}" for a, n in product(MENTION_ADJECTIVES, MENTION_NOUNS)]
     documents = []
     for doc_index in range(params.n_docs):
+        doc_id = f"{params.doc_id_prefix}{doc_index:03d}"
         rng = random.Random(f"{seed}:gen:{doc_index}")
         phrases = iter(rng.sample(phrase_pool, len(phrase_pool)))
         builder = _TextBuilder(rng)
@@ -136,7 +137,9 @@ def generate_corpus(params: GenerationParams, seed: int = 0) -> list[Document]:
                 for _ in range(rng.randint(*params.entities_per_role)):
                     mentions = []
                     for _ in range(rng.randint(*params.mentions_per_entity)):
-                        phrase = next(phrases)
+                        phrase = next(phrases, None)
+                        if phrase is None:
+                            raise ValueError(f"{doc_id}: needs more than the {len(phrase_pool)} mention phrases")
                         span = builder.word(phrase)
                         mentions.append(Mention(phrase, span))
                         builder.glue()
@@ -146,9 +149,7 @@ def generate_corpus(params: GenerationParams, seed: int = 0) -> list[Document]:
             templates.append(Template(fillers))
         for _ in range(params.tail_glue_words):
             builder.word(rng.choice(GLUE_WORDS))
-        documents.append(
-            Document(f"{params.doc_id_prefix}{doc_index:03d}", builder.text, tuple(templates), ())
-        )
+        documents.append(Document(doc_id, builder.text, tuple(templates), ()))
     return documents
 
 

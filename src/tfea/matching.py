@@ -1,13 +1,16 @@
 """Optimal template and mention matching.
 
 For each document, the injective partial pairing of predicted to gold
-templates with the best exact-match F1 is found by a rectangular
-linear-assignment solve (Hungarian method), polynomial in the template
-counts. Ties on F1 are broken by the fewest implied errors, then by the
-lexicographically smallest pair list. Within a template pair, every
-role's fillers are paired independently by the same lex-min assignment
-core (most exact pairs, then most partial pairs, then the smallest pair
-list), so neither level enumerates pairings.
+templates with the best exact-match F1 is found by an exact assignment
+solve, polynomial in the template counts. Ties on F1 are broken by the
+fewest implied errors, then by the lexicographically smallest pair list.
+Within a template pair, every role's fillers are paired independently
+by the same lex-min assignment core (most exact pairs, then most partial
+pairs, then the smallest pair list), so neither level enumerates
+pairings. That core, ``tfea.assignment``, keeps only the pairs of cost
+0 or less (no other can be optimal), solves each connected component
+of them alone, and breaks ties by one walk over all components, since
+a zero-cost pair may precede a negative one in another component.
 
 Every pairing question (is this predicted filler an exact or a partial
 match of that gold entity?) is answered by one per-document
@@ -40,6 +43,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
+from .assignment import lexmin_assignment
 from .config import AnalysisConfig
 from .exceptions import ComplexityGuardExceeded
 from .model import Document, Factory, Mention, RoleKind, Schema, Template, normalize, record
@@ -49,6 +53,8 @@ PARTIAL_THRESHOLD = 1.0
 # Python's default cap on converting an int to a string: a longer template
 # matching count cannot be printed.
 MAX_COUNT_DIGITS = 4300
+# Built once: the compiler does not fold a power this large.
+_COUNT_LIMIT = 10**MAX_COUNT_DIGITS
 
 
 def count_template_matchings(pred_count: int, gold_count: int) -> int:
@@ -78,7 +84,7 @@ def printable_template_matchings(pred_count: int, gold_count: int) -> int | None
     if (
         math.lgamma(min(small, 2000) + 1) / math.log(10) > MAX_COUNT_DIGITS
         or small * math.log10(large - small + 1) > MAX_COUNT_DIGITS
-        or (count := count_template_matchings(pred_count, gold_count)) >= 10**MAX_COUNT_DIGITS
+        or (count := count_template_matchings(pred_count, gold_count)) >= _COUNT_LIMIT
     ):
         return None
     return count
@@ -265,18 +271,10 @@ def _best_role_pairing(rows: list[Mapping[int, EntityMatch]], gold_count: int) -
     lexicographically smallest pair tuple. With ``K = len(rows)`` pairs
     at most, a cost of ``-(K+1)`` per exact cell and ``-1`` per partial
     one orders pairings the same way, so this is one lex-min assignment.
-    When no mention and no entity has two cells, no cell competes with
-    another and taking every cell is already that assignment.
     """
-    cells = tuple((i, j) for i, row in enumerate(rows) for j in row)
-    if len({i for i, _ in cells}) == len({j for _, j in cells}) == len(cells):
-        return _build_pairing(cells, rows, gold_count)
     exact_cost = -(len(rows) + 1)
-    cost: list[list[int | None]] = [
-        [None if j not in row else exact_cost if row[j].exact else -1 for j in range(gold_count)]
-        for row in rows
-    ]
-    return _build_pairing(_lexmin_assignment(cost, gold_count), rows, gold_count)
+    cost = {(i, j): exact_cost if match.exact else -1 for i, row in enumerate(rows) for j, match in row.items()}
+    return _build_pairing(lexmin_assignment(cost), rows, gold_count)
 
 
 @record(frozen=True)
@@ -505,53 +503,6 @@ def _assemble(
     )
 
 
-def _min_cost_assignment(cost: list[list[int | None]]) -> tuple[list[int], list[int], list[int]]:
-    """Hungarian method on a square integer matrix; ``None`` cells are forbidden.
-
-    Kuhn's method in its O(n³) shortest-augmenting-path form with row
-    and column potentials (Jonker–Volgenant; Crouse 2016, doi:10.1109/
-    TAES.2016.140952). Returns ``row_of`` (the row
-    assigned to each column) and the optimal duals ``u`` and ``v``, which
-    satisfy ``u[r] + v[c] <= cost[r][c]`` on every allowed cell with
-    equality on the assignment. The caller must ensure a perfect
-    assignment over allowed cells exists.
-    """
-    n = len(cost)
-    u = [0] * n
-    v = [0] * (n + 1)
-    row_of = [-1] * (n + 1)  # column n is the sentinel the new row starts from
-    for row in range(n):
-        row_of[n] = row
-        col = n
-        min_slack = [math.inf] * (n + 1)
-        way = [n] * (n + 1)
-        used = [False] * (n + 1)
-        while row_of[col] != -1:
-            used[col] = True
-            r = row_of[col]
-            delta, next_col = math.inf, n
-            for c in range(n):
-                if used[c]:
-                    continue
-                w = cost[r][c]
-                if w is not None and w - u[r] - v[c] < min_slack[c]:
-                    min_slack[c] = w - u[r] - v[c]
-                    way[c] = col
-                if min_slack[c] < delta:
-                    delta, next_col = min_slack[c], c
-            for c in range(n + 1):
-                if used[c]:
-                    u[row_of[c]] += delta
-                    v[c] -= delta
-                else:
-                    min_slack[c] -= delta
-            col = next_col
-        while col != n:
-            row_of[col] = row_of[way[col]]
-            col = way[col]
-    return row_of[:n], u, v[:n]
-
-
 def _optimal_assignment(
     numerators: list[list[int]], errors: list[list[int]], gold_count: int
 ) -> tuple[tuple[int, int], ...]:
@@ -562,97 +513,13 @@ def _optimal_assignment(
     of the error term, orders assignments by the first two keys.
     """
     big = 2 * sum(abs(e - 2) for row in errors for e in row) + 1
-    cost: list[list[int | None]] = [
-        [-n * big + e - 2 for n, e in zip(numerator_row, error_row)]
-        for numerator_row, error_row in zip(numerators, errors)
-    ]
-    return _lexmin_assignment(cost, gold_count)
-
-
-def _lexmin_assignment(cost: list[list[int | None]], gold_count: int) -> tuple[tuple[int, int], ...]:
-    """The pair tuple minimizing ``(Σ cost, pairs)`` over a P×G matrix.
-
-    ``cost[p][g]`` is the cost of pairing pred ``p`` with gold ``g``, or
-    ``None`` where that pair is forbidden; an unpaired row or column
-    costs 0. Padding to a (P+G)-square matrix lets every pred row take
-    its own dummy column and every gold-dummy row take its gold column
-    or any dummy column, all at cost 0, so leaving either side unmatched
-    is free.
-
-    The optimal assignments are exactly the perfect matchings on the
-    cells that are tight under the optimal duals. The lexicographic
-    tie-break walks the preds in order: stop once the fixed pairs already
-    reach the optimum (the shortest tuple is the smallest), else fix the
-    smallest gold that an alternating cycle of tight cells can reroute
-    the current assignment onto, else leave the pred unmatched.
-    """
-    pred_count = len(cost)
-    size = pred_count + gold_count
-    padded: list[list[int | None]] = [
-        row + [0 if j == p else None for j in range(pred_count)] for p, row in enumerate(cost)
-    ] + [
-        [0 if j == g else None for j in range(gold_count)] + [0] * pred_count
+    cost = {
+        (p, g): w
+        for p, (numerator_row, error_row) in enumerate(zip(numerators, errors))
         for g in range(gold_count)
-    ]
-    row_of, u, v = _min_cost_assignment(padded)
-    col_of = [0] * size
-    for c, r in enumerate(row_of):
-        col_of[r] = c
-    optimum = sum(padded[r][col_of[r]] for r in range(size))
-    tight = [
-        [c for c, w in enumerate(padded[r]) if w is not None and u[r] + v[c] == w]
-        for r in range(size)
-    ]
-    fixed = [False] * size  # columns taken by decided preds
-    chosen: list[tuple[int, int]] = []
-    reached = 0
-    for p in range(pred_count):
-        if reached == optimum:
-            break
-        for g in tight[p]:
-            if g >= gold_count or fixed[g]:
-                continue
-            if g == col_of[p] or _reroute(p, g, tight, row_of, col_of, fixed):
-                chosen.append((p, g))
-                reached += padded[p][g]
-                break
-        fixed[col_of[p]] = True
-    return tuple(chosen)
-
-
-def _reroute(
-    pred: int,
-    gold: int,
-    tight: list[list[int]],
-    row_of: list[int],
-    col_of: list[int],
-    fixed: list[bool],
-) -> bool:
-    """Move ``pred`` onto ``gold`` along an alternating cycle of tight cells.
-
-    Searches from the row now holding ``gold`` for a path that ends at
-    the column ``pred`` gives up; on success every row on it shifts one
-    column along, which keeps the assignment optimal.
-    """
-    target = col_of[pred]
-    parent = {gold: gold}
-    frontier = [gold]
-    for col in frontier:
-        for nxt in tight[row_of[col]]:
-            if fixed[nxt] or nxt in parent:
-                continue
-            parent[nxt] = col
-            if nxt == target:
-                while nxt != gold:
-                    prev = parent[nxt]
-                    row_of[nxt] = row_of[prev]
-                    col_of[row_of[nxt]] = nxt
-                    nxt = prev
-                row_of[gold] = pred
-                col_of[pred] = gold
-                return True
-            frontier.append(nxt)
-    return False
+        if (w := -numerator_row[g] * big + error_row[g] - 2) <= 0
+    }
+    return lexmin_assignment(cost)
 
 
 def find_optimal_matching(

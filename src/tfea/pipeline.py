@@ -17,11 +17,11 @@ unpickling the pool's results in the parent took about three times as
 long.
 
 Measured with ``bench/run.py`` on 2 CPUs (medians of ten seeds in
-``BENCH_13.json``, in the benchmark's reference-scaled seconds), a whole
-``tfea analyze`` run on small_docs (400 documents) takes 0.56 s serial
-and 0.73 s with two workers. The pool does not pay for itself on any of
+``BENCH_14.json``, in the benchmark's reference-scaled seconds), a whole
+``tfea analyze`` run on small_docs (400 documents) takes 0.52 s serial
+and 0.53 s with two workers. The pool does not pay for itself on any of
 the three corpora: 0.17 s with two workers against 0.13 s serial on
-wide_templates (8 documents), and 0.33 s against 0.25 s on
+wide_templates (8 documents), and 0.29 s against 0.25 s on
 guard_overflow (30 documents).
 On that machine two CPU-bound processes started together mostly took
 twice as long as one alone, so a second worker added little throughput.

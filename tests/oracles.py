@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import re
 from collections import Counter
 from itertools import combinations, permutations
@@ -550,3 +551,159 @@ def resolve_document_spans_reference(doc: Document, casefold: bool = True) -> Do
         resolve_templates(doc.gold_templates),
         resolve_templates(doc.predicted_templates),
     )
+
+
+# The dense lex-min assignment the matcher used before it kept only the
+# cells that can be optimal and solved each connected component on its
+# own: every document padded to one (P+G)-square matrix, one Hungarian
+# solve, one tight-cell walk. Frozen here as the reference that
+# ``tfea.assignment.lexmin_assignment`` must agree with.
+
+def _dense_min_cost_assignment(cost: list[list[int | None]]) -> tuple[list[int], list[int], list[int]]:
+    """Hungarian method on a square integer matrix; ``None`` cells are forbidden.
+
+    Kuhn's method in its O(n³) shortest-augmenting-path form with row
+    and column potentials (Jonker–Volgenant; Crouse 2016, doi:10.1109/
+    TAES.2016.140952). Returns ``row_of`` (the row
+    assigned to each column) and the optimal duals ``u`` and ``v``, which
+    satisfy ``u[r] + v[c] <= cost[r][c]`` on every allowed cell with
+    equality on the assignment. The caller must ensure a perfect
+    assignment over allowed cells exists.
+    """
+    n = len(cost)
+    u = [0] * n
+    v = [0] * (n + 1)
+    row_of = [-1] * (n + 1)  # column n is the sentinel the new row starts from
+    for row in range(n):
+        row_of[n] = row
+        col = n
+        min_slack = [math.inf] * (n + 1)
+        way = [n] * (n + 1)
+        used = [False] * (n + 1)
+        while row_of[col] != -1:
+            used[col] = True
+            r = row_of[col]
+            delta, next_col = math.inf, n
+            for c in range(n):
+                if used[c]:
+                    continue
+                w = cost[r][c]
+                if w is not None and w - u[r] - v[c] < min_slack[c]:
+                    min_slack[c] = w - u[r] - v[c]
+                    way[c] = col
+                if min_slack[c] < delta:
+                    delta, next_col = min_slack[c], c
+            for c in range(n + 1):
+                if used[c]:
+                    u[row_of[c]] += delta
+                    v[c] -= delta
+                else:
+                    min_slack[c] -= delta
+            col = next_col
+        while col != n:
+            row_of[col] = row_of[way[col]]
+            col = way[col]
+    return row_of[:n], u, v[:n]
+
+
+def dense_optimal_assignment(
+    numerators: list[list[int]], errors: list[list[int]], gold_count: int
+) -> tuple[tuple[int, int], ...]:
+    """The pair tuple minimizing ``(-Σ numerator, Σ errors + P + G - 2|A|, pairs)``.
+
+    Both sums add up over pairs, so one integer cost per pair,
+    ``-numerator·M + (errors - 2)`` with ``M`` above any possible spread
+    of the error term, orders assignments by the first two keys.
+    """
+    big = 2 * sum(abs(e - 2) for row in errors for e in row) + 1
+    cost: list[list[int | None]] = [
+        [-n * big + e - 2 for n, e in zip(numerator_row, error_row)]
+        for numerator_row, error_row in zip(numerators, errors)
+    ]
+    return dense_lexmin_assignment(cost, gold_count)
+
+
+def dense_lexmin_assignment(cost: list[list[int | None]], gold_count: int) -> tuple[tuple[int, int], ...]:
+    """The pair tuple minimizing ``(Σ cost, pairs)`` over a P×G matrix.
+
+    ``cost[p][g]`` is the cost of pairing pred ``p`` with gold ``g``, or
+    ``None`` where that pair is forbidden; an unpaired row or column
+    costs 0. Padding to a (P+G)-square matrix lets every pred row take
+    its own dummy column and every gold-dummy row take its gold column
+    or any dummy column, all at cost 0, so leaving either side unmatched
+    is free.
+
+    The optimal assignments are exactly the perfect matchings on the
+    cells that are tight under the optimal duals. The lexicographic
+    tie-break walks the preds in order: stop once the fixed pairs already
+    reach the optimum (the shortest tuple is the smallest), else fix the
+    smallest gold that an alternating cycle of tight cells can reroute
+    the current assignment onto, else leave the pred unmatched.
+    """
+    pred_count = len(cost)
+    size = pred_count + gold_count
+    padded: list[list[int | None]] = [
+        row + [0 if j == p else None for j in range(pred_count)] for p, row in enumerate(cost)
+    ] + [
+        [0 if j == g else None for j in range(gold_count)] + [0] * pred_count
+        for g in range(gold_count)
+    ]
+    row_of, u, v = _dense_min_cost_assignment(padded)
+    col_of = [0] * size
+    for c, r in enumerate(row_of):
+        col_of[r] = c
+    optimum = sum(padded[r][col_of[r]] for r in range(size))
+    tight = [
+        [c for c, w in enumerate(padded[r]) if w is not None and u[r] + v[c] == w]
+        for r in range(size)
+    ]
+    fixed = [False] * size  # columns taken by decided preds
+    chosen: list[tuple[int, int]] = []
+    reached = 0
+    for p in range(pred_count):
+        if reached == optimum:
+            break
+        for g in tight[p]:
+            if g >= gold_count or fixed[g]:
+                continue
+            if g == col_of[p] or _dense_reroute(p, g, tight, row_of, col_of, fixed):
+                chosen.append((p, g))
+                reached += padded[p][g]
+                break
+        fixed[col_of[p]] = True
+    return tuple(chosen)
+
+
+def _dense_reroute(
+    pred: int,
+    gold: int,
+    tight: list[list[int]],
+    row_of: list[int],
+    col_of: list[int],
+    fixed: list[bool],
+) -> bool:
+    """Move ``pred`` onto ``gold`` along an alternating cycle of tight cells.
+
+    Searches from the row now holding ``gold`` for a path that ends at
+    the column ``pred`` gives up; on success every row on it shifts one
+    column along, which keeps the assignment optimal.
+    """
+    target = col_of[pred]
+    parent = {gold: gold}
+    frontier = [gold]
+    for col in frontier:
+        for nxt in tight[row_of[col]]:
+            if fixed[nxt] or nxt in parent:
+                continue
+            parent[nxt] = col
+            if nxt == target:
+                while nxt != gold:
+                    prev = parent[nxt]
+                    row_of[nxt] = row_of[prev]
+                    col_of[row_of[nxt]] = nxt
+                    nxt = prev
+                row_of[gold] = pred
+                col_of[pred] = gold
+                return True
+            frontier.append(nxt)
+    return False

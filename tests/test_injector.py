@@ -34,6 +34,11 @@ class TestGeneration:
         docs = generate_corpus(GenerationParams(n_docs=2, templates_per_doc=(0, 0)), seed=1)
         assert all(doc.gold_templates == () for doc in docs)
 
+    def test_too_many_mentions_for_the_phrase_pool(self):
+        """Every mention takes its own phrase; 80 templates need more than there are."""
+        with pytest.raises(ValueError, match="doc000: needs more than the 400 mention phrases"):
+            generate_corpus(GenerationParams(n_docs=1, templates_per_doc=(80, 80)), seed=0)
+
     def test_spans_match_text(self, schema):
         params = GenerationParams(n_docs=2, templates_per_doc=(2, 2), entities_per_role=(1, 2))
         for doc in generate_corpus(params, seed=3):

@@ -9,6 +9,8 @@ import pytest
 from oracles import (
     best_mention_matching_reference,
     brute_force_matching_count,
+    dense_lexmin_assignment,
+    dense_optimal_assignment,
     entity_match_reference,
     enumerate_mention_matchings,
     iter_template_matchings,
@@ -18,12 +20,14 @@ from oracles import (
     pair_scores_reference,
 )
 from support import fuzzed_corpus
+from tfea.assignment import lexmin_assignment
 from tfea.config import AnalysisConfig
 from tfea.exceptions import ComplexityGuardExceeded
 from tfea.matching import (
     MatchIndex,
     Tally,
     _best_role_pairing,
+    _build_pairing,
     _filler_counts,
     _greedy_role_pairing,
     _optimal_assignment,
@@ -536,30 +540,115 @@ class TestAssignmentSolver:
 
     def test_twelve_by_twelve_is_solved_exactly(self):
         """Beyond the reach of enumeration (over 10^11 matchings at 12x12)."""
-        from support import default_schema
-        from tfea.errors import ErrorType
-        from tfea.inject import GenerationParams, InjectionSpec, generate_corpus, inject_errors
-        from tfea.model import resolve_document_spans
-
-        schema = default_schema()
-        gold = generate_corpus(
-            GenerationParams(n_docs=1, templates_per_doc=(12, 12), entities_per_role=(1, 2)), seed=5
-        )
-        spec = InjectionSpec(
-            counts={
-                ErrorType.WRONG_TEMPLATE_FOR_ROLE_FILLER: 2,
-                ErrorType.SPAN_ERROR: 2,
-                ErrorType.SPURIOUS_ROLE_FILLER: 2,
-            }
-        )
-        doc = resolve_document_spans(inject_errors(gold, schema, spec, seed=5).documents[0])
-        assert len(doc.predicted_templates) == len(doc.gold_templates) == 12
+        doc, schema = _injected_document(12)
         config = AnalysisConfig(max_template_matchings=10**30)
         exact = find_optimal_matching(doc, schema, config)
         greedy = greedy_matching(doc, schema, config)
         assert exact.approximate is False
         assert exact.total.numerator >= greedy.total.numerator
         assert exact.f1 >= greedy.f1
+
+    def test_zero_cost_pair_before_another_component(self):
+        """A zero-cost pair is taken while a later component can still lower the cost.
+
+        The cells of cost 0 or less are (1, 0) at 0 and (2, 1) below 0,
+        two components; solved alone, they give ``()`` and ``((2, 1),)``.
+        """
+        assert _optimal_assignment([[0, 0], [0, 0], [0, 1]], [[9, 9], [2, 9], [9, 0]], 2) == ((1, 0), (2, 1))
+
+    def test_grouped_tables_equal_dense_reference(self):
+        """Tables too large to enumerate, with many zero-cost pairs in interleaved components."""
+        rng = random.Random(1987)
+        seen = Counter()
+        for _ in range(300):
+            pred_count, gold_count, cells = _grouped_cells(rng)
+            numerators = [[0] * gold_count for _ in range(pred_count)]
+            errors = [[rng.randint(3, 9) for _ in range(gold_count)] for _ in range(pred_count)]
+            for p, g in cells:
+                numerators[p][g], errors[p][g] = rng.choice(((0, 1), (0, 2), (0, 2), (0, 2), (0, 3), (1, 4), (1, 2)))
+            chosen = _optimal_assignment(numerators, errors, gold_count)
+            assert chosen == dense_optimal_assignment(numerators, errors, gold_count), (numerators, errors)
+            matched_pred, matched_gold = {p for p, _ in chosen}, {g for _, g in chosen}
+            for p, g in cells:
+                if (numerators[p][g], errors[p][g]) == (0, 2):
+                    free = p not in matched_pred and g not in matched_gold
+                    seen["zero taken" if (p, g) in chosen else "zero left free" if free else "zero blocked"] += 1
+        assert min(seen.values()) > 100 and len(seen) == 3, seen
+
+    def test_role_shaped_tables_equal_dense_reference(self):
+        """Costs of only -(K+1) for an exact and -1 for a partial cell, as ``_best_role_pairing`` passes."""
+        rng = random.Random(1938)
+        contested = 0
+        for _ in range(300):
+            pred_count, gold_count, cells = _grouped_cells(rng)
+            cost = {cell: rng.choice((-(pred_count + 1), -1)) for cell in sorted(cells)}
+            matrix = [[cost.get((p, g)) for g in range(gold_count)] for p in range(pred_count)]
+            assert lexmin_assignment(cost) == dense_lexmin_assignment(matrix, gold_count), cost
+            contested += len({p for p, _ in cells}) < len(cells)
+        assert contested > 200
+
+    @pytest.mark.parametrize("size", [12, 40])
+    def test_large_document_equals_dense_reference(self, size):
+        """With the cap lifted, the matching equals the dense solve of the reference pair scores."""
+        doc, schema = _injected_document(size)
+        config = AnalysisConfig(max_template_matchings=10**100)
+        index = MatchIndex.for_document(doc, schema, config)
+        scores = pair_scores_reference(doc, schema, config, index, _dense_role_pairing)
+        numerators = [[scores[p, g][0] for g in range(size)] for p in range(size)]
+        errors = [[scores[p, g][1] for g in range(size)] for p in range(size)]
+        chosen = dense_optimal_assignment(numerators, errors, size)
+        expected = matching_from_reference(doc, schema, config, index, _dense_role_pairing, chosen, approximate=False)
+        assert find_optimal_matching(doc, schema, config, index) == expected
+
+
+def _grouped_cells(rng: random.Random) -> tuple[int, int, set[tuple[int, int]]]:
+    """The shape of a table of up to 20x20 and its in-group cells.
+
+    Preds and golds fall into a few groups at random and a cell can only
+    join two of the same group, so the cells that can be optimal form
+    components that interleave in pred order.
+    """
+    pred_count, gold_count = rng.randint(1, 20), rng.randint(1, 20)
+    groups = rng.randint(1, 6)
+    pred_group = [rng.randrange(groups) for _ in range(pred_count)]
+    gold_group = [rng.randrange(groups) for _ in range(gold_count)]
+    density = rng.choice((0.2, 0.4, 0.8))
+    return pred_count, gold_count, {
+        (p, g)
+        for p in range(pred_count)
+        for g in range(gold_count)
+        if pred_group[p] == gold_group[g] and rng.random() < density
+    }
+
+
+def _dense_role_pairing(rows, gold_count: int):
+    """``_best_role_pairing`` solved by the dense reference."""
+    exact_cost = -(len(rows) + 1)
+    cost = [[None if j not in row else exact_cost if row[j].exact else -1 for j in range(gold_count)] for row in rows]
+    return _build_pairing(dense_lexmin_assignment(cost, gold_count), rows, gold_count)
+
+
+def _injected_document(size: int) -> tuple[Document, Schema]:
+    """One generated document of ``size`` gold and ``size`` predicted templates, with injected errors."""
+    from support import default_schema
+    from tfea.errors import ErrorType
+    from tfea.inject import GenerationParams, InjectionSpec, generate_corpus, inject_errors
+    from tfea.model import resolve_document_spans
+
+    schema = default_schema()
+    gold = generate_corpus(
+        GenerationParams(n_docs=1, templates_per_doc=(size, size), entities_per_role=(1, 2)), seed=5
+    )
+    spec = InjectionSpec(
+        counts={
+            ErrorType.WRONG_TEMPLATE_FOR_ROLE_FILLER: 2,
+            ErrorType.SPAN_ERROR: 2,
+            ErrorType.SPURIOUS_ROLE_FILLER: 2,
+        }
+    )
+    doc = resolve_document_spans(inject_errors(gold, schema, spec, seed=5).documents[0])
+    assert len(doc.predicted_templates) == len(doc.gold_templates) == size
+    return doc, schema
 
 
 class TestGreedy:
