@@ -7,6 +7,13 @@ known exactly. The injector then perturbs a canonical-mention copy of
 the gold annotations one error at a time, keeping a ledger of exactly
 which error counts an analyzer must report. Perturbations never share
 targets, so precedence rules cannot reclassify them.
+
+Eight of the thirteen error types copy a gold mention into its own or
+another template, in its own or another role, exact or with its span
+run over the next word; one table (``_COPIES``) names which, and one
+method injects them all. Spurious fillers and spurious templates take
+decoy phrases cut from text no gold mention touches, and a decoy never
+has a gold mention's text. ``inject_errors(..., seed=0)`` seeds the draws.
 """
 
 from __future__ import annotations
@@ -28,7 +35,9 @@ from .model import (
     Schema,
     Span,
     Template,
+    normalize,
     record,
+    resolve_document_spans,
 )
 
 MENTION_ADJECTIVES = (
@@ -79,7 +88,6 @@ class InjectionSpec:
     """Number of each error type to inject into every document."""
 
     counts: dict[ErrorType, int] = Factory(dict)
-    seed: int = 0
 
     def count(self, etype: ErrorType) -> int:
         return self.counts.get(etype, 0)
@@ -160,28 +168,25 @@ class InjectionResult:
 
     @property
     def ledger(self) -> ErrorProfile:
-        total = ErrorProfile.empty()
-        for profile in self.per_doc.values():
-            total = total + profile
-        return total
-
-
-def _gold_spans(doc: Document) -> list[Span]:
-    spans = []
-    for template in doc.gold_templates:
-        for value in template.role_fillers.values():
-            if isinstance(value, str):
-                continue
-            for entity in value:
-                for mention in entity.mentions:
-                    if mention.span is not None:
-                        spans.append(mention.span)
-    return spans
+        return sum(self.per_doc.values(), ErrorProfile.empty())
 
 
 def _decoy_phrases(doc: Document) -> list[Mention]:
-    """Two-word phrases cut from text regions no gold mention touches."""
-    blocked = _gold_spans(doc)
+    """Two-word phrases cut from text no gold mention touches, none a gold mention's text.
+
+    A gold mention without a span blocks the span where the analyzer's
+    span resolution would locate it.
+    """
+    gold = [
+        mention
+        for template in resolve_document_spans(doc).gold_templates
+        for value in template.role_fillers.values()
+        if not isinstance(value, str)
+        for entity in value
+        for mention in entity.mentions
+    ]
+    blocked = [mention.span for mention in gold if mention.span is not None]
+    gold_texts = {normalize(mention.text) for mention in gold}
     words = []
     for found in re.finditer(r"\S+", doc.text):
         span = Span(found.start(), found.end())
@@ -191,12 +196,45 @@ def _decoy_phrases(doc: Document) -> list[Mention]:
     i = 0
     while i + 1 < len(words):
         (w1, s1), (w2, s2) = words[i], words[i + 1]
-        if doc.text[s1.end : s2.start] == " ":
-            decoys.append(Mention(f"{w1} {w2}", Span(s1.start, s2.end)))
+        phrase = f"{w1} {w2}"
+        if doc.text[s1.end : s2.start] == " " and normalize(phrase) not in gold_texts:
+            decoys.append(Mention(phrase, Span(s1.start, s2.end)))
             i += 2
         else:
             i += 1
     return decoys
+
+
+# The error types that copy a gold mention into the predictions, each as
+# (same template, same role, perturbed span). Written out here rather than
+# read from the analyzer's tables: the injector is the analyzer's oracle.
+_COPIES = {
+    ErrorType.DUPLICATE_ROLE_FILLER: (True, True, False),
+    ErrorType.DUPLICATE_PARTIALLY_MATCHED_ROLE_FILLER: (True, True, True),
+    ErrorType.INCORRECT_ROLE: (True, False, False),
+    ErrorType.INCORRECT_ROLE_PARTIALLY_MATCHED_FILLER: (True, False, True),
+    ErrorType.WRONG_TEMPLATE_FOR_ROLE_FILLER: (False, True, False),
+    ErrorType.WRONG_TEMPLATE_FOR_PARTIALLY_MATCHED_ROLE_FILLER: (False, True, True),
+    ErrorType.WRONG_TEMPLATE_WRONG_ROLE: (False, False, False),
+    ErrorType.WRONG_TEMPLATE_WRONG_ROLE_PARTIALLY_MATCHED_FILLER: (False, False, True),
+}
+
+# The order in which a document's injections are drawn.
+_INJECTION_ORDER = (
+    ErrorType.SPAN_ERROR,
+    ErrorType.DUPLICATE_ROLE_FILLER,
+    ErrorType.DUPLICATE_PARTIALLY_MATCHED_ROLE_FILLER,
+    ErrorType.INCORRECT_ROLE,
+    ErrorType.INCORRECT_ROLE_PARTIALLY_MATCHED_FILLER,
+    ErrorType.WRONG_TEMPLATE_FOR_ROLE_FILLER,
+    ErrorType.WRONG_TEMPLATE_FOR_PARTIALLY_MATCHED_ROLE_FILLER,
+    ErrorType.WRONG_TEMPLATE_WRONG_ROLE,
+    ErrorType.WRONG_TEMPLATE_WRONG_ROLE_PARTIALLY_MATCHED_FILLER,
+    ErrorType.SPURIOUS_ROLE_FILLER,
+    ErrorType.MISSING_ROLE_FILLER,
+    ErrorType.SPURIOUS_TEMPLATE,
+    ErrorType.MISSING_TEMPLATE,
+)
 
 
 class _DocInjector:
@@ -207,26 +245,13 @@ class _DocInjector:
         self.schema = schema
         self.rng = rng
         self.profile = ErrorProfile.empty()
-        # Mutable prediction state: canonical copy of the gold side.
-        self.sets: list[dict] = []
-        self.strings: list[dict] = []
+        # Mutable prediction state: the canonical mentions of each gold template's string roles.
+        self.strings = [
+            {role.name: [e.canonical for e in template.entities(role.name)] for role in schema.string_fill_roles}
+            for template in doc.gold_templates
+        ]
         self.removed: set[int] = set()
-        for template in doc.gold_templates:
-            sets: dict = {}
-            strings: dict = {}
-            for role in schema:
-                if role.kind is RoleKind.SET_FILL:
-                    value = template.set_fill(role.name)
-                    if value is not None:
-                        sets[role.name] = value
-                else:
-                    strings[role.name] = [
-                        Mention(e.canonical.text, e.canonical.span)
-                        for e in template.entities(role.name)
-                    ]
-            self.sets.append(sets)
-            self.strings.append(strings)
-        self.extra_templates: list[dict] = []
+        self.extra_templates: list[Template] = []
         self.used_entities: set[tuple[int, str, int]] = set()
         self.touched_templates: set[int] = set()
         self.decoys = _decoy_phrases(doc)
@@ -235,19 +260,6 @@ class _DocInjector:
         if not self.decoys:
             raise InfeasibleSpec(etype.value, f"document '{self.doc.doc_id}' has no free text left")
         return self.decoys.pop(0)
-
-    def _entity_candidates(self, min_mentions: int = 1) -> list[tuple[int, str, int, GoldEntity]]:
-        out = []
-        for t_index, template in enumerate(self.doc.gold_templates):
-            for role in self.schema.string_fill_roles:
-                for e_index, entity in enumerate(template.entities(role.name)):
-                    key = (t_index, role.name, e_index)
-                    if key in self.used_entities:
-                        continue
-                    if len(entity.mentions) < min_mentions:
-                        continue
-                    out.append((t_index, role.name, e_index, entity))
-        return out
 
     def _claim(self, t_index: int, role: str, e_index: int) -> None:
         self.used_entities.add((t_index, role, e_index))
@@ -268,15 +280,11 @@ class _DocInjector:
             end += 1
         return Mention(text[span.start : end], Span(span.start, end))
 
-    def _replace_canonical(self, t_index: int, role: str, entity: GoldEntity, new: Mention) -> None:
-        fillers = self.strings[t_index][role]
-        for i, filler in enumerate(fillers):
-            if filler.text == entity.canonical.text:
-                fillers[i] = new
-                return
-        raise InfeasibleSpec(
-            ErrorType.SPAN_ERROR.value, f"canonical mention of {entity.canonical.text!r} not present"
-        )
+    def _string_roles(self, etype: ErrorType) -> list[str]:
+        names = [r.name for r in self.schema.string_fill_roles]
+        if not names:
+            raise InfeasibleSpec(etype.value, "schema has no string-fill role to fill")
+        return names
 
     def _other_string_role(self, role: str, etype: ErrorType) -> str:
         names = [r.name for r in self.schema.string_fill_roles if r.name != role]
@@ -284,8 +292,14 @@ class _DocInjector:
             raise InfeasibleSpec(etype.value, "schema needs at least two string-fill roles")
         return self.rng.choice(names)
 
-    def _pick_entity(self, etype: ErrorType, min_mentions: int = 1):
-        candidates = self._entity_candidates(min_mentions)
+    def _pick_entity(self, etype: ErrorType, min_mentions: int = 1) -> tuple[int, str, int, GoldEntity]:
+        candidates = [
+            (t_index, role.name, e_index, entity)
+            for t_index, template in enumerate(self.doc.gold_templates)
+            for role in self.schema.string_fill_roles
+            for e_index, entity in enumerate(template.entities(role.name))
+            if (t_index, role.name, e_index) not in self.used_entities and len(entity.mentions) >= min_mentions
+        ]
         if not candidates:
             raise InfeasibleSpec(etype.value, f"document '{self.doc.doc_id}' has no eligible entity")
         return self.rng.choice(candidates)
@@ -296,81 +310,45 @@ class _DocInjector:
             raise InfeasibleSpec(etype.value, "document needs at least two gold templates")
         return self.rng.choice(others)
 
-    # One method per error type; each leaves every other gold fact intact.
+    # Each injection leaves every other gold fact intact.
 
-    def inject_span_error(self) -> None:
-        t, role, e, entity = self._pick_entity(ErrorType.SPAN_ERROR)
-        self._replace_canonical(t, role, entity, self._perturb(entity.canonical, ErrorType.SPAN_ERROR))
-        self._claim(t, role, e)
-        self.profile.bump(ErrorType.SPAN_ERROR, role)
-
-    def inject_duplicate(self) -> None:
-        t, role, e, entity = self._pick_entity(ErrorType.DUPLICATE_ROLE_FILLER, min_mentions=2)
-        extra = entity.mentions[1]
-        self.strings[t][role].append(Mention(extra.text, extra.span))
-        self._claim(t, role, e)
-        self.profile.bump(ErrorType.DUPLICATE_ROLE_FILLER, role)
-
-    def inject_duplicate_partial(self) -> None:
-        etype = ErrorType.DUPLICATE_PARTIALLY_MATCHED_ROLE_FILLER
+    def inject_span_error(self, etype: ErrorType) -> None:
         t, role, e, entity = self._pick_entity(etype)
-        base = entity.mentions[1] if len(entity.mentions) > 1 else entity.mentions[0]
-        self.strings[t][role].append(self._perturb(base, etype))
+        perturbed = self._perturb(entity.canonical, etype)
+        # The first filler with the canonical text: every unclaimed entity's is still there.
+        fillers = self.strings[t][role]
+        fillers[[f.text for f in fillers].index(entity.canonical.text)] = perturbed
         self._claim(t, role, e)
         self.profile.bump(etype, role)
 
-    def inject_incorrect_role(self, partial: bool) -> None:
-        etype = (
-            ErrorType.INCORRECT_ROLE_PARTIALLY_MATCHED_FILLER
-            if partial
-            else ErrorType.INCORRECT_ROLE
-        )
-        t, role, e, entity = self._pick_entity(etype)
-        host_role = self._other_string_role(role, etype)
-        copy = Mention(entity.canonical.text, entity.canonical.span)
-        self.strings[t].setdefault(host_role, []).append(
-            self._perturb(copy, etype) if partial else copy
-        )
+    def inject_copy(self, etype: ErrorType) -> None:
+        """Copy a gold mention into its own or another template and role, exact or perturbed.
+
+        A duplicate copies the entity's second mention, so the exact one
+        needs two mentions; every other copy is of the canonical mention.
+        """
+        same_template, same_role, perturbed = _COPIES[etype]
+        duplicate = same_template and same_role
+        t, role, e, entity = self._pick_entity(etype, 2 if duplicate and not perturbed else 1)
+        host_template = t if same_template else self._other_template(t, etype)
+        host_role = role if same_role else self._other_string_role(role, etype)
+        mention = entity.mentions[1] if duplicate and len(entity.mentions) > 1 else entity.canonical
+        self.strings[host_template][host_role].append(self._perturb(mention, etype) if perturbed else mention)
         self._claim(t, role, e)
+        self.touched_templates.add(host_template)
         self.profile.bump(etype, role)
 
-    def inject_wrong_template(self, wrong_role: bool, partial: bool) -> None:
-        if wrong_role:
-            etype = (
-                ErrorType.WRONG_TEMPLATE_WRONG_ROLE_PARTIALLY_MATCHED_FILLER
-                if partial
-                else ErrorType.WRONG_TEMPLATE_WRONG_ROLE
-            )
-        else:
-            etype = (
-                ErrorType.WRONG_TEMPLATE_FOR_PARTIALLY_MATCHED_ROLE_FILLER
-                if partial
-                else ErrorType.WRONG_TEMPLATE_FOR_ROLE_FILLER
-            )
-        t_source, role, e, entity = self._pick_entity(etype)
-        t_host = self._other_template(t_source, etype)
-        host_role = self._other_string_role(role, etype) if wrong_role else role
-        copy = Mention(entity.canonical.text, entity.canonical.span)
-        self.strings[t_host].setdefault(host_role, []).append(
-            self._perturb(copy, etype) if partial else copy
-        )
-        self._claim(t_source, role, e)
-        self.touched_templates.add(t_host)
-        self.profile.bump(etype, role)
-
-    def inject_spurious_filler(self) -> None:
-        etype = ErrorType.SPURIOUS_ROLE_FILLER
-        hosts = [i for i in range(len(self.doc.gold_templates))]
-        if not hosts:
+    def inject_spurious_filler(self, etype: ErrorType) -> None:
+        if not self.doc.gold_templates:
             raise InfeasibleSpec(etype.value, "document has no template to host a spurious filler")
-        t = self.rng.choice(hosts)
-        role = self.rng.choice([r.name for r in self.schema.string_fill_roles])
-        self.strings[t].setdefault(role, []).append(self._take_decoy(etype))
+        roles = self._string_roles(etype)
+        t = self.rng.randrange(len(self.doc.gold_templates))
+        role = self.rng.choice(roles)
+        self.strings[t][role].append(self._take_decoy(etype))
         self.touched_templates.add(t)
         self.profile.bump(etype, role)
 
-    def inject_missing_filler(self) -> None:
-        etype = ErrorType.MISSING_ROLE_FILLER
+    def inject_missing_filler(self, etype: ErrorType) -> None:
         t, role, e, entity = self._pick_entity(etype)
         fillers = self.strings[t][role]
         self.strings[t][role] = [f for f in fillers if f.text != entity.canonical.text]
@@ -379,108 +357,70 @@ class _DocInjector:
         self._claim(t, role, e)
         self.profile.bump(etype, role)
 
-    def inject_spurious_template(self) -> None:
-        etype = ErrorType.SPURIOUS_TEMPLATE
-        if not self.schema.string_fill_roles:
-            raise InfeasibleSpec(etype.value, "schema has no string-fill role to fill")
-        role = self.schema.string_fill_roles[0].name
-        self.extra_templates.append({role: [self._take_decoy(etype)]})
+    def inject_spurious_template(self, etype: ErrorType) -> None:
+        role = self._string_roles(etype)[0]
+        self.extra_templates.append(Template({role: (self._take_decoy(etype),)}))
         self.profile.bump(etype)
         self.profile.spurious_template_role_fillers += 1
 
-    def inject_missing_template(self) -> None:
-        etype = ErrorType.MISSING_TEMPLATE
-        candidates = [
-            i
-            for i in range(len(self.doc.gold_templates))
-            if i not in self.touched_templates and i not in self.removed
-        ]
+    def inject_missing_template(self, etype: ErrorType) -> None:
+        taken = self.touched_templates | self.removed
+        candidates = [i for i in range(len(self.doc.gold_templates)) if i not in taken]
         if not candidates:
             raise InfeasibleSpec(etype.value, f"document '{self.doc.doc_id}' has no untouched template")
         t = self.rng.choice(candidates)
         self.removed.add(t)
         self.touched_templates.add(t)
         self.profile.bump(etype)
-        template = self.doc.gold_templates[t]
-        self.profile.missing_template_role_fillers += sum(
-            template.filler_counts(self.schema, gold=True).values()
-        )
+        filler_counts = self.doc.gold_templates[t].filler_counts(self.schema, gold=True)
+        self.profile.missing_template_role_fillers += sum(filler_counts.values())
 
     def run(self, spec: InjectionSpec) -> None:
-        plan = (
-            (ErrorType.SPAN_ERROR, self.inject_span_error),
-            (ErrorType.DUPLICATE_ROLE_FILLER, self.inject_duplicate),
-            (ErrorType.DUPLICATE_PARTIALLY_MATCHED_ROLE_FILLER, self.inject_duplicate_partial),
-            (ErrorType.INCORRECT_ROLE, lambda: self.inject_incorrect_role(False)),
-            (
-                ErrorType.INCORRECT_ROLE_PARTIALLY_MATCHED_FILLER,
-                lambda: self.inject_incorrect_role(True),
-            ),
-            (
-                ErrorType.WRONG_TEMPLATE_FOR_ROLE_FILLER,
-                lambda: self.inject_wrong_template(False, False),
-            ),
-            (
-                ErrorType.WRONG_TEMPLATE_FOR_PARTIALLY_MATCHED_ROLE_FILLER,
-                lambda: self.inject_wrong_template(False, True),
-            ),
-            (
-                ErrorType.WRONG_TEMPLATE_WRONG_ROLE,
-                lambda: self.inject_wrong_template(True, False),
-            ),
-            (
-                ErrorType.WRONG_TEMPLATE_WRONG_ROLE_PARTIALLY_MATCHED_FILLER,
-                lambda: self.inject_wrong_template(True, True),
-            ),
-            (ErrorType.SPURIOUS_ROLE_FILLER, self.inject_spurious_filler),
-            (ErrorType.MISSING_ROLE_FILLER, self.inject_missing_filler),
-            (ErrorType.SPURIOUS_TEMPLATE, self.inject_spurious_template),
-            (ErrorType.MISSING_TEMPLATE, self.inject_missing_template),
-        )
-        for etype, action in plan:
+        others = {
+            ErrorType.SPAN_ERROR: self.inject_span_error,
+            ErrorType.SPURIOUS_ROLE_FILLER: self.inject_spurious_filler,
+            ErrorType.MISSING_ROLE_FILLER: self.inject_missing_filler,
+            ErrorType.SPURIOUS_TEMPLATE: self.inject_spurious_template,
+            ErrorType.MISSING_TEMPLATE: self.inject_missing_template,
+        }
+        for etype in _INJECTION_ORDER:
+            inject = others.get(etype, self.inject_copy)
             for _ in range(spec.count(etype)):
-                action()
+                inject(etype)
 
     def predictions(self) -> tuple[Template, ...]:
         templates = []
-        for t_index in range(len(self.doc.gold_templates)):
+        for t_index, gold in enumerate(self.doc.gold_templates):
             if t_index in self.removed:
                 continue
             fillers: dict = {}
             for role in self.schema:
                 if role.kind is RoleKind.SET_FILL:
-                    value = self.sets[t_index].get(role.name)
+                    value = gold.set_fill(role.name)
                     if value is not None:
                         fillers[role.name] = value
-                else:
-                    mentions = self.strings[t_index].get(role.name, [])
-                    if mentions:
-                        fillers[role.name] = tuple(mentions)
+                elif self.strings[t_index][role.name]:
+                    fillers[role.name] = tuple(self.strings[t_index][role.name])
             templates.append(Template(fillers))
-        for extra in self.extra_templates:
-            templates.append(Template({role: tuple(v) for role, v in extra.items()}))
-        return tuple(templates)
+        return (*templates, *self.extra_templates)
 
 
 def inject_errors(
     gold_documents: Sequence[Document],
     schema: Schema,
     spec: InjectionSpec,
-    seed: int | None = None,
+    seed: int = 0,
 ) -> InjectionResult:
     """Build predictions with a known error profile from a gold corpus.
 
     Returns the documents with the predicted side filled in and the
     per-document ledger the analyzer is expected to reproduce exactly.
     """
-    seed = spec.seed if seed is None else seed
     documents = []
     per_doc = {}
     for doc in gold_documents:
         injector = _DocInjector(doc, schema, random.Random(f"{seed}:inject:{doc.doc_id}"))
         injector.run(spec)
-        documents.append(
-            Document(doc.doc_id, doc.text, doc.gold_templates, injector.predictions())
-        )
+        documents.append(Document(doc.doc_id, doc.text, doc.gold_templates, injector.predictions()))
         per_doc[doc.doc_id] = injector.profile
     return InjectionResult(documents, per_doc)

@@ -25,7 +25,7 @@ class Factory:
         return "<factory>"
 
 
-def record(cls=None, *, frozen: bool = False, order: bool = False):
+def record(cls=None, *, frozen: bool = False):
     """Class decorator: a class whose fields are its annotations, in order.
 
     Adds what the standard library's ``@dataclass`` adds for the same flags,
@@ -33,12 +33,12 @@ def record(cls=None, *, frozen: bool = False, order: bool = False):
     default, a ``Factory`` one is called per instance; ``__post_init__``
     runs last), ``__repr__``, ``__eq__`` on field tuples of one class, and
     for ``frozen`` a field-tuple ``__hash__`` and no assignment; a mutable
-    record is unhashable. ``order`` adds ``<``, ``<=``, ``>`` and ``>=``.
-    Compiled in one ``exec``, where ``@dataclass`` takes six for a frozen
-    class and its module imports ``inspect``, which a CLI run otherwise never loads.
+    record is unhashable. Compiled in one ``exec``, where ``@dataclass``
+    takes six for a frozen class and its module imports ``inspect``, which
+    a CLI run otherwise never loads.
     """
     if cls is None:
-        return lambda cls: record(cls, frozen=frozen, order=order)
+        return lambda cls: record(cls, frozen=frozen)
     annotations = cls.__dict__.get("__annotations__", {})
     names = tuple(annotations)
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
@@ -62,9 +62,6 @@ def record(cls=None, *, frozen: bool = False, order: bool = False):
         methods["__hash__"] = f"(self): return hash({mine})"
         methods["__setattr__"] = "(self, name, value): raise AttributeError(f'cannot assign to field {name!r}')"
         methods["__delattr__"] = "(self, name): raise AttributeError(f'cannot delete field {name!r}')"
-    if order:
-        for method, sign in (("__lt__", "<"), ("__le__", "<="), ("__gt__", ">"), ("__ge__", ">=")):
-            methods[method] = compare.format(mine, sign, theirs)
     exec("".join(f"def {method}{code}\n" for method, code in methods.items()), ns)
     for method in methods:
         ns[method].__qualname__ = f"{cls.__qualname__}.{method}"
@@ -157,7 +154,7 @@ class Schema:
         return tuple(r for r in self.roles if r.kind is RoleKind.SET_FILL)
 
 
-@record(frozen=True, order=True)
+@record(frozen=True)
 class Span:
     """Half-open character interval [start, end) into a document text."""
 

@@ -437,6 +437,30 @@ class TestInject:
         assert not out.exists()
 
 
+    def test_spurious_filler_without_a_string_fill_role(self, tmp_path, capsys):
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"roles": [{"name": "status", "kind": "set_fill", "values": ["a", "b"]}]}))
+        gold = tmp_path / "gold.json"
+        gold.write_text(json.dumps({"d1": {"doctext": "the status is known", "templates": [{"status": "a"}]}}))
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"counts": {"spurious_role_filler": 1}}))
+        out = tmp_path / "injected.json"
+        code = main(
+            [
+                "inject",
+                "--gold", str(gold),
+                "--schema", str(schema),
+                "--spec", str(spec),
+                "--out", str(out),
+                "--ledger", str(tmp_path / "ledger.json"),
+            ]
+        )
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == "error: cannot inject spurious_role_filler: schema has no string-fill role to fill\n"
+        assert not out.exists()
+
+
 class TestCompare:
     def _make_report(self, tmp_path, corpus_files, name, *extra):
         gold, pred, schema = corpus_files
