@@ -5,15 +5,16 @@ total cost, where an unpaired pred or gold costs 0, and among those for
 the smallest pair tuple. Only cells of cost 0 or less are passed in: a
 positive cell is never optimal, as leaving both its sides unpaired costs
 0. A pairing is optimal exactly when its part in each connected
-component of the cells is, so each component of two or more cells gets
-its own Hungarian solve for its optimum and duals (the sparse assignment
-of Jonker and Volgenant, Computing 38, 1987, in its simplest form).
-Ties are broken by one tight-cell walk over all components, in pred
-order, that stops at the global optimum. Walks per component would
-differ: each stops before a zero-cost cell that the global walk takes
-while a later pred, in another component, still lowers the cost. With
-costs ``[[+, +], [0, +], [+, -]]`` the lex-min is ``((1, 0), (2, 1))``,
-yet the two components alone give ``()`` and ``((2, 1),)``.
+component of the cells is. A component of n preds and m golds is one
+k-square Hungarian solve, k = max(n, m), with absent cells and padding
+at cost 0 (the rectangular assignment problem; Bijsterbosch and
+Volgenant, Ann. Oper. Res. 181, 2010). Ties are broken by one tight-cell
+walk over all components, in pred order, that stops at the global
+optimum. Per-component walks would differ: each stops before a
+zero-cost cell that the global walk takes while a later pred, in
+another component, still lowers the cost. With costs ``[[+, +], [0, +],
+[+, -]]`` the lex-min is ``((1, 0), (2, 1))``; the components alone
+give ``()`` and ``((2, 1),)``.
 """
 
 from __future__ import annotations
@@ -22,15 +23,14 @@ import math
 from typing import Mapping
 
 
-def _min_cost_assignment(cost: list[list[int | None]]) -> tuple[list[int], list[int], list[int]]:
-    """Hungarian method on a square integer matrix; ``None`` cells are forbidden.
+def _min_cost_assignment(cost: list[list[int]]) -> tuple[list[int], list[int], list[int]]:
+    """Hungarian method on a square integer matrix.
 
     Kuhn's method in its O(n³) shortest-augmenting-path form with row
     and column potentials (Jonker–Volgenant; Crouse 2016, doi:10.1109/
     TAES.2016.140952). Returns ``row_of`` (the row assigned to each
-    column) and the optimal duals ``u`` and ``v``, which satisfy
-    ``u[r] + v[c] <= cost[r][c]`` on every allowed cell with equality on
-    the assignment. A perfect assignment over allowed cells must exist.
+    column) and optimal duals ``u`` and ``v``: ``u[r] + v[c] <=
+    cost[r][c]`` on every cell, with equality on the assignment.
     """
     n = len(cost)
     u = [0] * n
@@ -49,9 +49,9 @@ def _min_cost_assignment(cost: list[list[int | None]]) -> tuple[list[int], list[
             for c in range(n):
                 if used[c]:
                     continue
-                w = cost[r][c]
-                if w is not None and w - u[r] - v[c] < min_slack[c]:
-                    min_slack[c] = w - u[r] - v[c]
+                slack = cost[r][c] - u[r] - v[c]
+                if slack < min_slack[c]:
+                    min_slack[c] = slack
                     way[c] = col
                 if min_slack[c] < delta:
                     delta, next_col = min_slack[c], c
@@ -72,24 +72,32 @@ def lexmin_assignment(cost: Mapping[tuple[int, int], int]) -> tuple[tuple[int, i
     """The pair tuple minimizing ``(Σ cost, pairs)`` over the given cells.
 
     ``cost`` maps each allowed ``(pred, gold)`` cell, in pred order, to a
-    cost of at most 0. With no competing cell and no zero cost, every
-    cell is taken. Else each component of ``n`` preds and ``m`` golds is
-    padded to an (n+m)-square block: a pred row also holds its own dummy
-    column, and a gold's dummy row holds the gold's column and every
-    dummy column, all at cost 0. The walk takes the preds in order: stop
-    once the pairs taken reach the optimum (the shortest tuple is the
-    smallest), else take the smallest gold that an alternating cycle of
-    tight cells can reroute the assignment onto, else leave it unpaired.
+    cost of at most 0. With no competing cell and no zero cost, every cell
+    is taken. Else each component is a k-square block, preds and golds
+    ascending; a row on a cell that is not a pair is unpaired. The walk
+    takes the preds in order: stop once the pairs taken reach the optimum
+    (the shortest tuple is the smallest), else take the smallest gold that
+    an alternating cycle of tight cells can reroute the assignment onto,
+    else leave the pred unpaired. Its row then keeps only the gold it took,
+    or only its tight columns that are not pairs: an unpaired pred may sit
+    on a gold's absent cell, and a later cycle can still move it off.
     """
+    if 0 not in cost.values():
+        preds_seen, golds_seen = set(), set()
+        for p, g in cost:
+            if p in preds_seen or g in golds_seen:
+                break
+            preds_seen.add(p)
+            golds_seen.add(g)
+        else:
+            return tuple(cost)
     golds_of: dict[int, list[int]] = {}
     preds_of: dict[int, list[int]] = {}
     for p, g in cost:
         golds_of.setdefault(p, []).append(g)
         preds_of.setdefault(g, []).append(p)
-    if len(golds_of) == len(preds_of) == len(cost) and 0 not in cost.values():
-        return tuple(cost)
     row_at: dict[int, int] = {}  # pred -> its row
-    gold_at: list[int | None] = []  # column -> its gold, None for a dummy column
+    gold_at: list[int | None] = []  # column -> its gold, None for a padding column
     row_of: list[int] = []  # column -> the row assigned to it
     tight: list[list[int]] = []  # row -> its tight columns, ascending
     optimum = 0
@@ -107,22 +115,16 @@ def lexmin_assignment(cost: Mapping[tuple[int, int], int]) -> tuple[tuple[int, i
                             row_at[q] = -1
                             preds.append(q)
         preds, golds = sorted(preds), sorted(golds)
-        base, n = len(row_of), len(preds)
-        block = [
-            [cost.get((p, g)) for g in golds] + [0 if j == k else None for j in range(n)]
-            for k, p in enumerate(preds)
-        ] + [[0 if j == k else None for j in range(len(golds))] + [0] * n for k in range(len(golds))]
-        # A single cell is its own optimum: take it, with duals that make it tight.
-        rows, u, v = ([0, 1], [block[0][0], 0], [0, 0]) if len(block) == 2 else _min_cost_assignment(block)
+        base, k = len(row_of), max(len(preds), len(golds))
+        pad = [0] * (k - len(golds))
+        block = [[cost.get((p, g), 0) for g in golds] + pad for p in preds] + [[0] * k for _ in range(k - len(preds))]
+        rows, u, v = _min_cost_assignment(block)
         optimum += sum(block[r][c] for c, r in enumerate(rows))
         row_of += [base + r for r in rows]
-        tight += [
-            [base + c for c, w in enumerate(row) if w is not None and u[r] + v[c] == w] for r, row in enumerate(block)
-        ]
-        gold_at += golds + [None] * n
-        row_at.update((p, base + k) for k, p in enumerate(preds))
+        tight += [[base + c for c, w in enumerate(row) if u[r] + v[c] == w] for r, row in enumerate(block)]
+        gold_at += golds + [None] * len(pad)
+        row_at.update((p, base + r) for r, p in enumerate(preds))
     col_of = sorted(range(len(row_of)), key=row_of.__getitem__)  # row -> its column
-    fixed = [False] * len(row_of)  # columns taken by decided preds
     chosen: list[tuple[int, int]] = []
     reached = 0
     for p in golds_of:
@@ -130,20 +132,17 @@ def lexmin_assignment(cost: Mapping[tuple[int, int], int]) -> tuple[tuple[int, i
             break
         row = row_at[p]
         for c in tight[row]:
-            g = gold_at[c]
-            if g is None or fixed[c]:
-                continue
-            if c == col_of[row] or _reroute(row, c, tight, row_of, col_of, fixed):
-                chosen.append((p, g))
-                reached += cost[p, g]
+            if (p, gold_at[c]) in cost and (c == col_of[row] or _reroute(row, c, tight, row_of, col_of)):
+                chosen.append((p, gold_at[c]))
+                reached += cost[p, gold_at[c]]
+                tight[row] = [c]
                 break
-        fixed[col_of[row]] = True
+        else:
+            tight[row] = [c for c in tight[row] if (p, gold_at[c]) not in cost]
     return tuple(chosen)
 
 
-def _reroute(
-    pred: int, gold: int, tight: list[list[int]], row_of: list[int], col_of: list[int], fixed: list[bool]
-) -> bool:
+def _reroute(pred: int, gold: int, tight: list[list[int]], row_of: list[int], col_of: list[int]) -> bool:
     """Move row ``pred`` onto column ``gold`` along an alternating cycle of tight cells.
 
     Searches from the row now holding ``gold`` for a path that ends at
@@ -155,7 +154,7 @@ def _reroute(
     frontier = [gold]
     for col in frontier:
         for nxt in tight[row_of[col]]:
-            if fixed[nxt] or nxt in parent:
+            if nxt in parent:
                 continue
             parent[nxt] = col
             if nxt == target:

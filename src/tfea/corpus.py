@@ -336,10 +336,9 @@ def _template_to_dict(template: Template, gold: bool) -> dict:
     return out
 
 
-def side_to_dict(documents: Mapping[str, Document] | list[Document], gold: bool) -> dict:
-    docs = documents.values() if isinstance(documents, Mapping) else documents
+def side_to_dict(documents: list[Document], gold: bool) -> dict:
     out: dict = {}
-    for doc in docs:
+    for doc in documents:
         templates = doc.gold_templates if gold else doc.predicted_templates
         out[doc.doc_id] = {
             "doctext": doc.text,

@@ -245,8 +245,9 @@ class _DocInjector:
         self.schema = schema
         self.rng = rng
         self.profile = ErrorProfile.empty()
-        # Mutable prediction state: the canonical mentions of each gold template's string roles.
-        self.strings = [
+        # Mutable prediction state: the canonical mentions of each gold template's string roles,
+        # entity ``e``'s at index ``e`` (``None`` once removed), then the copies and decoys added.
+        self.strings: list[dict[str, list[Mention | None]]] = [
             {role.name: [e.canonical for e in template.entities(role.name)] for role in schema.string_fill_roles}
             for template in doc.gold_templates
         ]
@@ -314,10 +315,7 @@ class _DocInjector:
 
     def inject_span_error(self, etype: ErrorType) -> None:
         t, role, e, entity = self._pick_entity(etype)
-        perturbed = self._perturb(entity.canonical, etype)
-        # The first filler with the canonical text: every unclaimed entity's is still there.
-        fillers = self.strings[t][role]
-        fillers[[f.text for f in fillers].index(entity.canonical.text)] = perturbed
+        self.strings[t][role][e] = self._perturb(entity.canonical, etype)
         self._claim(t, role, e)
         self.profile.bump(etype, role)
 
@@ -349,11 +347,8 @@ class _DocInjector:
         self.profile.bump(etype, role)
 
     def inject_missing_filler(self, etype: ErrorType) -> None:
-        t, role, e, entity = self._pick_entity(etype)
-        fillers = self.strings[t][role]
-        self.strings[t][role] = [f for f in fillers if f.text != entity.canonical.text]
-        if len(self.strings[t][role]) == len(fillers):
-            raise InfeasibleSpec(etype.value, "canonical filler already gone")
+        t, role, e, _ = self._pick_entity(etype)
+        self.strings[t][role][e] = None
         self._claim(t, role, e)
         self.profile.bump(etype, role)
 
@@ -399,8 +394,10 @@ class _DocInjector:
                     value = gold.set_fill(role.name)
                     if value is not None:
                         fillers[role.name] = value
-                elif self.strings[t_index][role.name]:
-                    fillers[role.name] = tuple(self.strings[t_index][role.name])
+                else:
+                    mentions = tuple(m for m in self.strings[t_index][role.name] if m is not None)
+                    if mentions:
+                        fillers[role.name] = mentions
             templates.append(Template(fillers))
         return (*templates, *self.extra_templates)
 

@@ -18,7 +18,6 @@ from .matching import MatchIndex, TemplateMatching, TemplatePair
 from .model import (
     Document,
     Factory,
-    GoldEntity,
     Mention,
     RoleKind,
     Schema,
@@ -299,9 +298,7 @@ def canonical_template(gold_template: Template) -> Template:
         if isinstance(value, str):
             fillers[role] = value
         else:
-            fillers[role] = tuple(
-                Mention(entity.canonical.text, entity.canonical.span) for entity in value
-            )
+            fillers[role] = tuple(entity.canonical for entity in value)
     return Template(fillers)
 
 
@@ -366,15 +363,12 @@ def apply_transformations(
             )
         slots[entry.filler] = None
 
-    def covered(state: _TemplateState, role: str, entity: GoldEntity) -> bool:
-        return any(
-            texts_match(current.text, gold.text, casefold)
-            for current in state.current(role)
-            for gold in entity.mentions
-        )
-
-    def target_entity(entry: Transformation) -> GoldEntity:
-        return doc.gold_templates[entry.gold_template].entities(entry.gold_role)[entry.gold_entity]
+    def introduce(state: _TemplateState, entry: Transformation) -> None:
+        """Add the entry's gold mention to its gold role, unless a filler there already covers the entity."""
+        entity = doc.gold_templates[entry.gold_template].entities(entry.gold_role)[entry.gold_entity]
+        current = state.current(entry.gold_role)
+        if not any(texts_match(c.text, gold.text, casefold) for c in current for gold in entity.mentions):
+            state.extras.setdefault(entry.gold_role, []).append(entry.gold_mention)
 
     for group in log.groups():
         kinds = {entry.kind for entry in group}
@@ -392,20 +386,14 @@ def apply_transformations(
                         f"{log.doc_id}: introducing set-fill value over an existing one"
                     )
                 state.set_values[entry.role] = entry.gold_mention.text
-            elif not covered(state, entry.gold_role, target_entity(entry)):
-                state.extras.setdefault(entry.gold_role, []).append(
-                    Mention(entry.gold_mention.text, entry.gold_mention.span)
-                )
+            else:
+                introduce(state, entry)
         elif kinds & _REMOVAL_KINDS:
             consume(group[0])
         elif TransformKind.ALTER_ROLE in kinds:
             consume(group[0])
             move = next(entry for entry in group if entry.kind is TransformKind.ALTER_ROLE)
-            state = state_for(move)
-            if not covered(state, move.gold_role, target_entity(move)):
-                state.extras.setdefault(move.gold_role, []).append(
-                    Mention(move.gold_mention.text, move.gold_mention.span)
-                )
+            introduce(state_for(move), move)
         else:
             entry = group[0]
             state = state_for(entry)
@@ -414,7 +402,7 @@ def apply_transformations(
                 raise InconsistentLog(
                     f"{log.doc_id}: span alteration targets a consumed filler"
                 )
-            slots[entry.filler] = Mention(entry.gold_mention.text, entry.gold_mention.span)
+            slots[entry.filler] = entry.gold_mention
 
     result = []
     for state in states:

@@ -130,6 +130,21 @@ class TestDecoys:
         assert analyze_corpus(result.documents, self.SCHEMA).profile == result.ledger
 
 
+class TestSharedText:
+    """Two gold entities of one role with the same text are still two fillers."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("etype", [ErrorType.MISSING_ROLE_FILLER, ErrorType.SPAN_ERROR])
+    def test_ledger_matches_analysis(self, etype, seed):
+        agents = (GoldEntity((Mention("red fox", Span(0, 7)),)), GoldEntity((Mention("red fox", Span(20, 27)),)))
+        target = GoldEntity((Mention("ran far", Span(8, 15)),))
+        template = Template({"agent": agents, "target": (target,)})
+        doc = Document("fox", "red fox ran far and red fox hid away", (template,))
+        result = inject_errors([doc], TestDecoys.SCHEMA, InjectionSpec(counts={etype: 1}), seed=seed)
+        assert result.ledger.counts[etype] == 1
+        assert analyze_corpus(result.documents, TestDecoys.SCHEMA).profile == result.ledger
+
+
 class TestFeasibility:
     def test_incorrect_role_needs_two_string_roles(self):
         schema = Schema(

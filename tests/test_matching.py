@@ -556,6 +556,13 @@ class TestAssignmentSolver:
         """
         assert _optimal_assignment([[0, 0], [0, 0], [0, 1]], [[9, 9], [2, 9], [9, 0]], 2) == ((1, 0), (2, 1))
 
+    def test_unpaired_pred_does_not_hold_a_gold(self):
+        """Pred 0 is left unpaired while it sits on gold 0's absent cell; gold 0 stays free for pred 1.
+
+        Pinning pred 0 to the column it sat on would block gold 0 and give ``((2, 1),)``.
+        """
+        assert lexmin_assignment({(0, 1): 0, (1, 0): 0, (2, 0): 0, (2, 1): -2}) == ((1, 0), (2, 1))
+
     def test_grouped_tables_equal_dense_reference(self):
         """Tables too large to enumerate, with many zero-cost pairs in interleaved components."""
         rng = random.Random(1987)
