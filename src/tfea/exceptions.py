@@ -63,7 +63,7 @@ class ComplexityGuardExceeded(TfeaError):
 
 
 class InconsistentLog(TfeaError):
-    """A transformation log references a filler or template already consumed."""
+    """A transformation log names a missing or already-gone template, filler or gold entity, or repeats an edit."""
 
 
 class UnmappableSequence(TfeaError):

@@ -317,9 +317,12 @@ class Tally:
 
 @record(frozen=True)
 class TemplatePair:
+    """A matched template pair; ``matched_set_roles`` are its set-fill roles with equal normalized values."""
+
     pred_index: int
     gold_index: int
     role_pairings: dict[str, MentionPairing] = Factory(dict)
+    matched_set_roles: tuple[str, ...] = ()
 
 
 @record(frozen=True)
@@ -357,17 +360,9 @@ class _FillerCounts:
 def _filler_counts(doc: Document, schema: Schema) -> _FillerCounts:
     # Rows are lists: a document's rows are freed together, and freed small
     # tuples would stay cached in the interpreter's tuple free lists.
-    def row(template: Template, gold: bool) -> list[int]:
-        return [
-            int(template.set_fill(role.name) is not None)
-            if role.kind is RoleKind.SET_FILL
-            else len(template.entities(role.name) if gold else template.mentions(role.name))
-            for role in schema
-        ]
-
     return _FillerCounts(
-        tuple(row(t, gold=False) for t in doc.predicted_templates),
-        tuple(row(t, gold=True) for t in doc.gold_templates),
+        tuple(t.filler_row(schema, gold=False) for t in doc.predicted_templates),
+        tuple(t.filler_row(schema, gold=True) for t in doc.gold_templates),
     )
 
 
@@ -401,18 +396,19 @@ class _PairTable:
 
     def pair(self, p: int, g: int) -> tuple[TemplatePair, dict[str, int]]:
         """The ``TemplatePair`` of ``(p, g)`` and its non-zero role numerators."""
-        numerators = {
-            role: 1
+        matched = tuple(
+            role
             for role, pred_value, gold_value in zip(self.set_roles, self.pred_values[p], self.gold_values[g])
             if pred_value is not None and pred_value == gold_value
-        }
+        )
         linked = self.linked.get((p, g), {})
         pairings = {
             role: linked[role] if role in linked else _unpaired(self.counts.pred[p][k], self.counts.gold[g][k])
             for role, k in self.string_roles
         }
+        numerators = dict.fromkeys(matched, 1)
         numerators.update((role, n) for role, pairing in linked.items() if (n := pairing.exact_count))
-        return TemplatePair(p, g, pairings), numerators
+        return TemplatePair(p, g, pairings, matched), numerators
 
 
 def _pair_scores(

@@ -223,19 +223,18 @@ class Template:
         value = self.role_fillers.get(role)
         return tuple(value) if isinstance(value, (tuple, list)) else ()
 
+    def filler_row(self, schema: Schema, gold: bool) -> list[int]:
+        """Number of fillers of each role, in schema order (1 per set-fill value, 1 per mention/entity)."""
+        return [
+            int(self.set_fill(role.name) is not None)
+            if role.kind is RoleKind.SET_FILL
+            else len(self.entities(role.name) if gold else self.mentions(role.name))
+            for role in schema
+        ]
+
     def filler_counts(self, schema: Schema, gold: bool) -> dict[str, int]:
-        """Number of fillers per role (1 per set-fill value, 1 per mention/entity)."""
-        counts: dict[str, int] = {}
-        for role in schema:
-            if role.kind is RoleKind.SET_FILL:
-                n = 1 if self.set_fill(role.name) is not None else 0
-            elif gold:
-                n = len(self.entities(role.name))
-            else:
-                n = len(self.mentions(role.name))
-            if n:
-                counts[role.name] = n
-        return counts
+        """``filler_row`` as role -> count, for the roles that have fillers."""
+        return {role.name: n for role, n in zip(schema, self.filler_row(schema, gold)) if n}
 
 
 @record(frozen=True)

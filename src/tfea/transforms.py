@@ -6,6 +6,11 @@ fillers, role moves inside a template) are applied before everything
 else; the remaining transformations follow in detection order: matched
 template pairs by predicted index, roles in schema order, fillers in
 list order, then unmatched templates.
+
+The replay holds each predicted template as one ``role -> list`` map (a
+set-fill value is a one-item list, a consumed filler None, an introduced
+filler appended). Any edit naming a template, filler or gold entity that
+does not exist or is already gone raises InconsistentLog.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from .exceptions import InconsistentLog
 from .matching import MatchIndex, TemplateMatching, TemplatePair
 from .model import (
     Document,
-    Factory,
+    GoldEntity,
     Mention,
     RoleKind,
     Schema,
@@ -124,7 +129,7 @@ _UNMATCHED_STAGES = (
 
 
 def _classify_unmatched(
-    schema: Schema,
+    role_rank: dict[str, int],
     index: MatchIndex,
     pair: TemplatePair,
     role_name: str,
@@ -141,7 +146,6 @@ def _classify_unmatched(
     template, role (in schema order) and entity index wins. A partial
     match is preceded by an alter-span onto the arg-min gold mention.
     """
-    role_rank = {role.name: rank for rank, role in enumerate(schema.string_fill_roles)}
     best = None
     for (gold_index, gold_role), cells in index.row((pair.pred_index, role_name, filler_index)).items():
         stage = 2 * (gold_index != pair.gold_index) + (gold_role != role_name)
@@ -189,6 +193,7 @@ def derive_transformations(
     config = config or AnalysisConfig()
     if index is None:
         index = MatchIndex.for_document(doc, schema, config)
+    role_rank = {role.name: rank for rank, role in enumerate(schema.string_fill_roles)}
     alterations: list[Transformation] = []
     removals: list[Transformation] = []
 
@@ -197,14 +202,10 @@ def derive_transformations(
         gold_template = doc.gold_templates[pair.gold_index]
         for role in schema:
             if role.kind is RoleKind.SET_FILL:
+                if role.name in pair.matched_set_roles:
+                    continue
                 pred_value = pred_template.set_fill(role.name)
                 gold_value = gold_template.set_fill(role.name)
-                if (
-                    pred_value is not None
-                    and gold_value is not None
-                    and texts_match(pred_value, gold_value, config.casefold)
-                ):
-                    continue
                 if pred_value is not None:
                     removals.append(
                         Transformation(
@@ -251,7 +252,7 @@ def derive_transformations(
                     )
                 elif filler_index in unmatched:
                     group = _classify_unmatched(
-                        schema, index, pair, role.name, filler_index, mention, matched_entities
+                        role_rank, index, pair, role.name, filler_index, mention, matched_entities
                     )
                     if all(t.kind not in _REMOVAL_KINDS for t in group):
                         alterations.extend(group)
@@ -302,124 +303,93 @@ def canonical_template(gold_template: Template) -> Template:
     return Template(fillers)
 
 
-@record
-class _TemplateState:
-    removed: bool = False
-    set_values: dict = Factory(dict)
-    slots: dict = Factory(dict)
-    extras: dict = Factory(dict)
-
-    @classmethod
-    def from_template(cls, template: Template) -> "_TemplateState":
-        state = cls()
-        for role, value in template.role_fillers.items():
-            if isinstance(value, str):
-                state.set_values[role] = value
-            else:
-                state.slots[role] = list(value)
-        return state
-
-    def current(self, role: str) -> list[Mention]:
-        fillers = [m for m in self.slots.get(role, ()) if m is not None]
-        fillers.extend(self.extras.get(role, ()))
-        return fillers
-
-
 def apply_transformations(
     doc: Document, log: TransformationLog, casefold: bool = True
 ) -> tuple[Template, ...]:
     """Replay a transformation log over the document's predictions.
 
-    The result matches the gold templates up to the choice of canonical
-    mention per entity. Raises InconsistentLog when an edit references a
-    filler or template that no longer exists, which signals a bug in the
-    log producer rather than an expected input condition.
+    Each predicted template is held as one ``role -> list`` map: a
+    set-fill value is a one-item list, a consumed filler becomes None,
+    an introduced filler is appended, and a removed template becomes
+    None. The result matches the gold templates up to the choice of
+    canonical mention per entity. Any edit naming a template, filler or
+    gold entity that does not exist or is already gone raises
+    InconsistentLog, and so does an edit listed twice or one with no gold
+    mention to adopt: that signals a bug in the log producer rather than
+    an expected input condition.
     """
-    states = [_TemplateState.from_template(t) for t in doc.predicted_templates]
+    templates: list[dict | None] = [
+        {role: [value] if isinstance(value, str) else list(value) for role, value in t.role_fillers.items()}
+        for t in doc.predicted_templates
+    ]
     introduced: list[Template] = []
 
-    def state_for(entry: Transformation) -> _TemplateState:
-        index = entry.pred_template
-        if index is None or not 0 <= index < len(states):
-            raise InconsistentLog(f"{log.doc_id}: no predicted template {index}")
-        state = states[index]
-        if state.removed:
-            raise InconsistentLog(f"{log.doc_id}: template {index} was already removed")
-        return state
+    def at(items, position, kind: type, what: str):
+        """``items[position]``, which must exist and be a ``kind``; a consumed or removed item is None."""
+        if type(position) is not int or not 0 <= position < len(items) or not isinstance(items[position], kind):
+            raise InconsistentLog(f"{log.doc_id}: {what} {position!r} does not exist or is already gone")
+        return items[position]
 
-    def consume(entry: Transformation) -> None:
-        state = state_for(entry)
-        if entry.filler is None:
-            if entry.role not in state.set_values:
-                raise InconsistentLog(
-                    f"{log.doc_id}: set-fill value of role '{entry.role}' already consumed"
-                )
-            del state.set_values[entry.role]
-            return
-        slots = state.slots.get(entry.role, [])
-        if not 0 <= entry.filler < len(slots) or slots[entry.filler] is None:
-            raise InconsistentLog(
-                f"{log.doc_id}: filler {entry.filler} of role '{entry.role}' already consumed"
-            )
-        slots[entry.filler] = None
+    def predicted(entry: Transformation) -> dict:
+        return at(templates, entry.pred_template, dict, "predicted template")
 
-    def introduce(state: _TemplateState, entry: Transformation) -> None:
-        """Add the entry's gold mention to its gold role, unless a filler there already covers the entity."""
-        entity = doc.gold_templates[entry.gold_template].entities(entry.gold_role)[entry.gold_entity]
-        current = state.current(entry.gold_role)
-        if not any(texts_match(c.text, gold.text, casefold) for c in current for gold in entity.mentions):
-            state.extras.setdefault(entry.gold_role, []).append(entry.gold_mention)
+    def gold(entry: Transformation) -> Template:
+        return at(doc.gold_templates, entry.gold_template, Template, "gold template")
+
+    def target(entry: Transformation) -> Mention:
+        if not isinstance(entry.gold_mention, Mention):
+            raise InconsistentLog(f"{log.doc_id}: {entry.kind.value} has no gold mention to adopt")
+        return entry.gold_mention
+
+    def replace_subject(entry: Transformation, set_fill: bool, value: Mention | None) -> None:
+        """Put ``value`` in place of the entry's subject filler, which must still be there; a set-fill value is at 0."""
+        fillers = predicted(entry).get(entry.role, [])
+        position = 0 if set_fill else entry.filler
+        at(fillers, position, str if set_fill else Mention, f"filler of role '{entry.role}' at")
+        fillers[position] = value
+
+    def introduce(template: dict, entry: Transformation) -> None:
+        """Append the entry's gold mention to its gold role, unless a filler there already covers the entity."""
+        entity = at(gold(entry).entities(entry.gold_role), entry.gold_entity, GoldEntity, "gold entity")
+        fillers = template.setdefault(entry.gold_role, [])
+        if not any(
+            isinstance(f, Mention) and texts_match(f.text, g.text, casefold) for f in fillers for g in entity.mentions
+        ):
+            fillers.append(target(entry))
 
     for group in log.groups():
-        kinds = {entry.kind for entry in group}
+        entry = group[0]
+        kinds = {e.kind for e in group}
+        if len(kinds) != len(group):
+            raise InconsistentLog(f"{log.doc_id}: an edit of {entry.subject_key()} is listed twice")
         if TransformKind.REMOVE_TEMPLATE in kinds:
-            state = state_for(group[0])
-            state.removed = True
+            predicted(entry)
+            templates[entry.pred_template] = None
         elif TransformKind.INTRODUCE_TEMPLATE in kinds:
-            introduced.append(canonical_template(doc.gold_templates[group[0].gold_template]))
+            introduced.append(canonical_template(gold(entry)))
         elif TransformKind.INTRODUCE_ROLE_FILLER in kinds:
-            entry = group[0]
-            state = state_for(entry)
-            if entry.gold_entity is None:
-                if entry.role in state.set_values:
-                    raise InconsistentLog(
-                        f"{log.doc_id}: introducing set-fill value over an existing one"
-                    )
-                state.set_values[entry.role] = entry.gold_mention.text
+            template = predicted(entry)
+            if entry.gold_entity is not None:
+                introduce(template, entry)
+            elif any(f is not None for f in template.get(entry.role, ())):
+                raise InconsistentLog(f"{log.doc_id}: introducing set-fill value over an existing one")
             else:
-                introduce(state, entry)
-        elif kinds & _REMOVAL_KINDS:
-            consume(group[0])
-        elif TransformKind.ALTER_ROLE in kinds:
-            consume(group[0])
-            move = next(entry for entry in group if entry.kind is TransformKind.ALTER_ROLE)
-            introduce(state_for(move), move)
+                gold(entry)
+                template[entry.role] = [target(entry).text]
+        elif kinds == {TransformKind.ALTER_SPAN}:
+            replace_subject(entry, set_fill=False, value=target(entry))
         else:
-            entry = group[0]
-            state = state_for(entry)
-            slots = state.slots.get(entry.role, [])
-            if not 0 <= entry.filler < len(slots) or slots[entry.filler] is None:
-                raise InconsistentLog(
-                    f"{log.doc_id}: span alteration targets a consumed filler"
-                )
-            slots[entry.filler] = entry.gold_mention
+            replace_subject(entry, set_fill=entry.filler is None, value=None)
+            if TransformKind.ALTER_ROLE in kinds and not kinds & _REMOVAL_KINDS:
+                introduce(predicted(entry), next(e for e in group if e.kind is TransformKind.ALTER_ROLE))
 
     result = []
-    for state in states:
-        if state.removed:
-            continue
-        fillers: dict = {}
-        roles = list(state.set_values) + [r for r in state.slots if r not in state.set_values]
-        for role in state.extras:
-            if role not in roles:
-                roles.append(role)
-        for role in roles:
-            if role in state.set_values:
-                fillers[role] = state.set_values[role]
-            else:
-                mentions = state.current(role)
-                if mentions:
-                    fillers[role] = tuple(mentions)
-        result.append(Template(fillers))
+    for template in templates:
+        if template is not None:
+            kept = {}
+            for role, fillers in template.items():
+                if live := [f for f in fillers if f is not None]:
+                    kept[role] = live[0] if isinstance(live[0], str) else tuple(live)
+            result.append(Template(kept))
     result.extend(introduced)
     return tuple(result)

@@ -269,7 +269,7 @@ def matching_from_reference(doc: Document, schema: Schema, config, index, pair_r
     matched_pred, matched_gold = {p for p, _ in chosen}, {g for _, g in chosen}
     return TemplateMatching(
         doc_id=doc.doc_id,
-        pairs=tuple(TemplatePair(p, g, dict(scores[p, g][3])) for p, g in chosen),
+        pairs=tuple(TemplatePair(p, g, dict(scores[p, g][3]), tuple(r.name for r in schema.set_fill_roles if r.name in scores[p, g][2])) for p, g in chosen),
         spurious_templates=tuple(p for p in range(len(preds)) if p not in matched_pred),
         missing_templates=tuple(g for g in range(len(golds)) if g not in matched_gold),
         role_tallies=role_tallies,

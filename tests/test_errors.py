@@ -10,6 +10,7 @@ from tfea.errors import ERROR_TYPES, ErrorProfile, ErrorType, map_errors, total_
 from tfea.exceptions import UnmappableSequence
 from tfea.matching import find_optimal_matching
 from tfea.model import Mention, Span, resolve_document_spans
+from tfea.spans import ScsMode
 from tfea.transforms import TransformKind, Transformation, TransformationLog, derive_transformations
 
 
@@ -191,8 +192,10 @@ class TestProfileAlgebra:
 
 
 class TestConsistencyWithMatcher:
-    def test_error_tally_equals_mapped_total(self):
-        config = AnalysisConfig()
+    @pytest.mark.parametrize("case_sensitive", [False, True])
+    @pytest.mark.parametrize("scs_mode", list(ScsMode))
+    def test_error_tally_equals_mapped_total(self, scs_mode, case_sensitive):
+        config = AnalysisConfig(scs_mode=scs_mode, case_sensitive=case_sensitive)
         for seed in range(20):
             documents, schema = fuzzed_corpus(seed)
             for doc in documents:

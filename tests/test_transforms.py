@@ -5,9 +5,10 @@ import pytest
 from oracles import templates_gold_equivalent
 from support import fuzzed_corpus
 from tfea.config import AnalysisConfig
+from tfea.errors import map_errors, total_errors
 from tfea.exceptions import InconsistentLog
 from tfea.matching import find_optimal_matching
-from tfea.model import Document, resolve_document_spans
+from tfea.model import Document, Mention, RoleKind, RoleSpec, Schema, resolve_document_spans
 from tfea.transforms import (
     TransformKind,
     Transformation,
@@ -19,6 +20,7 @@ from tfea.transforms import (
 from conftest import gold_template, pred_template, span_mention
 
 ALTERATION_KINDS = {TransformKind.ALTER_SPAN, TransformKind.ALTER_ROLE}
+_K = TransformKind
 
 
 def _analyze(doc, schema, config=None):
@@ -94,6 +96,25 @@ class TestDerive:
         assert [t.kind for t in log] == [TransformKind.ALTER_SPAN]
         # [0,19) overlaps [4,19) more than [13,29)
         assert log.entries[0].gold_mention.text == "northern harbor"
+
+    @pytest.mark.parametrize("case_sensitive", [False, True])
+    def test_set_fill_match_follows_the_matcher(self, case_sensitive):
+        """Values equal only after case folding are one match by default and two errors when case counts."""
+        schema = Schema(
+            (RoleSpec("status", RoleKind.SET_FILL, values=("confirmed",)), RoleSpec("agent", RoleKind.STRING_FILL))
+        )
+        doc = Document(
+            "d",
+            "alpha",
+            (gold_template(status="confirmed", agent=[[span_mention("alpha", 0)]]),),
+            (pred_template(status=" Confirmed ", agent=[span_mention("alpha", 0)]),),
+        )
+        config = AnalysisConfig(case_sensitive=case_sensitive)
+        matching = find_optimal_matching(doc, schema, config)
+        log = derive_transformations(doc, schema, matching, config)
+        expected = [_K.REMOVE_SPURIOUS_ROLE_FILLER, _K.INTRODUCE_ROLE_FILLER] if case_sensitive else []
+        assert [t.kind for t in log] == expected
+        assert matching.error_tally == len(expected) == total_errors(map_errors(log))
 
     def test_alterations_precede_other_transformations(self):
         for seed in range(20):
@@ -185,3 +206,66 @@ class TestApply:
         )
         with pytest.raises(InconsistentLog):
             apply_transformations(doc, TransformationLog("d", (removal, again)))
+
+
+def _edit(kind, **fields):
+    """An edit of predicted agent filler 0, "beta", towards gold agent entity 0, "alpha"."""
+    defaults = dict(pred_template=0, role="agent", filler=0, pred_text="beta")
+    defaults.update(gold_template=0, gold_role="agent", gold_entity=0, gold_mention=Mention("alpha"))
+    return Transformation(kind, **{**defaults, **fields})
+
+
+_SET_FILL = dict(role="status", filler=None, gold_role="status", gold_entity=None, gold_mention=Mention("confirmed"))
+# Each log names a template, filler or gold entity that does not exist or
+# is already gone, lists one edit twice, or has no gold mention to adopt.
+MALFORMED_LOGS = {
+    "alter span without filler": [_edit(_K.ALTER_SPAN, filler=None)],
+    "alter role to missing gold template": [_edit(_K.ALTER_ROLE, gold_template=3)],
+    "alter role to missing gold entity": [_edit(_K.ALTER_ROLE, gold_entity=2)],
+    "introduce from missing gold template": [_edit(_K.INTRODUCE_ROLE_FILLER, gold_template=3)],
+    "introduce missing gold entity": [_edit(_K.INTRODUCE_ROLE_FILLER, gold_entity=5)],
+    "introduce missing gold template": [_edit(_K.INTRODUCE_TEMPLATE, gold_template=1)],
+    "set-fill removal listed twice": [_edit(_K.REMOVE_SPURIOUS_ROLE_FILLER, **_SET_FILL)] * 2,
+    "template removal listed twice": [_edit(_K.REMOVE_TEMPLATE)] * 2,
+    "template index None": [_edit(_K.REMOVE_SPURIOUS_ROLE_FILLER, pred_template=None)],
+    "template index out of range": [_edit(_K.REMOVE_SPURIOUS_ROLE_FILLER, pred_template=4)],
+    "template already removed": [_edit(_K.REMOVE_TEMPLATE), _edit(_K.ALTER_SPAN)],
+    "filler out of range": [_edit(_K.REMOVE_SPURIOUS_ROLE_FILLER, filler=-1)],
+    "set-fill value introduced over an existing one": [_edit(_K.INTRODUCE_ROLE_FILLER, **_SET_FILL)],
+    "alter span to no mention": [_edit(_K.ALTER_SPAN, gold_mention=None)],
+    "introduce no mention": [_edit(_K.INTRODUCE_ROLE_FILLER, gold_mention=None)],
+    "introduce no set-fill value": [
+        _edit(_K.REMOVE_SPURIOUS_ROLE_FILLER, **_SET_FILL),
+        _edit(_K.INTRODUCE_ROLE_FILLER, **{**_SET_FILL, "gold_mention": None}),
+    ],
+}
+# The same edits without the fault.
+WELL_FORMED_LOGS = [
+    [_edit(_K.ALTER_SPAN)],
+    [_edit(_K.ALTER_ROLE)],
+    [_edit(_K.INTRODUCE_ROLE_FILLER)],
+    [_edit(_K.INTRODUCE_TEMPLATE)],
+    [_edit(_K.REMOVE_TEMPLATE)],
+    [_edit(_K.REMOVE_SPURIOUS_ROLE_FILLER)],
+    [_edit(_K.REMOVE_SPURIOUS_ROLE_FILLER, **_SET_FILL), _edit(_K.INTRODUCE_ROLE_FILLER, **_SET_FILL)],
+]
+
+
+def _malformed_case_doc() -> Document:
+    return Document(
+        "d",
+        "alpha beta",
+        (gold_template(status="confirmed", agent=[[span_mention("alpha", 0)]]),),
+        (pred_template(status="denied", agent=[span_mention("beta", 6)]),),
+    )
+
+
+@pytest.mark.parametrize("entries", MALFORMED_LOGS.values(), ids=MALFORMED_LOGS)
+def test_malformed_log_raises_inconsistent_log(entries):
+    with pytest.raises(InconsistentLog):
+        apply_transformations(_malformed_case_doc(), TransformationLog("d", tuple(entries)))
+
+
+def test_the_same_edits_without_the_fault_apply():
+    for entries in WELL_FORMED_LOGS:
+        apply_transformations(_malformed_case_doc(), TransformationLog("d", tuple(entries)))
