@@ -12,14 +12,7 @@ from pathlib import Path
 from .config import ON_GUARD_CHOICES, AnalysisConfig
 from .corpus import load_corpus, load_schema, load_side, merge_sides, read_json, side_to_dict
 from .errors import ErrorType
-from .exceptions import (
-    ComplexityGuardExceeded,
-    IncompatibleReports,
-    InfeasibleSpec,
-    ParseError,
-    SchemaMismatch,
-    TfeaError,
-)
+from .exceptions import ComplexityGuardExceeded, ParseError, TfeaError
 from .matching import MAX_COUNT_DIGITS, printable_template_matchings
 from .pipeline import analyze_corpus
 from .reports import (
@@ -33,8 +26,6 @@ from .reports import (
     render_text,
 )
 from .spans import ScsMode
-
-log = logging.getLogger("tfea")
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -275,10 +266,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ComplexityGuardExceeded as exc:
-        log.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (ParseError, SchemaMismatch, IncompatibleReports, InfeasibleSpec, TfeaError) as exc:
+    except TfeaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     finally:

@@ -22,8 +22,10 @@ by ``resolve_document_spans``.
 A key named twice in one object is a ``ParseError`` naming the object
 and the key, at every level (doc id, document entry, template, mention)
 and in the schema file: ``json.load`` alone would keep the last value.
-So is a document entry key other than ``doctext`` and ``templates``: a
-misspelled ``templates`` would otherwise load as no templates.
+So is a document entry key other than ``doctext`` and ``templates``, a
+schema key other than ``roles`` and a role entry key other than ``name``,
+``kind``, ``values`` and ``multi``: a misspelled ``templates`` would
+otherwise load as no templates, and a misspelled ``multi`` as its default.
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ from .model import (
 log = logging.getLogger("tfea")
 
 DOCUMENT_KEYS = ("doctext", "templates")
+SCHEMA_KEYS = ("roles",)
+ROLE_KEYS = ("name", "kind", "values", "multi")
 
 
 def read_json(path: str, what: str, object_pairs_hook=None):
@@ -73,10 +77,10 @@ def load_schema(path: str) -> Schema:
 def schema_from_dict(raw: Mapping, path: str = "<schema>") -> Schema:
     if not isinstance(raw, Mapping) or not isinstance(raw.get("roles"), list):
         raise ParseError(path, "schema must be an object with a 'roles' list")
-    _check_keys(path, raw, None)
+    _check_keys(path, raw, None, SCHEMA_KEYS)
     roles = []
     for i, entry in enumerate(raw["roles"]):
-        _check_keys(path, entry, f"role entry {i}")
+        _check_keys(path, entry, f"role entry {i}", ROLE_KEYS)
         try:
             roles.append(_role_from_dict(entry))
         except (KeyError, ValueError, TypeError) as exc:
@@ -145,16 +149,17 @@ class _SideReader:
         return key
 
     def template(self, raw, doc_text: str, doc_id: str, index: int) -> Template:
+        location = f"doc '{doc_id}' template {index}"
         if not isinstance(raw, dict):
-            raise ParseError(self.path, f"template must be an object, got {raw!r}", f"doc '{doc_id}' template {index}")
-        _check_keys(self.path, raw, f"doc '{doc_id}' template {index}")
+            raise ParseError(self.path, f"template must be an object, got {raw!r}", location)
+        _check_keys(self.path, raw, location)
         fillers: dict = {}
         for role_name, value in raw.items():
             role = self.roles.get(role_name)
             if role is None:
-                raise SchemaMismatch(role_name, doc_id)
+                raise SchemaMismatch(self.path, role_name, location)
             inventory, multi = role
-            where = f"doc '{doc_id}' template {index} role '{role_name}'"
+            where = f"{location} role '{role_name}'"
             if inventory is not None:
                 if not isinstance(value, str):
                     raise ParseError(self.path, f"set-fill filler must be a string, got {value!r}", where)
@@ -243,10 +248,14 @@ def _decode_object(pairs: list) -> dict:
     return _RepeatedKeys(pairs, [key for key in decoded if counts[key] > 1])
 
 
-def _check_keys(path: str, raw, where: str | None) -> None:
-    """Reject a decoded object that names a key twice; ``where`` locates it."""
+def _check_keys(path: str, raw, where: str | None, known: tuple[str, ...] | None = None) -> None:
+    """Reject a decoded object that names a key twice, or a key not ``known`` when given; ``where`` locates it."""
     if type(raw) is _RepeatedKeys:
         raise ParseError(path, f"key '{raw.repeated[0]}' appears more than once", where)
+    if known is not None and isinstance(raw, Mapping):
+        for key in raw:
+            if key not in known:
+                raise ParseError(path, f"unknown key '{key}'; known: {', '.join(known)}", where)
 
 
 def load_side(path: str, schema: Schema, gold: bool, casefold: bool = True) -> dict[str, tuple[str, tuple[Template, ...]]]:
@@ -269,10 +278,7 @@ def load_side(path: str, schema: Schema, gold: bool, casefold: bool = True) -> d
         where = f"doc '{doc_id}'"
         if not isinstance(entry, dict) or "doctext" not in entry:
             raise ParseError(path, "document entry needs 'doctext'", where)
-        _check_keys(path, entry, where)
-        for key in entry:
-            if key not in DOCUMENT_KEYS:
-                raise ParseError(path, f"unknown key '{key}'; known: {', '.join(DOCUMENT_KEYS)}", where)
+        _check_keys(path, entry, where, DOCUMENT_KEYS)
         text = entry["doctext"]
         if not isinstance(text, str):
             raise ParseError(path, f"'doctext' must be a string, got {text!r}", where)

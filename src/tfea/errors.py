@@ -74,7 +74,11 @@ _GOLD_ROLE_ATTRIBUTION = {
     ErrorType.MISSING_ROLE_FILLER,
 }
 
-_TEMPLATE_LEVEL = {ErrorType.SPURIOUS_TEMPLATE, ErrorType.MISSING_TEMPLATE}
+# The template-level errors and the side tally that counts their fillers.
+_SIDE_TALLIES = {
+    ErrorType.SPURIOUS_TEMPLATE: "spurious_template_role_fillers",
+    ErrorType.MISSING_TEMPLATE: "missing_template_role_fillers",
+}
 
 
 @record
@@ -119,7 +123,7 @@ class ErrorProfile:
 
 
 def _group_role(group: list[Transformation], etype: ErrorType) -> str | None:
-    if etype in _TEMPLATE_LEVEL:
+    if etype in _SIDE_TALLIES:
         return None
     if etype in _GOLD_ROLE_ATTRIBUTION:
         for entry in group:
@@ -142,14 +146,9 @@ def map_errors(log: TransformationLog) -> ErrorProfile:
         if etype is None or len(kinds) != len(rule):
             raise UnmappableSequence(kinds, group[0].subject_key())
         profile.bump(etype, _group_role(group, etype))
-        if etype is ErrorType.SPURIOUS_TEMPLATE:
-            profile.spurious_template_role_fillers += sum(
-                (group[0].filler_counts or {}).values()
-            )
-        elif etype is ErrorType.MISSING_TEMPLATE:
-            profile.missing_template_role_fillers += sum(
-                (group[0].filler_counts or {}).values()
-            )
+        side = _SIDE_TALLIES.get(etype)
+        if side is not None:
+            setattr(profile, side, getattr(profile, side) + (group[0].filler_count or 0))
     return profile
 
 

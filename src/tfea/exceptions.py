@@ -34,14 +34,12 @@ class ParseError(TfeaError):
         super().__init__(f"{where}: {message}")
 
 
-class SchemaMismatch(TfeaError):
-    """A corpus references a role that the schema does not define."""
+class SchemaMismatch(ParseError):
+    """A corpus file names a role that the schema does not define."""
 
-    def __init__(self, role: str, doc_id: str | None = None):
+    def __init__(self, path: str, role: str, location: str | None = None):
         self.role = role
-        self.doc_id = doc_id
-        where = "" if doc_id is None else f" in document '{doc_id}'"
-        super().__init__(f"role '{role}'{where} is not defined by the schema")
+        super().__init__(path, f"role '{role}' is not defined by the schema", location)
 
 
 class ComplexityGuardExceeded(TfeaError):

@@ -232,10 +232,6 @@ class Template:
             for role in schema
         ]
 
-    def filler_counts(self, schema: Schema, gold: bool) -> dict[str, int]:
-        """``filler_row`` as role -> count, for the roles that have fillers."""
-        return {role.name: n for role, n in zip(schema, self.filler_row(schema, gold)) if n}
-
 
 @record(frozen=True)
 class Document:

@@ -1,11 +1,16 @@
 """Deriving and replaying the transformation sequence for a matched document.
 
 The eight transformation kinds rewrite the predicted templates into the
-gold templates. Pure alterations (span fixes on partially matched
-fillers, role moves inside a template) are applied before everything
-else; the remaining transformations follow in detection order: matched
-template pairs by predicted index, roles in schema order, fillers in
-list order, then unmatched templates.
+gold templates. Each predicted filler of a matched template pair that is
+not an exact match gets the first explanation that holds, in this one
+precedence: its own role pairing paired it partially (span error); a
+duplicate of an entity that role already matched; the wrong role in the
+same template; the right role in another template; the wrong role in
+another template; otherwise spurious. Each unmatched gold filler is
+introduced. Pure alterations (span fixes, role moves inside a template)
+are applied before everything else; the remaining transformations follow
+in detection order: matched template pairs by predicted index, roles in
+schema order, fillers in list order, then unmatched templates.
 
 The replay holds each predicted template as one ``role -> list`` map (a
 set-fill value is a one-item list, a consumed filler None, an introduced
@@ -79,7 +84,7 @@ class Transformation:
     gold_role: str | None = None
     gold_entity: int | None = None
     gold_mention: Mention | None = None
-    filler_counts: dict | None = None
+    filler_count: int | None = None
 
     def subject_key(self) -> tuple:
         if self.kind in _PRED_FILLER_KINDS:
@@ -115,12 +120,11 @@ class TransformationLog:
         return list(order.values())
 
 
-# The transformation kinds that explain an unmatched predicted filler,
-# by stage, most local first: 0 a duplicate of an entity the role pairing
-# already matched (same gold template, same role); 1 the same template,
-# another role; 2 another template, the same role; 3 another template,
-# another role.
-_UNMATCHED_STAGES = (
+# The kinds of each stage of the precedence, after any alter-span: 0 own
+# partial pair; 1 duplicate (same gold template and role as the pairing);
+# 2 same template, another role; 3 another template, same role; 4 both.
+_STAGES = (
+    (),
     (TransformKind.REMOVE_DUPLICATE_ROLE_FILLER,),
     (TransformKind.ALTER_ROLE,),
     (TransformKind.REMOVE_CROSS_TEMPLATE_SPURIOUS_ROLE_FILLER,),
@@ -128,33 +132,41 @@ _UNMATCHED_STAGES = (
 )
 
 
-def _classify_unmatched(
+def _explain_filler(
     role_rank: dict[str, int],
     index: MatchIndex,
     pair: TemplatePair,
     role_name: str,
-    filler_index: int,
+    filler_index: int | None,
     mention: Mention,
-    matched_entities: list[int],
 ) -> list[Transformation]:
-    """Attribute an unmatched predicted filler to its most local explanation.
+    """The group of edits that explains a predicted filler that is not an exact match.
 
-    Precedence: duplicate of a matched entity, wrong role in the same
-    template, right role in another template, wrong role in another
-    template, and finally plain spurious. Within each category an exact
-    text match beats a partial span match, then the lowest gold
-    template, role (in schema order) and entity index wins. A partial
-    match is preceded by an alter-span onto the arg-min gold mention.
+    Stages follow the module's precedence, and plain spurious is last.
+    Within a stage an exact text match beats a partial span match, then
+    the lowest gold template, role (in schema order) and entity index
+    wins. A partial match is preceded by an alter-span onto the arg-min
+    gold mention (for a partial pair, the pair's ``gold_mention``).
+
+    A mismatched set-fill value comes with ``filler_index`` None and
+    ``Mention(value)``; the match index has no rows for set-fill roles,
+    so it is always plain spurious, with no filler index or span.
     """
-    best = None
-    for (gold_index, gold_role), cells in index.row((pair.pred_index, role_name, filler_index)).items():
-        stage = 2 * (gold_index != pair.gold_index) + (gold_role != role_name)
-        for entity_index, match in cells.items():
-            if stage == 0 and entity_index not in matched_entities:
-                continue
-            key = (stage, not match.exact, gold_index, role_rank[gold_role], entity_index)
-            if best is None or key < best[0]:
-                best = (key, gold_role, match.gold_mention)
+    pairs = pair.role_pairings[role_name].pairs if filler_index is not None else ()
+    own = next((p for p in pairs if p.pred_index == filler_index), None)
+    if own is not None:
+        best = ((0, True, pair.gold_index, role_rank[role_name], own.entity_index), role_name, own.gold_mention)
+    else:
+        best = None
+        matched_entities = [p.entity_index for p in pairs]
+        for (gold_index, gold_role), cells in index.row((pair.pred_index, role_name, filler_index)).items():
+            stage = 1 + 2 * (gold_index != pair.gold_index) + (gold_role != role_name)
+            for entity_index, match in cells.items():
+                if stage == 1 and entity_index not in matched_entities:
+                    continue
+                key = (stage, not match.exact, gold_index, role_rank[gold_role], entity_index)
+                if best is None or key < best[0]:
+                    best = (key, gold_role, match.gold_mention)
     subject = dict(
         pred_template=pair.pred_index,
         role=role_name,
@@ -165,7 +177,6 @@ def _classify_unmatched(
     if best is None:
         return [Transformation(TransformKind.REMOVE_SPURIOUS_ROLE_FILLER, **subject)]
     (stage, partial, gold_index, _, entity_index), gold_role, target = best
-    kinds = _UNMATCHED_STAGES[stage]
     return [
         Transformation(
             kind,
@@ -175,8 +186,25 @@ def _classify_unmatched(
             gold_mention=target,
             **subject,
         )
-        for kind in ((TransformKind.ALTER_SPAN,) if partial else ()) + kinds
+        for kind in ((TransformKind.ALTER_SPAN,) if partial else ()) + _STAGES[stage]
     ]
+
+
+def _introduce(pair: TemplatePair, gold_template: Template, role_name: str, entity_index: int | None) -> Transformation:
+    """Introduction of a gold filler the pair's prediction lacks; entity index None is the set-fill value."""
+    if entity_index is None:
+        target = Mention(gold_template.set_fill(role_name))
+    else:
+        target = gold_template.entities(role_name)[entity_index].canonical
+    return Transformation(
+        TransformKind.INTRODUCE_ROLE_FILLER,
+        pred_template=pair.pred_index,
+        role=role_name,
+        gold_template=pair.gold_index,
+        gold_role=role_name,
+        gold_entity=entity_index,
+        gold_mention=target,
+    )
 
 
 def derive_transformations(
@@ -204,90 +232,29 @@ def derive_transformations(
             if role.kind is RoleKind.SET_FILL:
                 if role.name in pair.matched_set_roles:
                     continue
-                pred_value = pred_template.set_fill(role.name)
-                gold_value = gold_template.set_fill(role.name)
-                if pred_value is not None:
-                    removals.append(
-                        Transformation(
-                            TransformKind.REMOVE_SPURIOUS_ROLE_FILLER,
-                            pred_template=pair.pred_index,
-                            role=role.name,
-                            pred_text=pred_value,
-                        )
-                    )
-                if gold_value is not None:
-                    removals.append(
-                        Transformation(
-                            TransformKind.INTRODUCE_ROLE_FILLER,
-                            pred_template=pair.pred_index,
-                            role=role.name,
-                            gold_template=pair.gold_index,
-                            gold_role=role.name,
-                            gold_mention=Mention(gold_value),
-                        )
-                    )
-                continue
-
-            pairing = pair.role_pairings[role.name]
-            partial_by_pred = {p.pred_index: p for p in pairing.pairs if not p.exact}
-            unmatched = set(pairing.unmatched_pred)
-            matched_entities = [p.entity_index for p in pairing.pairs]
-            mentions = pred_template.mentions(role.name)
-            for filler_index, mention in enumerate(mentions):
-                if filler_index in partial_by_pred:
-                    mention_pair = partial_by_pred[filler_index]
-                    alterations.append(
-                        Transformation(
-                            TransformKind.ALTER_SPAN,
-                            pred_template=pair.pred_index,
-                            role=role.name,
-                            filler=filler_index,
-                            pred_text=mention.text,
-                            pred_span=mention.span,
-                            gold_template=pair.gold_index,
-                            gold_role=role.name,
-                            gold_entity=mention_pair.entity_index,
-                            gold_mention=mention_pair.gold_mention,
-                        )
-                    )
-                elif filler_index in unmatched:
-                    group = _classify_unmatched(
-                        role_rank, index, pair, role.name, filler_index, mention, matched_entities
-                    )
-                    if all(t.kind not in _REMOVAL_KINDS for t in group):
-                        alterations.extend(group)
-                    else:
-                        removals.extend(group)
-            gold_entities = gold_template.entities(role.name)
-            for entity_index in pairing.unmatched_gold:
-                removals.append(
-                    Transformation(
-                        TransformKind.INTRODUCE_ROLE_FILLER,
-                        pred_template=pair.pred_index,
-                        role=role.name,
-                        gold_template=pair.gold_index,
-                        gold_role=role.name,
-                        gold_entity=entity_index,
-                        gold_mention=gold_entities[entity_index].canonical,
-                    )
-                )
+                value = pred_template.set_fill(role.name)
+                unexplained = () if value is None else ((None, Mention(value)),)
+                missing = () if gold_template.set_fill(role.name) is None else (None,)
+            else:
+                pairing = pair.role_pairings[role.name]
+                exact = {p.pred_index for p in pairing.pairs if p.exact}
+                unexplained = [(i, m) for i, m in enumerate(pred_template.mentions(role.name)) if i not in exact]
+                missing = pairing.unmatched_gold
+            for filler_index, mention in unexplained:
+                group = _explain_filler(role_rank, index, pair, role.name, filler_index, mention)
+                if all(t.kind not in _REMOVAL_KINDS for t in group):
+                    alterations.extend(group)
+                else:
+                    removals.extend(group)
+            for entity_index in missing:
+                removals.append(_introduce(pair, gold_template, role.name, entity_index))
 
     for pred_index in matching.spurious_templates:
-        removals.append(
-            Transformation(
-                TransformKind.REMOVE_TEMPLATE,
-                pred_template=pred_index,
-                filler_counts=doc.predicted_templates[pred_index].filler_counts(schema, gold=False),
-            )
-        )
+        count = sum(doc.predicted_templates[pred_index].filler_row(schema, gold=False))
+        removals.append(Transformation(TransformKind.REMOVE_TEMPLATE, pred_template=pred_index, filler_count=count))
     for gold_index in matching.missing_templates:
-        removals.append(
-            Transformation(
-                TransformKind.INTRODUCE_TEMPLATE,
-                gold_template=gold_index,
-                filler_counts=doc.gold_templates[gold_index].filler_counts(schema, gold=True),
-            )
-        )
+        count = sum(doc.gold_templates[gold_index].filler_row(schema, gold=True))
+        removals.append(Transformation(TransformKind.INTRODUCE_TEMPLATE, gold_template=gold_index, filler_count=count))
 
     return TransformationLog(doc.doc_id, tuple(alterations + removals))
 

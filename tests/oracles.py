@@ -432,7 +432,7 @@ def _template_reference(raw, schema: Schema, gold: bool, doc_text: str, path: st
     fillers: dict = {}
     for role_name, value in raw.items():
         if role_name not in schema:
-            raise SchemaMismatch(role_name, doc_id)
+            raise SchemaMismatch(path, role_name, f"doc '{doc_id}' template {index}")
         role = schema.role(role_name)
         where = f"doc '{doc_id}' template {index} role '{role_name}'"
         if role.kind is RoleKind.SET_FILL:

@@ -692,6 +692,48 @@ def test_parallel_guard_fail_matches_serial(tmp_path, corpus_files):
     assert stderr["2"] == stderr["1"]
 
 
+def test_guard_error_is_printed_once(tmp_path, corpus_files):
+    """Under --on-guard fail the guard error is the one stderr line, serial and from a pool."""
+    import os
+    import subprocess
+    import sys
+
+    import tfea
+
+    package_root = os.path.dirname(os.path.dirname(tfea.__file__))
+    gold, pred, schema = corpus_files
+    for workers in ("1", "2"):
+        child = subprocess.run(
+            [
+                sys.executable, "-m", "tfea.cli",
+                *_analyze_args(gold, pred, schema, tmp_path / f"report-{workers}.json"),
+                "--parallel", workers,
+                "--max-matchings", "1",
+                "--on-guard", "fail",
+            ],
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+            cwd="/",
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert child.returncode == EXIT_GUARD, child.stderr
+        lines = child.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: document '"), (workers, lines)
+
+
+def test_schema_mismatch_names_the_predictions_file(tmp_path, corpus_files, capsys):
+    gold, pred, schema = corpus_files
+    raw = json.loads(pred.read_text(encoding="utf-8"))
+    doc_id = sorted(raw)[0]
+    raw[doc_id]["templates"][0]["agnt"] = []
+    pred.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(_analyze_args(gold, pred, schema, tmp_path / "report.json")) == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        f"error: {pred} (doc '{doc_id}' template 0): role 'agnt' is not defined by the schema\n"
+    )
+
+
 def _fuzz_base_sides() -> dict[str, dict]:
     schema = default_schema()
     gold_docs = generate_corpus(

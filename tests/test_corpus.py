@@ -52,6 +52,21 @@ class TestSchemaFile:
         with pytest.raises(ParseError):
             schema_from_dict(raw)
 
+    @pytest.mark.parametrize("key", ["mutli", "value", "Kind", "description"])
+    def test_unknown_role_entry_key_is_parse_error(self, tmp_path, key):
+        """A misspelled ``multi`` would otherwise load as the default, ``multi=True``."""
+        roles = [{"name": "status", "kind": "set_fill", "values": ["a"]}, {"name": "agent", "kind": "string_fill"}]
+        roles[1][key] = False
+        path = _write(tmp_path, "schema.json", {"roles": roles})
+        with pytest.raises(ParseError, match=rf"schema\.json \(role entry 1\): unknown key '{key}'"):
+            load_schema(path)
+
+    @pytest.mark.parametrize("key", ["role", "Roles", "version"])
+    def test_unknown_schema_key_is_parse_error(self, tmp_path, key):
+        path = _write(tmp_path, "schema.json", {"roles": [{"name": "agent", "kind": "string_fill"}], key: []})
+        with pytest.raises(ParseError, match=rf"schema\.json: unknown key '{key}'; known: roles"):
+            load_schema(path)
+
 
 class TestCorpusLoading:
     def test_gold_and_pred_shapes(self, tmp_path, schema):
@@ -94,6 +109,17 @@ class TestCorpusLoading:
         gold = {"d1": {"doctext": "x", "templates": [{"location": [[{"text": "x"}]]}]}}
         with pytest.raises(SchemaMismatch):
             load_side(_write(tmp_path, "gold.json", gold), schema, gold=True)
+
+    @pytest.mark.parametrize("gold", [True, False])
+    def test_schema_mismatch_names_the_file_and_template(self, tmp_path, schema, gold):
+        agent = [[{"text": "x"}]] if gold else [{"text": "x"}]
+        side = {"d1": {"doctext": "x", "templates": [{"agent": agent}, {"agnt": agent}]}}
+        path = _write(tmp_path, "gold.json" if gold else "pred.json", side)
+        with pytest.raises(ParseError) as raised:
+            load_side(path, schema, gold=gold)
+        assert type(raised.value) is SchemaMismatch
+        assert (raised.value.path, raised.value.location, raised.value.role) == (path, "doc 'd1' template 1", "agnt")
+        assert str(raised.value) == f"{path} (doc 'd1' template 1): role 'agnt' is not defined by the schema"
 
     @pytest.mark.parametrize("key", ["template", "Templates", "doc_text", "meta"])
     def test_unknown_document_key_is_parse_error(self, tmp_path, schema, key):

@@ -52,7 +52,7 @@ class TestMappingTable:
             Transformation(
                 TransformKind.INTRODUCE_TEMPLATE,
                 gold_template=0,
-                filler_counts={"agent": 2},
+                filler_count=2,
             )
         )
         profile = map_errors(log)
@@ -65,7 +65,7 @@ class TestMappingTable:
             Transformation(
                 TransformKind.REMOVE_TEMPLATE,
                 pred_template=0,
-                filler_counts={"agent": 1, "status": 1},
+                filler_count=2,
             )
         )
         profile = map_errors(log)

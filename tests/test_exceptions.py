@@ -19,8 +19,8 @@ SAMPLES = [
     TfeaError("generic failure"),
     ParseError("gold.json", "must be a list", "doc 'd1'"),
     ParseError("gold.json", "not JSON"),
-    SchemaMismatch("Weapon", "d1"),
-    SchemaMismatch("Weapon"),
+    SchemaMismatch("gold.json", "Weapon", "doc 'd1' template 0"),
+    SchemaMismatch("gold.json", "Weapon"),
     ComplexityGuardExceeded("d1", "template matchings", 1441729, 1000000),
     InconsistentLog("filler consumed twice"),
     UnmappableSequence(frozenset({TransformKind.ALTER_SPAN, TransformKind.ALTER_ROLE}), "role 'Target'"),

@@ -1,5 +1,7 @@
 """Transform engine: derivation rules, ordering, and the apply round trip."""
 
+import hashlib
+
 import pytest
 
 from oracles import templates_gold_equivalent
@@ -9,6 +11,7 @@ from tfea.errors import map_errors, total_errors
 from tfea.exceptions import InconsistentLog
 from tfea.matching import find_optimal_matching
 from tfea.model import Document, Mention, RoleKind, RoleSpec, Schema, resolve_document_spans
+from tfea.spans import ScsMode
 from tfea.transforms import (
     TransformKind,
     Transformation,
@@ -143,6 +146,92 @@ class TestDerive:
                     assert len(kinds) == len(set(kinds))
                     removals = [k for k in kinds if "remove" in k.value and "template" not in k.value]
                     assert len(removals) <= 1
+
+    def test_every_derived_entry_hashes(self):
+        for seed in range(20):
+            documents, schema = fuzzed_corpus(seed)
+            for doc in documents:
+                _, log = _analyze(doc, schema)
+                for entry in log:
+                    hash(entry)
+
+
+# sha256 over the repr of every field the report drops as well as those it
+# keeps, for every entry derived from fuzzed_corpus seeds 0-19, by corpus
+# shape ``(n_docs, max_templates)``. The wider shape reaches every group
+# kind, the three two-edit groups included. The fuzzed texts separate
+# neither SCS mode nor case, so each shape has one digest.
+PINNED_DERIVATIONS = {
+    (2, 3): "1cfa18381171d8d59ccd8ec22cfc2e263e3e1c0d00f99a67c6c0e3a72b134d49",
+    (6, 5): "660aa91e4266c92939e1a05f906c0043a9a212a5637685821f18596028b0532d",
+}
+
+
+class TestPinnedDerivation:
+    @pytest.mark.parametrize("shape", PINNED_DERIVATIONS)
+    @pytest.mark.parametrize("scs_mode", list(ScsMode))
+    @pytest.mark.parametrize("case_sensitive", [False, True])
+    def test_every_entry_is_pinned(self, shape, scs_mode, case_sensitive):
+        config = AnalysisConfig(scs_mode=scs_mode, case_sensitive=case_sensitive)
+        digest = hashlib.sha256()
+        for seed in range(20):
+            documents, schema = fuzzed_corpus(seed, *shape)
+            for doc in documents:
+                _, log = _analyze(doc, schema, config)
+                for t in log:
+                    fields = (t.kind, t.pred_template, t.role, t.filler, t.pred_text, t.pred_span)
+                    fields += (t.gold_template, t.gold_role, t.gold_entity, t.gold_mention)
+                    digest.update(repr(fields).encode())
+        assert digest.hexdigest() == PINNED_DERIVATIONS[shape]
+
+    def test_partial_pair_beats_an_exact_match_in_another_template(self, two_role_schema):
+        """A partially paired filler is a span error even where its text is another template's entity."""
+        text = "the northern harbor hailed the crowd and the mayor; the northern harbor closed"
+        doc = Document(
+            "d",
+            text,
+            (
+                gold_template(
+                    agent=[[span_mention("northern harbor", 4)]],
+                    target=[[span_mention("crowd", 31)], [span_mention("mayor", 45)]],
+                ),
+                gold_template(agent=[[span_mention("the northern harbor", 52)]]),
+            ),
+            (
+                pred_template(
+                    agent=[span_mention("the northern harbor", 0)],
+                    target=[span_mention("crowd", 31), span_mention("mayor", 45)],
+                ),
+            ),
+        )
+        _, log = _analyze(doc, two_role_schema)
+        assert [t.kind for t in log] == [_K.ALTER_SPAN, _K.INTRODUCE_TEMPLATE]
+        span_fix = log.entries[0]
+        assert (span_fix.gold_template, span_fix.gold_role, span_fix.gold_entity) == (0, "agent", 0)
+        assert span_fix.gold_mention == span_mention("northern harbor", 4)
+
+    def test_set_fill_mismatch_removes_before_it_introduces(self):
+        schema = Schema(
+            (RoleSpec("status", RoleKind.SET_FILL, values=("confirmed", "denied")), RoleSpec("agent", RoleKind.STRING_FILL))
+        )
+        doc = Document(
+            "d",
+            "alpha",
+            (gold_template(status="confirmed", agent=[[span_mention("alpha", 0)]]),),
+            (pred_template(status="denied", agent=[span_mention("alpha", 0)]),),
+        )
+        _, log = _analyze(doc, schema)
+        assert log.entries == (
+            Transformation(_K.REMOVE_SPURIOUS_ROLE_FILLER, pred_template=0, role="status", pred_text="denied"),
+            Transformation(
+                _K.INTRODUCE_ROLE_FILLER,
+                pred_template=0,
+                role="status",
+                gold_template=0,
+                gold_role="status",
+                gold_mention=Mention("confirmed"),
+            ),
+        )
 
 
 class TestApply:
