@@ -56,8 +56,9 @@ def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
                         help="cap on the closed-form matching count; larger documents go to --on-guard")
     parser.add_argument("--on-guard", choices=ON_GUARD_CHOICES, default=None)
     parser.add_argument("--parallel", type=int, default=None,
-                        help="worker processes, at most one per document; each receives the corpus once. "
-                             "The report and exit code (2 under --on-guard fail) match a serial run")
+                        help="processes, this one included and at most one per document; each worker receives "
+                             "its share of the corpus once. The report and exit code (2 under --on-guard fail) "
+                             "match a serial run")
     parser.add_argument("--label", default=None, help="system label echoed in the report")
     parser.add_argument("--config", default=None, help="JSON config file (flags win)")
 

@@ -1,14 +1,18 @@
 """Per-document analysis pipeline and corpus-level aggregation.
 
-Documents are independent, so the corpus can be analyzed by a worker
-pool. Each worker receives the corpus, schema and settings once, when it
-starts (inherited under the ``fork`` start method, pickled once per
-worker under ``spawn`` and ``forkserver``), and is then sent batches of
-document indices. No more workers start than there are documents.
-Results are merged in doc-id order, which makes the output identical for
-any worker count, and an error raised in a worker, such as
-``ComplexityGuardExceeded`` under ``on_guard="fail"``, reaches the
-caller as it would from a serial run.
+Documents are independent, so ``analyze_corpus(..., parallel=N)`` splits
+the corpus over ``N`` processes, the calling one included, and never over
+more processes than there are documents. The caller analyzes the first
+``len // N`` documents in doc-id order while a pool of ``N - 1`` workers
+takes the rest. Each worker receives its share, the schema and the
+settings once, when it starts (inherited under the ``fork`` start method,
+pickled once per worker under ``spawn`` and ``forkserver``), and is then
+sent batches of indices into that share. Results are merged in doc-id
+order, which makes the output identical for any process count, and an
+error such as ``ComplexityGuardExceeded`` under ``on_guard="fail"``
+reaches the caller as it would from a serial run: the caller's share
+comes first, and if it raises, the batches the pool has not started are
+cancelled.
 
 The CLI runs with the cyclic garbage collector paused, and each worker
 pauses it too (``_start_worker``): nothing here builds reference cycles,
@@ -17,14 +21,14 @@ unpickling the pool's results in the parent took about three times as
 long.
 
 Measured with ``bench/run.py`` on 2 CPUs (medians of ten seeds in
-``BENCH_14.json``, in the benchmark's reference-scaled seconds), a whole
-``tfea analyze`` run on small_docs (400 documents) takes 0.52 s serial
-and 0.53 s with two workers. The pool does not pay for itself on any of
-the three corpora: 0.17 s with two workers against 0.13 s serial on
-wide_templates (8 documents), and 0.29 s against 0.25 s on
-guard_overflow (30 documents).
-On that machine two CPU-bound processes started together mostly took
-twice as long as one alone, so a second worker added little throughput.
+``BENCH_19.json``, in the benchmark's reference-scaled seconds),
+``--parallel 2`` is still slower than serial on all three corpora:
+0.163 s against 0.128 s on wide_templates (8 documents), 0.315 s against
+0.253 s on guard_overflow (30 documents) and 0.656 s against 0.528 s on
+small_docs (400 documents). On that machine two CPU-bound processes
+started together mostly took twice as long as one alone, so a second
+process adds little throughput and the pool's start-up and result
+transfer are what is left to cut.
 """
 
 from __future__ import annotations
@@ -87,8 +91,8 @@ def analyze_document(
     return analysis
 
 
-# The corpus and settings of the pool that owns this worker process; set
-# once per worker by ``_start_worker``. The parent never writes it.
+# The pool's share of the corpus and the settings, in this worker process;
+# set once per worker by ``_start_worker``. The parent never writes it.
 _worker_job: tuple[list[Document], Schema, AnalysisConfig, bool] | None = None
 
 
@@ -140,18 +144,27 @@ def analyze_corpus(
     parallel: int = 1,
     derive: bool = True,
 ) -> CorpusAnalysis:
-    """Analyze every document, optionally with a process pool."""
+    """Analyze every document, in up to ``parallel`` processes counting this one."""
     config = config or AnalysisConfig()
     ordered = sorted(documents, key=lambda d: d.doc_id)
     workers = min(parallel, len(ordered))
-    if workers > 1:
-        # Imported here: a run that starts no pool skips loading multiprocessing.
-        from concurrent.futures import ProcessPoolExecutor
-
-        job = (ordered, schema, config, derive)
-        chunksize = math.ceil(len(ordered) / (4 * workers))
-        with ProcessPoolExecutor(workers, initializer=_start_worker, initargs=job) as pool:
-            results = list(pool.map(_analyze_nth, range(len(ordered)), chunksize=chunksize))
-    else:
+    if workers < 2:
         results = [analyze_document(doc, schema, config, derive) for doc in ordered]
+        return CorpusAnalysis(schema=schema, documents=results)
+    # Imported here: a run that starts no pool skips loading multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+
+    # This process analyzes the first share itself while workers - 1
+    # pool processes take the rest.
+    own = len(ordered) // workers
+    rest = ordered[own:]
+    chunksize = math.ceil(len(rest) / (4 * (workers - 1)))
+    pool = ProcessPoolExecutor(workers - 1, initializer=_start_worker, initargs=(rest, schema, config, derive))
+    try:
+        pooled = pool.map(_analyze_nth, range(len(rest)), chunksize=chunksize)
+        results = [analyze_document(doc, schema, config, derive) for doc in ordered[:own]]
+        results += pooled
+    finally:
+        # On an error, queued chunks are dropped rather than waited for.
+        pool.shutdown(cancel_futures=True)
     return CorpusAnalysis(schema=schema, documents=results)

@@ -160,8 +160,45 @@ def mutate_predictions(doc: Document, schema: Schema, seed: int) -> Document:
     return Document(doc.doc_id, doc.text, doc.gold_templates, tuple(built))
 
 
-def fuzzed_corpus(seed: int, n_docs: int = 2, max_templates: int = 3):
-    """A (documents, schema) pair with randomized predictions."""
+def _vary_for_settings(doc: Document, seed: int) -> Document:
+    """``doc`` with predictions that read differently under each analysis setting.
+
+    About one located predicted mention in five is upper-cased, an exact
+    match only when case is folded, and about one in five gets new
+    offsets: each end moves by up to its length, the end rightward up to
+    twice that, and the text becomes the new slice. Such a span can
+    overlap two mentions of one gold entity, and the SCS modes can rank
+    either of them nearer.
+    """
+    rng = random.Random(f"settings:{seed}:{doc.doc_id}")
+    text = doc.text
+
+    def vary(m: Mention) -> Mention:
+        roll = rng.random()
+        if m.span is None or roll >= 0.4:
+            return m
+        if roll < 0.2:
+            return Mention(m.text.upper(), m.span)
+        length = m.span.length
+        start = max(0, m.span.start + rng.randint(-length, length))
+        end = min(len(text), m.span.end + rng.randint(-length, 2 * length))
+        return Mention(text[start:end], Span(start, end)) if start < end else m
+
+    templates = tuple(
+        Template({role: value if isinstance(value, str) else tuple(map(vary, value)) for role, value in t.role_fillers.items()})
+        for t in doc.predicted_templates
+    )
+    return Document(doc.doc_id, text, doc.gold_templates, templates)
+
+
+def fuzzed_corpus(seed: int, n_docs: int = 2, max_templates: int = 3, vary_settings: bool = False):
+    """A (documents, schema) pair with randomized predictions.
+
+    With ``vary_settings``, some predicted mentions are also re-cased or
+    shifted (``_vary_for_settings``), so that analyses under different
+    ``case_sensitive`` and ``ScsMode`` settings differ. It draws from its
+    own random stream: the corpus without it is unchanged.
+    """
     from tfea.inject import GenerationParams, generate_corpus
 
     schema = default_schema()
@@ -174,6 +211,8 @@ def fuzzed_corpus(seed: int, n_docs: int = 2, max_templates: int = 3):
     )
     gold = generate_corpus(params, seed=seed)
     documents = [mutate_predictions(doc, schema, seed) for doc in gold]
+    if vary_settings:
+        documents = [_vary_for_settings(doc, seed) for doc in documents]
     return documents, schema
 
 

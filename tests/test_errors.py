@@ -197,9 +197,9 @@ class TestConsistencyWithMatcher:
     def test_error_tally_equals_mapped_total(self, scs_mode, case_sensitive):
         config = AnalysisConfig(scs_mode=scs_mode, case_sensitive=case_sensitive)
         for seed in range(20):
-            documents, schema = fuzzed_corpus(seed)
+            documents, schema = fuzzed_corpus(seed, vary_settings=True)
             for doc in documents:
-                doc = resolve_document_spans(doc)
+                doc = resolve_document_spans(doc, config.casefold)
                 matching = find_optimal_matching(doc, schema, config)
                 profile = map_errors(derive_transformations(doc, schema, matching, config))
                 assert matching.error_tally == total_errors(profile)

@@ -299,13 +299,15 @@ def _random_pair_doc(rng: random.Random) -> Document:
 
 
 @lru_cache(maxsize=1)
-def _pair_score_cases() -> list[tuple[Document, Schema]]:
+def _pair_score_cases(config: AnalysisConfig | None = None) -> list[tuple[Document, Schema]]:
+    """Fuzzed and random documents; given a config, fuzzed ones that tell settings apart, resolved under it."""
     from tfea.model import resolve_document_spans
 
     cases = []
     for seed in range(300):
-        documents, schema = fuzzed_corpus(seed)
-        cases += [(resolve_document_spans(doc), schema) for doc in documents]
+        documents, schema = fuzzed_corpus(seed, vary_settings=config is not None)
+        casefold = config is None or config.casefold
+        cases += [(resolve_document_spans(doc, casefold), schema) for doc in documents]
     rng = random.Random(6061)
     return cases + [(_random_pair_doc(rng), _PAIR_SCHEMA) for _ in range(600)]
 
@@ -362,7 +364,7 @@ class TestPairScores:
         """
         config = AnalysisConfig(scs_mode=mode, case_sensitive=case_sensitive)
         seen = Counter()
-        for doc, schema in _pair_score_cases():
+        for doc, schema in _pair_score_cases(config):
             index = MatchIndex.for_document(doc, schema, config)
             reference_calls, calls = [], []
             expected = pair_scores_reference(

@@ -1,6 +1,7 @@
 """Pipeline: guard handling, case modes, score-only runs, parallel merge."""
 
 import concurrent.futures
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -109,8 +110,9 @@ class TestParallel:
     )
     @pytest.mark.parametrize("workers", [2, 3, 8])
     def test_batches_equal_serial(self, config, derive, flag, workers):
-        # 11 documents: batches of 2 for two workers (the last one short),
-        # of 1 for three and eight
+        # 11 documents: the parent analyzes 5, 3 and 1 of them; the pool
+        # gets batches of 2 from one worker (the last one short), of 1 from
+        # two and seven
         documents, schema = fuzzed_corpus(1, n_docs=11)
         serial = analyze_corpus(documents, schema, config, derive=derive)
         if flag is not None:
@@ -123,6 +125,7 @@ class TestParallel:
                 assert getattr(ours, name) == getattr(theirs, name), (theirs.doc_id, name)
 
     def test_no_more_workers_than_documents(self, small_corpus, monkeypatch):
+        """One process per document at most, the parent included: the pool gets one fewer."""
         started = []
 
         class RecordingPool(concurrent.futures.ProcessPoolExecutor):
@@ -134,8 +137,41 @@ class TestParallel:
         documents, schema, _ = small_corpus
         serial = analyze_corpus(documents, schema)
         assert analyze_corpus(documents, schema, parallel=16).documents == serial.documents
+        assert analyze_corpus(documents, schema, parallel=len(documents)).documents == serial.documents
         assert analyze_corpus(documents[:1], schema, parallel=16).documents == serial.documents[:1]
-        assert started == [len(documents)]
+        assert started == [len(documents) - 1] * 2
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("parallel", [2, 3])
+    @pytest.mark.parametrize("share", ["parent", "worker"])
+    def test_guard_failure_equals_serial(self, share, parallel):
+        """Under ``on_guard="fail"`` the pooled run raises the serial run's error and leaves no worker."""
+        config = AnalysisConfig(max_template_matchings=7, on_guard="fail")
+        documents, schema = fuzzed_corpus(1, n_docs=11)
+        over = []
+        for doc in documents:
+            try:
+                analyze_document(doc, schema, config)
+            except ComplexityGuardExceeded:
+                over.append(doc)
+        under = iter([doc for doc in documents if doc not in over])
+        over = iter(over)
+        # Six documents, the parent's share first; two of them over the cap,
+        # so a run that raised the later one would differ from serial.
+        own = 6 // parallel
+        failing = (own - 1, own + 1) if share == "parent" else (own + 1, 5)
+        corpus = []
+        for i in range(6):
+            doc = next(over if i in failing else under)
+            corpus.append(Document(f"d{i}", doc.text, doc.gold_templates, doc.predicted_templates))
+        with pytest.raises(ComplexityGuardExceeded) as serial:
+            analyze_corpus(corpus, schema, config)
+        assert serial.value.doc_id == f"d{failing[0]}"
+        with pytest.raises(ComplexityGuardExceeded) as pooled:
+            analyze_corpus(corpus, schema, config, parallel=parallel)
+        assert type(pooled.value) is ComplexityGuardExceeded
+        assert (str(pooled.value), vars(pooled.value)) == (str(serial.value), vars(serial.value))
+        assert multiprocessing.active_children() == []
 
     def test_settings_do_not_leak_between_calls(self, two_role_schema):
         base = TestCaseSensitivity()._doc()
@@ -151,7 +187,9 @@ class TestParallel:
             results.append(pooled.scores.overall.f1)
         assert results == [1.0, 0.0]
 
-    def test_spawned_workers_equal_serial(self):
+    @staticmethod
+    def _pool_under(start_method: str) -> list[str]:
+        """What a child interpreter prints after comparing a pooled run under ``start_method`` with serial."""
         import tfea
 
         script = (
@@ -159,12 +197,13 @@ class TestParallel:
             "from support import fuzzed_corpus\n"
             "from tfea.config import AnalysisConfig\n"
             "from tfea.pipeline import analyze_corpus\n"
-            "multiprocessing.set_start_method('spawn')\n"
+            f"multiprocessing.set_start_method({start_method!r})\n"
             "documents, schema = fuzzed_corpus(1, n_docs=11)\n"
             "config = AnalysisConfig(max_template_matchings=7, on_guard='greedy')\n"
             "serial = analyze_corpus(documents, schema, config)\n"
             "pooled = analyze_corpus(documents, schema, config, parallel=2)\n"
             "assert pooled.documents == serial.documents\n"
+            "assert multiprocessing.active_children() == []\n"
             "print(multiprocessing.get_start_method(), len(pooled.documents))\n"
         )
         package_root = os.path.dirname(os.path.dirname(tfea.__file__))
@@ -174,4 +213,12 @@ class TestParallel:
             [sys.executable, "-c", script], env=env, cwd="/", capture_output=True, text=True, timeout=120
         )
         assert child.returncode == 0, child.stderr
-        assert child.stdout.split() == ["spawn", "11"]
+        return child.stdout.split()
+
+    def test_spawned_workers_equal_serial(self):
+        assert self._pool_under("spawn") == ["spawn", "11"]
+
+    def test_forkserver_workers_equal_serial(self):
+        # The Linux default from Python 3.14; each worker unpickles its
+        # initargs as under spawn.
+        assert self._pool_under("forkserver") == ["forkserver", "11"]

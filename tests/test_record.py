@@ -16,6 +16,7 @@ import pkgutil
 import pytest
 
 import tfea
+from tfea.matching import Tally
 from tfea.model import Factory, Mention, RoleKind, RoleSpec, Span, Template
 from tfea.spans import ScsMode
 
@@ -139,6 +140,29 @@ def test_eq_and_hash(pair):
             assert (cls(*a) == cls(*b)) == (twin(*a) == twin(*b))
             assert (cls(*a) != cls(*b)) == (twin(*a) != twin(*b))
     assert (cls.__hash__ is None) == (twin.__hash__ is None) == (not frozen)
+
+
+# Frozen records whose fields hold a dict, and a Document holding a
+# Template: hashing them raises, exactly as for their dataclass twins.
+UNHASHABLE = {
+    "Template": ({},),
+    "TemplatePair": (0, 0, {}),
+    "TemplateMatching": ("d", (), (), (), {}, Tally(), 0),
+    "Scores": ({}, Tally()),
+    "InjectionSpec": ({},),
+    "Document": ("d", "t", [Template({})]),
+}
+
+
+@pytest.mark.parametrize("name", UNHASHABLE)
+def test_frozen_records_holding_a_dict_do_not_hash(name):
+    (cls, frozen, order), = [r for r in RECORDS if r[0].__name__ == name]
+    assert frozen
+    twin = _twin(cls, frozen, order)
+    args = UNHASHABLE[name]
+    outcome = _outcome(lambda: hash(cls(*args)))
+    assert outcome == ("raised", TypeError, "unhashable type: 'dict'")
+    assert outcome == _outcome(lambda: hash(twin(*args)))
 
 
 def test_frozen_assignment(pair):

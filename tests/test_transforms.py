@@ -159,12 +159,26 @@ class TestDerive:
 # sha256 over the repr of every field the report drops as well as those it
 # keeps, for every entry derived from fuzzed_corpus seeds 0-19, by corpus
 # shape ``(n_docs, max_templates)``. The wider shape reaches every group
-# kind, the three two-edit groups included. The fuzzed texts separate
-# neither SCS mode nor case, so each shape has one digest.
+# kind, the three two-edit groups included. Without ``vary_settings`` the
+# fuzzed texts separate neither SCS mode nor case, so each shape has one
+# digest.
 PINNED_DERIVATIONS = {
     (2, 3): "1cfa18381171d8d59ccd8ec22cfc2e263e3e1c0d00f99a67c6c0e3a72b134d49",
     (6, 5): "660aa91e4266c92939e1a05f906c0043a9a212a5637685821f18596028b0532d",
 }
+
+
+def _derivation_digest(shape, config, vary_settings=False) -> str:
+    digest = hashlib.sha256()
+    for seed in range(20):
+        documents, schema = fuzzed_corpus(seed, *shape, vary_settings=vary_settings)
+        for doc in documents:
+            _, log = _analyze(doc, schema, config)
+            for t in log:
+                fields = (t.kind, t.pred_template, t.role, t.filler, t.pred_text, t.pred_span)
+                fields += (t.gold_template, t.gold_role, t.gold_entity, t.gold_mention)
+                digest.update(repr(fields).encode())
+    return digest.hexdigest()
 
 
 class TestPinnedDerivation:
@@ -173,16 +187,25 @@ class TestPinnedDerivation:
     @pytest.mark.parametrize("case_sensitive", [False, True])
     def test_every_entry_is_pinned(self, shape, scs_mode, case_sensitive):
         config = AnalysisConfig(scs_mode=scs_mode, case_sensitive=case_sensitive)
-        digest = hashlib.sha256()
-        for seed in range(20):
-            documents, schema = fuzzed_corpus(seed, *shape)
-            for doc in documents:
-                _, log = _analyze(doc, schema, config)
-                for t in log:
-                    fields = (t.kind, t.pred_template, t.role, t.filler, t.pred_text, t.pred_span)
-                    fields += (t.gold_template, t.gold_role, t.gold_entity, t.gold_mention)
-                    digest.update(repr(fields).encode())
-        assert digest.hexdigest() == PINNED_DERIVATIONS[shape]
+        assert _derivation_digest(shape, config) == PINNED_DERIVATIONS[shape]
+
+    def test_varied_corpus_separates_settings(self):
+        """With ``vary_settings`` each setting derives its own entries, so a loop over settings checks each.
+
+        Case separates at every shape. The SCS mode reaches an exact
+        matching only through the nearer of two mentions of one gold
+        entity that a predicted span overlaps, and the modes rank two
+        nested spans alike, so it separates in few entries.
+        """
+        digests = {
+            tuple(
+                _derivation_digest(shape, AnalysisConfig(scs_mode=mode, case_sensitive=case), vary_settings=True)
+                for shape in PINNED_DERIVATIONS
+            )
+            for mode in ScsMode
+            for case in (False, True)
+        }
+        assert len(digests) == 4
 
     def test_partial_pair_beats_an_exact_match_in_another_template(self, two_role_schema):
         """A partially paired filler is a span error even where its text is another template's entity."""
