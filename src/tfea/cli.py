@@ -9,7 +9,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import ON_GUARD_CHOICES, AnalysisConfig
+from .config import DEFAULT_MAX_TEMPLATE_MATCHINGS, ON_GUARD_CHOICES, AnalysisConfig
 from .corpus import load_corpus, load_schema, load_side, merge_sides, read_json, side_to_dict
 from .errors import ErrorType
 from .exceptions import ComplexityGuardExceeded, ParseError, TfeaError
@@ -109,7 +109,7 @@ def _resolve_settings(args: argparse.Namespace) -> tuple[AnalysisConfig, dict]:
         ),
         case_sensitive=case_sensitive,
         max_template_matchings=pick_int(
-            args.max_matchings, "max_matchings", AnalysisConfig.max_template_matchings, 0
+            args.max_matchings, "max_matchings", DEFAULT_MAX_TEMPLATE_MATCHINGS, 0
         ),
         on_guard=pick_choice(args.on_guard, "on_guard", "skip", ON_GUARD_CHOICES),
     )
@@ -134,15 +134,20 @@ def _write_output(text: str, out: str | None) -> None:
         raise TfeaError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
-def _run_analysis(args: argparse.Namespace, derive: bool) -> int:
-    config, extras = _resolve_settings(args)
+def _analysis_report(args: argparse.Namespace, config: AnalysisConfig, extras: dict, derive: bool) -> dict:
+    """Load, analyze and build the report; the corpus and its analysis are freed before it is rendered."""
     schema = load_schema(args.schema)
     documents = load_corpus(args.gold, args.pred, schema, config.casefold)
     analysis = analyze_corpus(
         documents, schema, config, parallel=extras["parallel"], derive=derive
     )
     label = extras["label"] or Path(args.pred).stem
-    report = build_report(analysis, config, label=label, include_errors=derive)
+    return build_report(analysis, config, label=label, include_errors=derive)
+
+
+def _run_analysis(args: argparse.Namespace, derive: bool) -> int:
+    config, extras = _resolve_settings(args)
+    report = _analysis_report(args, config, extras, derive)
     renderer = {"json": render_json, "csv": render_csv, "text": render_text}[extras["format"]]
     _write_output(renderer(report), args.out)
     return EXIT_OK

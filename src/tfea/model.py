@@ -26,22 +26,28 @@ class Factory:
 
 
 def record(cls=None, *, frozen: bool = False):
-    """Class decorator: a class whose fields are its annotations, in order.
+    """Class decorator: a slotted class whose fields are its annotations, in order.
 
-    Adds what the standard library's ``@dataclass`` adds for the same flags,
-    with the same behaviour: ``__init__`` (a class attribute is a field's
-    default, a ``Factory`` one is called per instance; ``__post_init__``
-    runs last), ``__repr__``, ``__eq__`` on field tuples of one class, and
-    for ``frozen`` a field-tuple ``__hash__`` and no assignment; a mutable
-    record is unhashable. Compiled in one ``exec``, where ``@dataclass``
-    takes six for a frozen class and its module imports ``inspect``, which
-    a CLI run otherwise never loads.
+    Returns a new class, as ``@dataclass(slots=True)`` does for the same
+    flags, with the same behaviour: ``__slots__`` are the fields, so an
+    instance has no ``__dict__`` and takes no other attribute; ``__init__``
+    (a class attribute is a field's default, which only ``__init__``
+    keeps; a ``Factory`` one is called per instance; ``__post_init__`` runs
+    last), ``__repr__``, ``__eq__`` on field tuples of one class, and for
+    ``frozen`` a field-tuple ``__hash__`` and no assignment; a mutable
+    record is unhashable. ``__reduce__`` pickles and copies a record as
+    its class and field tuple, so unpickling calls ``__init__`` again.
+    Compiled in one ``exec``, where ``@dataclass`` takes six for a frozen
+    class and its module imports ``inspect``, which a CLI run otherwise
+    never loads.
     """
     if cls is None:
         return lambda cls: record(cls, frozen=frozen)
     annotations = cls.__dict__.get("__annotations__", {})
     names = tuple(annotations)
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    kept = {key: value for key, value in cls.__dict__.items() if key not in (*names, "__dict__", "__weakref__")}
+    cls = type(cls)(cls.__name__, cls.__bases__, {**kept, "__slots__": names, "__qualname__": cls.__qualname__})
     ns = {"_setattr": object.__setattr__, **{f"_d_{name}": value for name, value in defaults.items()}}
     params = [f"{name}=_d_{name}" if name in defaults else name for name in names]
     body = [f"{name} = _d_{name}.make() if {name} is _d_{name} else {name}"
@@ -57,6 +63,7 @@ def record(cls=None, *, frozen: bool = False):
         "__init__": f"(self, {', '.join(params)}):\n " + "\n ".join(body),
         "__repr__": f"(self): return f'{{type(self).__qualname__}}({fields_repr})'",
         "__eq__": compare.format(mine, "==", theirs),
+        "__reduce__": f"(self): return self.__class__, {mine}",
     }
     if frozen:
         methods["__hash__"] = f"(self): return hash({mine})"

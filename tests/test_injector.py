@@ -292,7 +292,8 @@ def test_infeasible_spec_messages_are_pinned():
     messages = []
     for index, (schema, params, counts) in enumerate(INFEASIBLE):
         schema = schema or default_schema()
-        gold = generate_corpus(GenerationParams(**{**vars(params), "schema": schema}), seed=index)
+        fields = {name: getattr(params, name) for name in type(params).__match_args__}
+        gold = generate_corpus(GenerationParams(**{**fields, "schema": schema}), seed=index)
         with pytest.raises(InfeasibleSpec) as err:
             inject_errors(gold, schema, InjectionSpec(counts=counts), seed=index)
         messages.append(str(err.value))

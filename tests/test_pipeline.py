@@ -121,7 +121,7 @@ class TestParallel:
         pooled = analyze_corpus(documents, schema, config, parallel=workers, derive=derive)
         assert len(pooled.documents) == len(serial.documents)
         for ours, theirs in zip(pooled.documents, serial.documents):
-            for name in vars(theirs):
+            for name in type(theirs).__match_args__:
                 assert getattr(ours, name) == getattr(theirs, name), (theirs.doc_id, name)
 
     def test_no_more_workers_than_documents(self, small_corpus, monkeypatch):

@@ -7,11 +7,14 @@ record's own annotations, defaults and decorator flags.
 """
 
 import ast
+import copy
 import dataclasses
 import importlib
 import inspect
+import itertools
 import pickle
 import pkgutil
+from functools import partial
 
 import pytest
 
@@ -66,17 +69,30 @@ def _fields(cls) -> dict:
     return cls.__dict__["__annotations__"]
 
 
-def _twin(cls, frozen: bool, order: bool) -> type:
+def _defaults(cls) -> dict:
+    """Each field's default as ``__init__`` declares it; a record keeps no default on its class."""
+    params = inspect.signature(cls).parameters.values()
+    return {param.name: param.default for param in params if param.default is not param.empty}
+
+
+def _twin(cls, frozen: bool, order: bool, slots: bool = True) -> type:
     fields = []
+    defaults = _defaults(cls)
     for name, annotation in _fields(cls).items():
-        if name not in cls.__dict__:
+        if name not in defaults:
             fields.append((name, annotation))
-        elif isinstance(default := cls.__dict__[name], Factory):
-            fields.append((name, annotation, dataclasses.field(default_factory=default.make)))
+        elif isinstance(defaults[name], Factory):
+            fields.append((name, annotation, dataclasses.field(default_factory=defaults[name].make)))
         else:
-            fields.append((name, annotation, dataclasses.field(default=default)))
+            fields.append((name, annotation, dataclasses.field(default=defaults[name])))
     namespace = {"__post_init__": cls.__post_init__} if hasattr(cls, "__post_init__") else {}
-    return dataclasses.make_dataclass(cls.__name__, fields, frozen=frozen, order=order, namespace=namespace)
+    return dataclasses.make_dataclass(
+        cls.__name__, fields, frozen=frozen, order=order, slots=slots, namespace=namespace
+    )
+
+
+def _pickled(obj, protocol: int):
+    return pickle.loads(pickle.dumps(obj, protocol))
 
 
 def _samples(cls) -> list[tuple]:
@@ -179,11 +195,12 @@ def test_frozen_assignment(pair):
 
 def test_defaults_are_fresh_per_instance(pair):
     cls, twin, _, _ = pair
-    required = [name for name in _fields(cls) if name not in cls.__dict__]
+    defaults = _defaults(cls)
+    required = [name for name in _fields(cls) if name not in defaults]
     args = dict(zip(required, _samples(cls)[0]))
     first, second, theirs = cls(**args), cls(**args), twin(**args)
     assert repr(first) == repr(theirs)
-    for name, default in cls.__dict__.items():
+    for name, default in defaults.items():
         if isinstance(default, Factory):
             assert getattr(first, name) == getattr(theirs, name)
             assert getattr(first, name) is not getattr(second, name)
@@ -209,14 +226,45 @@ def test_order(pair):
             assert _outcome(lambda: cls(*a) < twin(*b))[:2] == ("raised", TypeError)
 
 
+def test_slots(pair):
+    """Fields are the slots: no instance ``__dict__``, no class-level default, no other attribute.
+
+    A frozen record is compared with an unslotted frozen twin there: the
+    ``__setattr__`` of a frozen ``slots=True`` dataclass tests ``type(self)``
+    against the class it replaced, so (on Python 3.11, for one) an unknown
+    name reaches ``super(cls, self)`` and raises ``TypeError``.
+    """
+    cls, twin, frozen, order = pair
+    assert cls.__slots__ == cls.__match_args__ == twin.__slots__
+    for name in _fields(cls):
+        assert type(cls.__dict__[name]) is type(twin.__dict__[name])
+    if frozen:
+        twin = _twin(cls, frozen, order, slots=False)
+    for args in _samples(cls):
+        ours, theirs = cls(*args), twin(*args)
+        assert not hasattr(ours, "__dict__")
+        assigned = _outcome(lambda: setattr(ours, "unknown", 7))
+        assert assigned[0] == "raised"
+        assert assigned == _outcome(lambda: setattr(theirs, "unknown", 7))
+        assert repr(ours) == repr(theirs)
+
+
+# Every pickle protocol, and both copies: all of them go through ``__reduce__``.
+COPIES = [
+    *(partial(_pickled, protocol=protocol) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)),
+    copy.copy,
+    copy.deepcopy,
+]
+
+
 def test_pickle_round_trip(pair):
     cls, _, frozen, _ = pair
-    for args in _samples(cls):
+    for args, how in itertools.product(_samples(cls), COPIES):
         obj = cls(*args)
-        back = pickle.loads(pickle.dumps(obj))
-        assert type(back) is cls
-        assert back == obj
-        assert repr(back) == repr(obj)
+        back = how(obj)
+        assert type(back) is cls, how
+        assert back == obj, how
+        assert repr(back) == repr(obj), how
         if frozen:
             with pytest.raises(AttributeError):
                 setattr(back, next(iter(_fields(cls))), 7)

@@ -10,8 +10,8 @@ from tfea.config import AnalysisConfig
 from tfea.errors import map_errors, total_errors
 from tfea.exceptions import InconsistentLog
 from tfea.matching import find_optimal_matching
-from tfea.model import Document, Mention, RoleKind, RoleSpec, Schema, resolve_document_spans
-from tfea.spans import ScsMode
+from tfea.model import Document, Mention, RoleKind, RoleSpec, Schema, Span, resolve_document_spans
+from tfea.spans import ScsMode, span_score
 from tfea.transforms import (
     TransformKind,
     Transformation,
@@ -99,6 +99,35 @@ class TestDerive:
         assert [t.kind for t in log] == [TransformKind.ALTER_SPAN]
         # [0,19) overlaps [4,19) more than [13,29)
         assert log.entries[0].gold_mention.text == "northern harbor"
+
+    def test_scs_mode_picks_the_alter_span_target(self, two_role_schema):
+        """A predicted span over two mentions of one entity is moved to a different mention in each mode."""
+        text = "the mayor of the northern harbor city council met"
+        mentions = [span_mention("the mayor", 0), span_mention("the northern harbor", 13)]
+
+        def nearest(span, mode):
+            return min(mentions, key=lambda m: (span_score(span, m.span, mode), m.span.start))
+
+        # Every span over both mentions on which the two modes disagree; the
+        # first is pinned.
+        straddling = (Span(s, e) for s in range(len(text)) for e in range(s + 1, len(text) + 1))
+        disputed = [
+            span
+            for span in straddling
+            if all(span.overlap(m.span) > 0 for m in mentions)
+            and nearest(span, ScsMode.GEOMETRIC) != nearest(span, ScsMode.ABSOLUTE)
+        ]
+        assert disputed[0] == Span(0, 25)
+        predicted = span_mention(text[:25], 0)
+        doc = Document("d", text, (gold_template(agent=[mentions]),), (pred_template(agent=[predicted]),))
+        targets = {}
+        for mode in ScsMode:
+            _, log = _analyze(doc, two_role_schema, AnalysisConfig(scs_mode=mode))
+            assert [t.kind for t in log] == [TransformKind.ALTER_SPAN]
+            targets[mode] = log.entries[0].gold_mention
+        # Geometric: 1 - 9²/(25·9) = 0.64 against 1 - 12²/(25·19) ≈ 0.70.
+        # Absolute: (0 + 16)/(25 + 9) ≈ 0.47 against (13 + 7)/(25 + 19) ≈ 0.45.
+        assert targets == {ScsMode.GEOMETRIC: mentions[0], ScsMode.ABSOLUTE: mentions[1]}
 
     @pytest.mark.parametrize("case_sensitive", [False, True])
     def test_set_fill_match_follows_the_matcher(self, case_sensitive):
