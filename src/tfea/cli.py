@@ -10,7 +10,8 @@ import sys
 from pathlib import Path
 
 from .config import DEFAULT_MAX_TEMPLATE_MATCHINGS, ON_GUARD_CHOICES, AnalysisConfig
-from .corpus import load_corpus, load_schema, load_side, merge_sides, read_json, side_to_dict
+from .corpus import _check_keys, _decode_object, load_corpus, load_schema, load_side, merge_sides
+from .corpus import read_json, side_to_dict
 from .errors import ErrorType
 from .exceptions import ComplexityGuardExceeded, ParseError, TfeaError
 from .matching import MAX_COUNT_DIGITS, printable_template_matchings
@@ -34,6 +35,7 @@ EXIT_GUARD = 2
 SCS_MODE_CHOICES = tuple(mode.value for mode in ScsMode)
 FORMAT_CHOICES = ("json", "csv", "text")
 CONFIG_KEYS = ("scs_mode", "case_sensitive", "max_matchings", "on_guard", "parallel", "format", "label")
+SPEC_KEYS = ("counts", "seed")
 
 
 def _setup_logging() -> None:
@@ -66,9 +68,10 @@ def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
-    raw = read_json(path, "config")
+    raw = read_json(path, "config", _decode_object)
     if not isinstance(raw, dict):
         raise ParseError(path, "config must be a JSON object")
+    _check_keys(path, raw, None)
     for key in raw:
         if key not in CONFIG_KEYS:
             raise ParseError(path, f"unknown setting; known: {', '.join(CONFIG_KEYS)}", key)
@@ -168,12 +171,14 @@ def _cmd_inject(args: argparse.Namespace) -> int:
     schema = load_schema(args.schema)
     gold_side = load_side(args.gold, schema, gold=True)
     documents = merge_sides(gold_side, {})
-    raw = read_json(args.spec, "injection spec")
+    raw = read_json(args.spec, "injection spec", _decode_object)
     if not isinstance(raw, dict):
         raise ParseError(args.spec, "injection spec must be a JSON object")
-    raw_counts = raw["counts"] if "counts" in raw else {k: v for k, v in raw.items() if k != "seed"}
+    _check_keys(args.spec, raw, None, SPEC_KEYS)
+    raw_counts = raw.get("counts", {})
     if not isinstance(raw_counts, dict):
         raise ParseError(args.spec, "counts must be a JSON object", "counts")
+    _check_keys(args.spec, raw_counts, "counts")
     counts = {}
     for name, count in raw_counts.items():
         where = f"counts '{name}'"
@@ -217,8 +222,15 @@ def _cmd_count_matchings(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A usage error is a ``ParseError`` of the command line, not argparse's exit 2 (the guard's code)."""
+
+    def error(self, message: str):
+        raise ParseError("command line", message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="tfea",
         description="Transformation-based error analysis for template filling.",
     )
@@ -259,8 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
     # A command builds no reference cycles, so the cyclic collector would
     # only rescan the live corpus and results while they are built (it
     # made unpickling the --parallel results about three times slower).
@@ -270,6 +280,7 @@ def main(argv=None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ComplexityGuardExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

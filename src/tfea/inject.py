@@ -367,7 +367,7 @@ class _DocInjector:
         self.removed.add(t)
         self.touched_templates.add(t)
         self.profile.bump(etype)
-        self.profile.missing_template_role_fillers += sum(self.doc.gold_templates[t].filler_row(self.schema, gold=True))
+        self.profile.missing_template_role_fillers += sum(self.doc.gold_templates[t].filler_row(self.schema))
 
     def run(self, spec: InjectionSpec) -> None:
         others = {

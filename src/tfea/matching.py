@@ -41,7 +41,7 @@ import math
 from bisect import bisect_left
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from .assignment import lexmin_assignment
 from .config import AnalysisConfig
@@ -97,10 +97,6 @@ class EntityMatch:
     exact: bool
     score: float
     gold_mention: Mention | None
-
-    @property
-    def eligible(self) -> bool:
-        return self.exact or self.score < PARTIAL_THRESHOLD
 
 
 NO_MATCH = EntityMatch(False, 1.0, None)
@@ -343,36 +339,6 @@ class TemplateMatching:
         return self.total.f1
 
 
-@record(frozen=True)
-class _FillerCounts:
-    """Each template's filler count per schema role, in schema order.
-
-    A set-fill role counts 1 when it holds a value; a string-fill role
-    counts its mentions (predicted) or entities (gold). Counted once per
-    document and read by pair scoring, the denominators and the greedy
-    matcher's pair F1.
-    """
-
-    pred: tuple[list[int], ...]
-    gold: tuple[list[int], ...]
-
-
-def _filler_counts(doc: Document, schema: Schema) -> _FillerCounts:
-    # Rows are lists: a document's rows are freed together, and freed small
-    # tuples would stay cached in the interpreter's tuple free lists.
-    return _FillerCounts(
-        tuple(t.filler_row(schema, gold=False) for t in doc.predicted_templates),
-        tuple(t.filler_row(schema, gold=True) for t in doc.gold_templates),
-    )
-
-
-def _role_tallies(schema: Schema, counts: _FillerCounts, numerators: Iterable[int]) -> dict[str, Tally]:
-    return {
-        role.name: Tally(n, sum(row[k] for row in counts.pred), sum(row[k] for row in counts.gold))
-        for k, (role, n) in enumerate(zip(schema, numerators))
-    }
-
-
 RolePairer = Callable[[list[Mapping[int, EntityMatch]], int], MentionPairing]
 
 
@@ -381,43 +347,31 @@ class _PairTable:
     """The scores of every (pred, gold) template pair of one document.
 
     ``numerators[p][g]`` and ``errors[p][g]`` are the pair's exact-match
-    numerator and implied errors. Role pairings are kept for linked roles
-    only; ``pair`` rebuilds the rest from set-fill values and filler counts.
+    numerator and implied errors, ``set_matches[p, g]`` its set-fill roles
+    with equal values (schema order), and ``pred_rows``/``gold_rows`` each
+    template's ``filler_row``. Role pairings are kept for linked roles
+    only; ``pair`` rebuilds the rest from filler counts.
     """
 
     numerators: list[list[int]]
     errors: list[list[int]]
-    set_roles: list[str]
     string_roles: list[tuple[str, int]]  # (role, schema column)
-    pred_values: list[list[str | None]]
-    gold_values: list[list[str | None]]
-    counts: _FillerCounts
+    pred_rows: list[list[int]]
+    gold_rows: list[list[int]]
+    set_matches: dict[tuple[int, int], list[str]]
     linked: dict[tuple[int, int], dict[str, MentionPairing]]
 
-    def pair(self, p: int, g: int) -> tuple[TemplatePair, dict[str, int]]:
-        """The ``TemplatePair`` of ``(p, g)`` and its non-zero role numerators."""
-        matched = tuple(
-            role
-            for role, pred_value, gold_value in zip(self.set_roles, self.pred_values[p], self.gold_values[g])
-            if pred_value is not None and pred_value == gold_value
-        )
+    def pair(self, p: int, g: int) -> TemplatePair:
         linked = self.linked.get((p, g), {})
         pairings = {
-            role: linked[role] if role in linked else _unpaired(self.counts.pred[p][k], self.counts.gold[g][k])
+            role: linked[role] if role in linked else _unpaired(self.pred_rows[p][k], self.gold_rows[g][k])
             for role, k in self.string_roles
         }
-        numerators = dict.fromkeys(matched, 1)
-        numerators.update((role, n) for role, pairing in linked.items() if (n := pairing.exact_count))
-        return TemplatePair(p, g, pairings, matched), numerators
+        return TemplatePair(p, g, pairings, tuple(self.set_matches.get((p, g), ())))
 
 
 def _pair_scores(
-    doc: Document,
-    schema: Schema,
-    config: AnalysisConfig,
-    index: MatchIndex,
-    pair_role: RolePairer,
-    counts: _FillerCounts,
+    doc: Document, schema: Schema, config: AnalysisConfig, index: MatchIndex, pair_role: RolePairer
 ) -> _PairTable:
     """Score every (pred, gold) template pair of a document.
 
@@ -431,28 +385,33 @@ def _pair_scores(
     cell in another role only feeds incorrect-role detection. Every other
     role is the empty ``_unpaired(m, e)``: an unlinked pair's two ints
     come from its filler totals and its equal set-fill values, found by
-    grouping the gold templates by normalized value, with no allocation.
+    grouping the gold templates by normalized value. The only allocation
+    per pair is the role list of a pair that shares a set-fill value.
     """
     set_roles = [role.name for role in schema.set_fill_roles]
     string_roles = [(role.name, k) for k, role in enumerate(schema) if role.kind is RoleKind.STRING_FILL]
+    # Rows are lists: a document's rows are freed together, and freed small
+    # tuples would stay cached in the interpreter's tuple free lists.
+    pred_rows = [t.filler_row(schema) for t in doc.predicted_templates]
+    gold_rows = [t.filler_row(schema) for t in doc.gold_templates]
 
     def values(template: Template) -> list[str | None]:
         return [None if v is None else normalize(v, config.casefold) for v in map(template.set_fill, set_roles)]
 
-    pred_values = list(map(values, doc.predicted_templates))
-    gold_values = list(map(values, doc.gold_templates))
     golds_by_value: list[dict[str, list[int]]] = [{} for _ in set_roles]
-    for g, row in enumerate(gold_values):
-        for by_value, value in zip(golds_by_value, row):
+    for g, template in enumerate(doc.gold_templates):
+        for by_value, value in zip(golds_by_value, values(template)):
             if value is not None:
                 by_value.setdefault(value, []).append(g)
-    gold_sizes = list(map(sum, counts.gold))
+    gold_sizes = list(map(sum, gold_rows))
     numerators, errors = [], []
-    for row, pred_size in zip(pred_values, map(sum, counts.pred)):
+    set_matches: dict[tuple[int, int], list[str]] = {}
+    for p, (template, pred_size) in enumerate(zip(doc.predicted_templates, map(sum, pred_rows))):
         numerator_row = [0] * len(gold_sizes)
-        for by_value, value in zip(golds_by_value, row):
+        for role, by_value, value in zip(set_roles, golds_by_value, values(template)):
             for g in by_value.get(value, ()):
                 numerator_row[g] += 1
+                set_matches.setdefault((p, g), []).append(role)
         numerators.append(numerator_row)
         errors.append([pred_size + gold_size - 2 * n for gold_size, n in zip(gold_sizes, numerator_row)])
     position = {role: k for k, (role, _) in enumerate(string_roles)}
@@ -465,36 +424,39 @@ def _pair_scores(
     for (p, g), positions in sorted(links.items()):
         pairings = linked[p, g] = {}
         for role, k in map(string_roles.__getitem__, sorted(positions)):
-            rows = [index.hits((p, role, i), (g, role)) for i in range(counts.pred[p][k])]
-            pairing = pairings[role] = pair_role(rows, counts.gold[g][k])
+            rows = [index.hits((p, role, i), (g, role)) for i in range(pred_rows[p][k])]
+            pairing = pairings[role] = pair_role(rows, gold_rows[g][k])
             exact = pairing.exact_count
             numerators[p][g] += exact
             errors[p][g] -= 2 * exact + pairing.partial_count
-    return _PairTable(numerators, errors, set_roles, string_roles, pred_values, gold_values, counts, linked)
+    return _PairTable(numerators, errors, string_roles, pred_rows, gold_rows, set_matches, linked)
 
 
 def _assemble(
     doc: Document, schema: Schema, chosen: tuple[tuple[int, int], ...], table: _PairTable, approximate: bool
 ) -> TemplateMatching:
     """The matching of the chosen pairs, the only ones that get a ``TemplatePair``."""
+    pairs = tuple(table.pair(p, g) for p, g in chosen)
     numerators = dict.fromkeys((role.name for role in schema), 0)
-    pairs = []
-    for pred_index, gold_index in chosen:
-        pair, role_numerators = table.pair(pred_index, gold_index)
-        pairs.append(pair)
-        for role_name, num in role_numerators.items():
-            numerators[role_name] += num
-    counts = table.counts
+    for pair in pairs:
+        for role in pair.matched_set_roles:
+            numerators[role] += 1
+        for role, pairing in pair.role_pairings.items():
+            numerators[role] += pairing.exact_count
+    role_tallies = {
+        name: Tally(n, sum(row[k] for row in table.pred_rows), sum(row[k] for row in table.gold_rows))
+        for k, (name, n) in enumerate(numerators.items())
+    }
     matched_pred = {p for p, _ in chosen}
     matched_gold = {g for _, g in chosen}
     return TemplateMatching(
         doc_id=doc.doc_id,
-        pairs=tuple(pairs),
+        pairs=pairs,
         spurious_templates=tuple(i for i in range(len(doc.predicted_templates)) if i not in matched_pred),
         missing_templates=tuple(j for j in range(len(doc.gold_templates)) if j not in matched_gold),
-        role_tallies=_role_tallies(schema, counts, numerators.values()),
-        total=Tally(sum(numerators.values()), sum(map(sum, counts.pred)), sum(map(sum, counts.gold))),
-        error_tally=sum(table.errors[p][g] - 2 for p, g in chosen) + len(counts.pred) + len(counts.gold),
+        role_tallies=role_tallies,
+        total=sum(role_tallies.values(), Tally()),
+        error_tally=sum(table.errors[p][g] - 2 for p, g in chosen) + len(table.pred_rows) + len(table.gold_rows),
         approximate=approximate,
     )
 
@@ -544,7 +506,7 @@ def find_optimal_matching(
         raise ComplexityGuardExceeded(doc.doc_id, "template matchings", shown, config.max_template_matchings)
     if index is None:
         index = MatchIndex.for_document(doc, schema, config)
-    table = _pair_scores(doc, schema, config, index, _best_role_pairing, _filler_counts(doc, schema))
+    table = _pair_scores(doc, schema, config, index, _best_role_pairing)
     best = _optimal_assignment(table.numerators, table.errors, gold_count)
     return _assemble(doc, schema, best, table, approximate=False)
 
@@ -588,11 +550,10 @@ def greedy_matching(
     config = config or AnalysisConfig()
     if index is None:
         index = MatchIndex.for_document(doc, schema, config)
-    counts = _filler_counts(doc, schema)
-    gold_sizes = list(map(sum, counts.gold))
-    table = _pair_scores(doc, schema, config, index, _greedy_role_pairing, counts)
+    table = _pair_scores(doc, schema, config, index, _greedy_role_pairing)
+    gold_sizes = list(map(sum, table.gold_rows))
     candidates = []
-    for p, pred_size in enumerate(map(sum, counts.pred)):
+    for p, pred_size in enumerate(map(sum, table.pred_rows)):
         for g, (gold_size, numerator, errors) in enumerate(zip(gold_sizes, table.numerators[p], table.errors[p])):
             if numerator > 0 or pred_size + gold_size == 0:
                 pair_f1 = Tally(numerator, pred_size, gold_size).f1

@@ -204,14 +204,9 @@ class GoldEntity:
         return self.mentions[0]
 
 
-# A filler is a set-fill value (str), a gold string-fill (tuple of
-# GoldEntity), or a predicted string-fill (tuple of Mention).
-Filler = "str | tuple[GoldEntity, ...] | tuple[Mention, ...]"
-
-
 @record(frozen=True)
 class Template:
-    """Role name to filler mapping; absent roles mean empty."""
+    """Role name to filler: a set-fill str, or a tuple of gold entities or predicted mentions; absent means empty."""
 
     role_fillers: Mapping[str, object]
 
@@ -230,12 +225,11 @@ class Template:
         value = self.role_fillers.get(role)
         return tuple(value) if isinstance(value, (tuple, list)) else ()
 
-    def filler_row(self, schema: Schema, gold: bool) -> list[int]:
+    def filler_row(self, schema: Schema) -> list[int]:
         """Number of fillers of each role, in schema order (1 per set-fill value, 1 per mention/entity)."""
         return [
-            int(self.set_fill(role.name) is not None)
-            if role.kind is RoleKind.SET_FILL
-            else len(self.entities(role.name) if gold else self.mentions(role.name))
+            int(self.set_fill(role.name) is not None) if role.kind is RoleKind.SET_FILL
+            else len(self.mentions(role.name))
             for role in schema
         ]
 

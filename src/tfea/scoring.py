@@ -16,13 +16,9 @@ class Scores:
     overall: Tally
 
 
-def _totaled(role_tallies: Mapping[str, Tally]) -> Scores:
-    return Scores(per_role=dict(role_tallies), overall=sum(role_tallies.values(), Tally()))
-
-
 def score_document(matching: TemplateMatching) -> Scores:
     """Per-role and overall tallies for one document's chosen matching."""
-    return _totaled(matching.role_tallies)
+    return Scores(dict(matching.role_tallies), matching.total)
 
 
 def score_corpus(per_document: Iterable[Mapping[str, Tally]]) -> Scores:
@@ -34,4 +30,4 @@ def score_corpus(per_document: Iterable[Mapping[str, Tally]]) -> Scores:
     for role_tallies in per_document:
         for role, tally in role_tallies.items():
             merged[role] = merged.get(role, Tally()) + tally
-    return _totaled(merged)
+    return Scores(merged, sum(merged.values(), Tally()))

@@ -250,10 +250,10 @@ def derive_transformations(
                 removals.append(_introduce(pair, gold_template, role.name, entity_index))
 
     for pred_index in matching.spurious_templates:
-        count = sum(doc.predicted_templates[pred_index].filler_row(schema, gold=False))
+        count = sum(doc.predicted_templates[pred_index].filler_row(schema))
         removals.append(Transformation(TransformKind.REMOVE_TEMPLATE, pred_template=pred_index, filler_count=count))
     for gold_index in matching.missing_templates:
-        count = sum(doc.gold_templates[gold_index].filler_row(schema, gold=True))
+        count = sum(doc.gold_templates[gold_index].filler_row(schema))
         removals.append(Transformation(TransformKind.INTRODUCE_TEMPLATE, gold_template=gold_index, filler_count=count))
 
     return TransformationLog(doc.doc_id, tuple(alterations + removals))

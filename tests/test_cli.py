@@ -217,6 +217,16 @@ class TestAnalyze:
         assert main(_analyze_args(gold, pred, schema, out, "--config", str(config))) == EXIT_ERROR
         assert f"({key}): unknown setting" in capsys.readouterr().err
 
+    def test_repeated_setting_is_parse_error(self, tmp_path, corpus_files, capsys):
+        """json.load alone would run with the last value, here geometric."""
+        gold, pred, schema = corpus_files
+        config = tmp_path / "cfg.json"
+        config.write_text('{"scs_mode": "absolute", "scs_mode": "geometric"}')
+        out = tmp_path / "report.json"
+        assert main(_analyze_args(gold, pred, schema, out, "--config", str(config))) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {config}: key 'scs_mode' appears more than once\n"
+        assert not out.exists()
+
     def test_malformed_corpus_is_parse_error(self, tmp_path, corpus_files, capsys):
         gold, pred, schema = corpus_files
         raw = json.loads(gold.read_text(encoding="utf-8"))
@@ -405,7 +415,7 @@ class TestInject:
     @pytest.mark.parametrize(
         "text,entry",
         [
-            ('{"span_error": 1e400}', "counts 'span_error'"),
+            ('{"counts": {"span_error": 1e400}}', "counts 'span_error'"),
             ('{"counts": {"span_error": -3}}', "counts 'span_error'"),
             ('{"counts": {"span_error": 1.9}}', "counts 'span_error'"),
             ('{"counts": {"span_error": 1.0}}', "counts 'span_error'"),
@@ -436,6 +446,46 @@ class TestInject:
         assert "Traceback" not in err
         assert not out.exists()
 
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('{"counts": {"span_error": 1, "span_error": 0}}', " (counts): key 'span_error' appears more than once"),
+            ('{"counts": {"span_error": 1}, "seed": 3, "seed": 4}', ": key 'seed' appears more than once"),
+            ('{"counts": {"span_error": 1}, "sed": 3}', ": unknown key 'sed'; known: counts, seed"),
+            ('{"span_error": 1}', ": unknown key 'span_error'; known: counts, seed"),
+        ],
+        ids=["repeated-count", "repeated-seed", "misspelled-seed", "flat-counts"],
+    )
+    def test_repeated_or_unknown_spec_key_is_parse_error(self, tmp_path, corpus_files, capsys, text, message):
+        """json.load alone would inject nothing for the first, and ignore the seed of the third."""
+        gold, _, schema = corpus_files
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(text)
+        out = tmp_path / "injected.json"
+        code = main(
+            [
+                "inject",
+                "--gold", str(gold),
+                "--schema", str(schema),
+                "--spec", str(spec_path),
+                "--out", str(out),
+                "--ledger", str(tmp_path / "ledger.json"),
+            ]
+        )
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {spec_path}{message}\n"
+        assert not out.exists()
+
+    def test_spec_without_counts_injects_nothing(self, tmp_path, corpus_files):
+        gold, _, schema = corpus_files
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text('{"seed": 3}')
+        ledger = tmp_path / "ledger.json"
+        argv = ["inject", "--gold", str(gold), "--schema", str(schema), "--spec", str(spec_path),
+                "--out", str(tmp_path / "injected.json"), "--ledger", str(ledger)]
+        assert main(argv) == EXIT_OK
+        assert not any(json.loads(ledger.read_text())["per_type"].values())
 
     def test_spurious_filler_without_a_string_fill_role(self, tmp_path, capsys):
         schema = tmp_path / "schema.json"
@@ -564,6 +614,31 @@ def test_unreadable_json_is_parse_error(tmp_path, corpus_files, capsys, kind, co
     assert err.startswith(f"error: {bad}: cannot read ")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["analyze", "--gold", "g", "--pred", "p", "--schema", "s", "--parallel", "abc"],
+         "argument --parallel: invalid int value: 'abc'"),
+        (["score", "--gold", "g", "--pred", "p"], "the following arguments are required: --schema"),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+    ],
+    ids=["bad-value", "missing-flag", "unknown-command"],
+)
+def test_usage_error_exits_1(capsys, argv, message):
+    """Exit code 2 is the guard's; argparse alone would exit 2 here."""
+    assert main(argv) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: command line: {message}") and captured.err.count("\n") == 1, captured.err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["analyze", "--help"])
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: tfea analyze")
 
 
 class TestCountMatchings:

@@ -24,11 +24,11 @@ from tfea.assignment import lexmin_assignment
 from tfea.config import AnalysisConfig
 from tfea.exceptions import ComplexityGuardExceeded
 from tfea.matching import (
+    PARTIAL_THRESHOLD,
     MatchIndex,
     Tally,
     _best_role_pairing,
     _build_pairing,
-    _filler_counts,
     _greedy_role_pairing,
     _optimal_assignment,
     _pair_scores,
@@ -223,7 +223,7 @@ class TestMatchIndex:
                     assert (cell.exact, cell.score, cell.gold_mention) == expected, (
                         config, mention, entity
                     )
-                    seen["exact" if cell.exact else "partial" if cell.eligible else "none"] += 1
+                    seen["exact" if cell.exact else "partial" if cell.score < PARTIAL_THRESHOLD else "none"] += 1
         assert min(seen.values()) > 1000, seen
 
     def test_bare_lists_read_the_same_cells(self):
@@ -358,7 +358,7 @@ class TestPairScores:
     @pytest.mark.parametrize("mode", list(ScsMode))
     @pytest.mark.parametrize("pairer", sorted(_PAIRERS))
     def test_table_equals_full_role_loop(self, pairer, mode, case_sensitive):
-        """Every pair's two ints and what ``pair`` hands to ``_assemble`` equal the full role loop.
+        """Each pair's two ints, and the role numerators and pairings of its ``TemplatePair``, equal the full loop.
 
         Only unlinked roles skip the pairer, and every one of them does.
         """
@@ -370,13 +370,16 @@ class TestPairScores:
             expected = pair_scores_reference(
                 doc, schema, config, index, _recorded(_PAIRERS[pairer], reference_calls)
             )
-            counts = _filler_counts(doc, schema)
-            table = _pair_scores(doc, schema, config, index, _recorded(_PAIRERS[pairer], calls), counts)
+            table = _pair_scores(doc, schema, config, index, _recorded(_PAIRERS[pairer], calls))
             shape = [len(doc.gold_templates)] * len(doc.predicted_templates)
             assert list(map(len, table.numerators)) == list(map(len, table.errors)) == shape, doc
             assert len(expected) == sum(shape), doc
             for (p, g), (numerator, errors, role_numerators, role_pairings) in expected.items():
-                pair, pair_numerators = table.pair(p, g)
+                pair = table.pair(p, g)
+                pair_numerators = dict.fromkeys(pair.matched_set_roles, 1)
+                pair_numerators.update(
+                    (role, n) for role, pairing in pair.role_pairings.items() if (n := pairing.exact_count)
+                )
                 assert (table.numerators[p][g], table.errors[p][g], pair_numerators) == (
                     numerator, errors, role_numerators
                 ), (doc, p, g)
