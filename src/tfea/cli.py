@@ -6,6 +6,7 @@ import argparse
 import gc
 import logging
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -36,6 +37,7 @@ SCS_MODE_CHOICES = tuple(mode.value for mode in ScsMode)
 FORMAT_CHOICES = ("json", "csv", "text")
 CONFIG_KEYS = ("scs_mode", "case_sensitive", "max_matchings", "on_guard", "parallel", "format", "label")
 SPEC_KEYS = ("counts", "seed")
+ECHO_LIMIT = 60  # characters kept of each value (quoted, or a run of non-blanks) a usage error echoes
 
 
 def _setup_logging() -> None:
@@ -226,7 +228,12 @@ class _ArgumentParser(argparse.ArgumentParser):
     """A usage error is a ``ParseError`` of the command line, not argparse's exit 2 (the guard's code)."""
 
     def error(self, message: str):
-        raise ParseError("command line", message)
+        raise ParseError("command line", re.sub(r"'[^']*'|\"[^\"]*\"|\S+", _shortened, message))
+
+
+def _shortened(found: re.Match) -> str:
+    cut = len(found[0]) - ECHO_LIMIT
+    return found[0] if cut <= 0 else f"{found[0][:ECHO_LIMIT]}... ({cut} characters cut)"
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -248,14 +248,15 @@ def _decode_object(pairs: list) -> dict:
     return _RepeatedKeys(pairs, [key for key in decoded if counts[key] > 1])
 
 
-def _check_keys(path: str, raw, where: str | None, known: tuple[str, ...] | None = None) -> None:
-    """Reject a decoded object that names a key twice, or a key not ``known`` when given; ``where`` locates it."""
+def _check_keys(path: str, raw, where: str | None, known: tuple[str, ...] | None = None):
+    """``raw``, unless it names a key twice or, when ``known`` is given, a key not in it; ``where`` locates it."""
     if type(raw) is _RepeatedKeys:
         raise ParseError(path, f"key '{raw.repeated[0]}' appears more than once", where)
     if known is not None and isinstance(raw, Mapping):
         for key in raw:
             if key not in known:
                 raise ParseError(path, f"unknown key '{key}'; known: {', '.join(known)}", where)
+    return raw
 
 
 def load_side(path: str, schema: Schema, gold: bool, casefold: bool = True) -> dict[str, tuple[str, tuple[Template, ...]]]:

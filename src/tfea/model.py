@@ -37,9 +37,9 @@ def record(cls=None, *, frozen: bool = False):
     ``frozen`` a field-tuple ``__hash__`` and no assignment; a mutable
     record is unhashable. ``__reduce__`` pickles and copies a record as
     its class and field tuple, so unpickling calls ``__init__`` again.
-    Compiled in one ``exec``, where ``@dataclass`` takes six for a frozen
-    class and its module imports ``inspect``, which a CLI run otherwise
-    never loads.
+    Only the methods that name fields are compiled, in one ``exec`` (where
+    ``@dataclass`` takes six and imports ``inspect``), and a frozen
+    ``__init__`` writes each field through its slot's descriptor.
     """
     if cls is None:
         return lambda cls: record(cls, frozen=frozen)
@@ -48,27 +48,25 @@ def record(cls=None, *, frozen: bool = False):
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
     kept = {key: value for key, value in cls.__dict__.items() if key not in (*names, "__dict__", "__weakref__")}
     cls = type(cls)(cls.__name__, cls.__bases__, {**kept, "__slots__": names, "__qualname__": cls.__qualname__})
-    ns = {"_setattr": object.__setattr__, **{f"_d_{name}": value for name, value in defaults.items()}}
+    ns = {f"_d_{name}": value for name, value in defaults.items()}
     params = [f"{name}=_d_{name}" if name in defaults else name for name in names]
     body = [f"{name} = _d_{name}.make() if {name} is _d_{name} else {name}"
             for name, value in defaults.items() if isinstance(value, Factory)]
-    body += [f"_setattr(self, {name!r}, {name})" if frozen else f"self.{name} = {name}" for name in names]
+    body += [f"_set_{name}(self, {name})" if frozen else f"self.{name} = {name}" for name in names]
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
     mine = "(" + "".join(f"self.{name}," for name in names) + ")"
     theirs = "(" + "".join(f"other.{name}," for name in names) + ")"
-    fields_repr = ", ".join(f"{name}={{self.{name}!r}}" for name in names)
     compare = "(self, other):\n if other.__class__ is self.__class__: return {} {} {}\n return NotImplemented"
     methods = {
         "__init__": f"(self, {', '.join(params)}):\n " + "\n ".join(body),
-        "__repr__": f"(self): return f'{{type(self).__qualname__}}({fields_repr})'",
         "__eq__": compare.format(mine, "==", theirs),
         "__reduce__": f"(self): return self.__class__, {mine}",
     }
     if frozen:
         methods["__hash__"] = f"(self): return hash({mine})"
-        methods["__setattr__"] = "(self, name, value): raise AttributeError(f'cannot assign to field {name!r}')"
-        methods["__delattr__"] = "(self, name): raise AttributeError(f'cannot delete field {name!r}')"
+        ns.update({f"_set_{name}": cls.__dict__[name].__set__ for name in names})
+        cls.__setattr__ = cls.__delattr__ = _frozen_write
     exec("".join(f"def {method}{code}\n" for method, code in methods.items()), ns)
     for method in methods:
         ns[method].__qualname__ = f"{cls.__qualname__}.{method}"
@@ -76,8 +74,18 @@ def record(cls=None, *, frozen: bool = False):
     cls.__init__.__annotations__ = {**annotations, "return": None}
     if not frozen:
         cls.__hash__ = None
-    cls.__match_args__ = names
+    cls.__repr__, cls.__match_args__ = _record_repr, names
     return cls
+
+
+def _record_repr(self) -> str:
+    fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in type(self).__match_args__)
+    return f"{type(self).__qualname__}({fields})"
+
+
+def _frozen_write(self, name, *value):
+    """A frozen record's ``__setattr__`` (called with a value) and ``__delattr__`` (without)."""
+    raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
 
 
 def normalize(text: str, casefold: bool = True) -> str:

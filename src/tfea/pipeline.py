@@ -20,15 +20,13 @@ so a collection only rescans the corpus and the results. With it on,
 unpickling the pool's results in the parent took about three times as
 long.
 
-Measured with ``bench/run.py`` on 2 CPUs (medians of ten seeds in
-``BENCH_19.json``, in the benchmark's reference-scaled seconds),
-``--parallel 2`` is still slower than serial on all three corpora:
-0.163 s against 0.128 s on wide_templates (8 documents), 0.315 s against
-0.253 s on guard_overflow (30 documents) and 0.656 s against 0.528 s on
-small_docs (400 documents). On that machine two CPU-bound processes
-started together mostly took twice as long as one alone, so a second
-process adds little throughput and the pool's start-up and result
-transfer are what is left to cut.
+With ``bench/run.py`` on 2 CPUs (medians of ten seeds, ``BENCH_22.json``,
+reference-scaled seconds) ``--parallel 2`` is still slower than serial:
+0.160 against 0.127 s on wide_templates (8 documents), 0.295 against
+0.234 s on guard_overflow (30) and 0.587 against 0.489 s on small_docs
+(400). There two CPU-bound processes started together mostly took twice
+as long as one alone, so the pool's start-up and result transfer (the
+caller rebuilds each result record) are what is left to cut.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ import sys
 
 from . import __version__
 from .config import AnalysisConfig
-from .corpus import read_json, schema_to_dict
+from .corpus import _check_keys, _decode_object, read_json, schema_to_dict
 from .errors import ERROR_TYPES, ErrorProfile
 from .exceptions import IncompatibleReports
 from .matching import Tally
@@ -192,7 +192,8 @@ def render_text(report: dict) -> str:
 
 
 def load_report(path: str) -> dict:
-    return read_json(path, "report")
+    """The report in ``path``; an object at any depth that names a key twice is a ``ParseError``."""
+    return read_json(path, "report", lambda pairs: _check_keys(path, _decode_object(pairs), None))
 
 
 def _is_numbers(table, fields: tuple[str, ...] = ()) -> bool:

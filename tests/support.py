@@ -3,13 +3,30 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 
 from hypothesis import strategies as st
 
+import tfea
 from tfea.corpus import side_to_dict
 from tfea.inject import _decoy_phrases, default_schema  # noqa: F401
 from tfea.model import Document, GoldEntity, Mention, RoleKind, Schema, Span, Template
+
+
+def child_env(*paths: str, **variables: str) -> dict[str, str]:
+    """A bare environment for a child interpreter that imports the same ``tfea`` as this process.
+
+    ``PYTHONPATH`` is the directory ``tfea`` was imported from (``src/`` or
+    an install), then ``paths``. ``PYTHONDONTWRITEBYTECODE`` is passed on
+    when it is set here, so a run that writes no bytecode starts no child
+    that writes some.
+    """
+    package_root = os.path.dirname(os.path.dirname(tfea.__file__))
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": os.pathsep.join([package_root, *paths]), **variables}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+    return env
 
 
 def dump_side(documents, path, gold: bool) -> None:

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from support import dump_side, json_values, replace_subtree, subtree_paths
-from tfea.cli import EXIT_ERROR, EXIT_GUARD, EXIT_OK, main
+from support import child_env, dump_side, json_values, replace_subtree, subtree_paths
+from tfea.cli import ECHO_LIMIT, EXIT_ERROR, EXIT_GUARD, EXIT_OK, main
 from tfea.corpus import schema_to_dict, side_to_dict
 from tfea.errors import ErrorType
 from tfea.inject import GenerationParams, InjectionSpec, default_schema, generate_corpus, inject_errors
@@ -582,6 +582,21 @@ class TestCompare:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "where,key,value",
+        [("{", "label", '"other"'), ('"overall": {', "f1", "0.5")],
+        ids=["top-level", "nested"],
+    )
+    def test_repeated_key_is_parse_error(self, tmp_path, corpus_files, capsys, where, key, value):
+        """json.load would keep the last value of a repeated key and compare the report under it."""
+        report = self._make_report(tmp_path, corpus_files, "r1.json")
+        text = report.read_text()
+        assert where in text and f'"{key}": ' in text
+        twice = tmp_path / "twice.json"
+        twice.write_text(text.replace(where, f'{where}"{key}": {value}, ', 1))
+        assert main(["compare", str(report), str(twice)]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {twice}: key '{key}' appears more than once\n"
+
     def test_text_format(self, tmp_path, corpus_files):
         r1 = self._make_report(tmp_path, corpus_files, "r1.json", "--label", "a")
         out = tmp_path / "cmp.txt"
@@ -632,6 +647,33 @@ def test_usage_error_exits_1(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: command line: {message}") and captured.err.count("\n") == 1, captured.err
+
+
+def test_usage_error_echoes_a_short_value_whole(capsys):
+    assert main(["analyze", "--gold", "g", "--pred", "p", "--schema", "s", "--parallel", "abc"]) == EXIT_ERROR
+    assert capsys.readouterr().err == "error: command line: argument --parallel: invalid int value: 'abc'\n"
+    # A quoted value of exactly ECHO_LIMIT characters is echoed whole.
+    value = "x" * (ECHO_LIMIT - 2)
+    assert main(["count-matchings", value, "1"]) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: command line: argument pred_count: invalid int value: '{value}'\n"
+
+
+@pytest.mark.parametrize(
+    "argv,prefix,echoed",
+    [
+        (["count-matchings", "9" * 4400, "1"], "argument pred_count: invalid int value: ", repr("9" * 4400)),
+        (["analyze", "--gold", "g", "--pred", "p", "--schema", "s", "--parallel", "9" * 5000],
+         "argument --parallel: invalid int value: ", repr("9" * 5000)),
+        (["count-matchings", "1", "1", "x" * 300], "unrecognized arguments: ", "x" * 300),
+        (["count-matchings", "'" + "x " * 100, "1"], "argument pred_count: invalid int value: ", repr("'" + "x " * 100)),
+    ],
+    ids=["long-integer", "long-parallel", "long-extra-argument", "long-value-with-blanks"],
+)
+def test_usage_error_cuts_a_long_value(capsys, argv, prefix, echoed):
+    """The value keeps its first ECHO_LIMIT characters, its quote included, and says how many were cut."""
+    assert main(argv) == EXIT_ERROR
+    cut = len(echoed) - ECHO_LIMIT
+    assert capsys.readouterr().err == f"error: command line: {prefix}{echoed[:ECHO_LIMIT]}... ({cut} characters cut)\n"
 
 
 def test_help_exits_0(capsys):
@@ -701,20 +743,16 @@ def test_tfea_log_env(tmp_path, corpus_files, monkeypatch):
 
 def test_fresh_process_determinism(tmp_path, corpus_files):
     """Reports must not depend on interpreter hash randomization."""
-    import os
     import subprocess
     import sys
 
-    import tfea
-
-    # The child imports the same tfea package as this process, from src/ or
-    # from an install; PYTHONHASHSEED is the only other thing that differs.
-    package_root = os.path.dirname(os.path.dirname(tfea.__file__))
+    # The child imports the same tfea package as this process; PYTHONHASHSEED
+    # is the only other thing that differs.
     gold, pred, schema = corpus_files
     outputs = []
     for seed in ("0", "4242"):
         out = tmp_path / f"hash-{seed}.json"
-        env = {"PATH": "/usr/bin:/bin", "PYTHONHASHSEED": seed, "PYTHONPATH": package_root}
+        env = child_env(PYTHONHASHSEED=seed)
         child = subprocess.run(
             [
                 sys.executable, "-m", "tfea.cli",
@@ -736,13 +774,9 @@ def test_fresh_process_determinism(tmp_path, corpus_files):
 
 def test_parallel_guard_fail_matches_serial(tmp_path, corpus_files):
     """A guard error raised in a pool worker exits like the serial run."""
-    import os
     import subprocess
     import sys
 
-    import tfea
-
-    package_root = os.path.dirname(os.path.dirname(tfea.__file__))
     gold, pred, schema = corpus_files
     stderr = {}
     for workers in ("1", "2"):
@@ -754,7 +788,7 @@ def test_parallel_guard_fail_matches_serial(tmp_path, corpus_files):
                 "--max-matchings", "1",
                 "--on-guard", "fail",
             ],
-            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+            env=child_env(),
             cwd="/",
             capture_output=True,
             text=True,
@@ -769,13 +803,9 @@ def test_parallel_guard_fail_matches_serial(tmp_path, corpus_files):
 
 def test_guard_error_is_printed_once(tmp_path, corpus_files):
     """Under --on-guard fail the guard error is the one stderr line, serial and from a pool."""
-    import os
     import subprocess
     import sys
 
-    import tfea
-
-    package_root = os.path.dirname(os.path.dirname(tfea.__file__))
     gold, pred, schema = corpus_files
     for workers in ("1", "2"):
         child = subprocess.run(
@@ -786,7 +816,7 @@ def test_guard_error_is_printed_once(tmp_path, corpus_files):
                 "--max-matchings", "1",
                 "--on-guard", "fail",
             ],
-            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+            env=child_env(),
             cwd="/",
             capture_output=True,
             text=True,

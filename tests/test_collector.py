@@ -8,15 +8,13 @@ count what a collection finds after each of them with the collector off.
 import gc
 import io
 import json
-import os
 import subprocess
 import sys
 from contextlib import contextmanager, redirect_stderr
 
 import pytest
 
-import tfea
-from support import dump_side, fuzzed_corpus
+from support import child_env, dump_side, fuzzed_corpus
 from tfea import pipeline
 from tfea.cli import EXIT_ERROR, EXIT_GUARD, EXIT_OK, main
 from tfea.config import AnalysisConfig
@@ -128,7 +126,6 @@ def test_pool_worker_start_pauses_the_collector(monkeypatch):
 
 
 def test_cli_import_does_not_load_the_injector():
-    package_root = os.path.dirname(os.path.dirname(tfea.__file__))
     # Importing the CLI loads neither the injector, nor what only some runs
     # use (csv output, a --parallel pool), nor dataclasses and the inspect
     # module it imports, which the package does not use.
@@ -142,7 +139,7 @@ def test_cli_import_does_not_load_the_injector():
     )
     child = subprocess.run(
         [sys.executable, "-c", probe],
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+        env=child_env(),
         cwd="/",
         capture_output=True,
         text=True,

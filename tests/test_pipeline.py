@@ -16,7 +16,7 @@ from tfea.model import Document
 from tfea.pipeline import analyze_corpus, analyze_document
 
 from conftest import gold_template, pred_template, span_mention
-from support import fuzzed_corpus
+from support import child_env, fuzzed_corpus
 
 
 @pytest.fixture
@@ -190,11 +190,9 @@ class TestParallel:
     @staticmethod
     def _pool_under(start_method: str) -> list[str]:
         """What a child interpreter prints after comparing a pooled run under ``start_method`` with serial."""
-        import tfea
-
         script = (
             "import multiprocessing\n"
-            "from support import fuzzed_corpus\n"
+            "from support import child_env, fuzzed_corpus\n"
             "from tfea.config import AnalysisConfig\n"
             "from tfea.pipeline import analyze_corpus\n"
             f"multiprocessing.set_start_method({start_method!r})\n"
@@ -206,9 +204,7 @@ class TestParallel:
             "assert multiprocessing.active_children() == []\n"
             "print(multiprocessing.get_start_method(), len(pooled.documents))\n"
         )
-        package_root = os.path.dirname(os.path.dirname(tfea.__file__))
-        tests_dir = os.path.dirname(__file__)
-        env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": os.pathsep.join([package_root, tests_dir])}
+        env = child_env(os.path.dirname(__file__))
         child = subprocess.run(
             [sys.executable, "-c", script], env=env, cwd="/", capture_output=True, text=True, timeout=120
         )
