@@ -122,31 +122,24 @@ class _SideReader:
     """One pass over the decoded objects of one corpus side.
 
     The schema becomes a role table once per side, with each set-fill
-    inventory normalized into a set, and each distinct text is normalized
-    at most once per side (set-fill values and the mention keys of the
-    shared-entity check). ``json.load`` decodes every object to a dict,
-    so the shape checks test for ``dict`` and ``list``.
+    inventory normalized into a set (``normalize`` is memoized, so each
+    distinct text is normalized once per process). ``json.load`` decodes
+    every object to a dict, so the shape checks test for ``dict`` and
+    ``list``.
     """
 
     def __init__(self, path: str, schema: Schema, gold: bool, casefold: bool):
         self.path = path
         self.gold = gold
         self.casefold = casefold
-        self.keys: dict[str, str] = {}
         # role name -> (set-fill inventory or None for a string-fill role, multi)
         self.roles: dict[str, tuple[frozenset | None, bool]] = {
             role.name: (
-                frozenset(self.key(v) for v in role.values) if role.kind is RoleKind.SET_FILL else None,
+                frozenset(normalize(v, casefold) for v in role.values) if role.kind is RoleKind.SET_FILL else None,
                 role.multi,
             )
             for role in schema
         }
-
-    def key(self, text: str) -> str:
-        key = self.keys.get(text)
-        if key is None:
-            key = self.keys[text] = normalize(text, self.casefold)
-        return key
 
     def template(self, raw, doc_text: str, doc_id: str, index: int) -> Template:
         location = f"doc '{doc_id}' template {index}"
@@ -163,7 +156,7 @@ class _SideReader:
             if inventory is not None:
                 if not isinstance(value, str):
                     raise ParseError(self.path, f"set-fill filler must be a string, got {value!r}", where)
-                if self.key(value) not in inventory:
+                if normalize(value, self.casefold) not in inventory:
                     log.warning("%s: value %r is not in the role inventory", where, value)
                 fillers[role_name] = value
                 continue
@@ -188,7 +181,7 @@ class _SideReader:
         seen: set[str] = set()
         for entity in entities:
             for mention in entity.mentions:
-                key = self.key(mention.text)
+                key = normalize(mention.text, self.casefold)
                 if key in seen:
                     log.warning("%s: mention %r appears in two entities", where, mention.text)
                 seen.add(key)
@@ -214,7 +207,7 @@ class _SideReader:
             log.warning("%s: span [%d, %d) falls outside the document, re-locating", where, start, end)
             return self.relocate(text, doc_text)
         found = doc_text[start:end]
-        if found != text and normalize(found, self.casefold) != self.key(text):
+        if found != text and normalize(found, self.casefold) != normalize(text, self.casefold):
             log.warning(
                 "%s: text %r does not match the document at [%d, %d), re-locating",
                 where,

@@ -14,13 +14,14 @@ a zero-cost pair may precede a negative one in another component.
 
 Every pairing question (is this predicted filler an exact or a partial
 match of that gold entity?) is answered by one per-document
-``MatchIndex``. It normalizes each mention text once and records only
-the cells where a predicted mention shares a normalized text with an
-entity or has a span that intersects one of the entity's spans; the
-rest, usually the large majority, are a shared "no match". Leaving them
-out is exact, not a heuristic: a disjoint, touching, zero-length or
-null span scores exactly 1 in both SCS modes, and 1 is never a partial
-match. The transformation derivation reads the same cells.
+``MatchIndex``. It normalizes each mention text once per process
+(``normalize`` is memoized) and records only the cells where a predicted
+mention shares a normalized text with an entity or has a span that
+intersects one of the entity's spans; the rest, usually the large
+majority, are a shared "no match". Leaving them out is exact, not a
+heuristic: a disjoint, touching, zero-length or null span scores exactly
+1 in both SCS modes, and 1 is never a partial match. The transformation
+derivation reads the same cells.
 
 The exact and the greedy matcher share one table of template-pair
 scores per document: two ints per pair, the exact-match numerator and
@@ -43,11 +44,11 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Mapping
 
-from .assignment import lexmin_assignment
+from .assignment import lexmin_assignment, uncontested
 from .config import AnalysisConfig
 from .exceptions import ComplexityGuardExceeded
 from .model import Document, Factory, Mention, RoleKind, Schema, Template, normalize, record
-from .spans import ScsMode, span_score
+from .spans import ScsMode, scs_function
 
 PARTIAL_THRESHOLD = 1.0
 # Python's default cap on converting an int to a string: a longer template
@@ -113,32 +114,29 @@ class MatchIndex:
     arg-min mention by ``(score, span start, mention order)`` as its
     span-alteration target. Every other cell is ``NO_MATCH``.
 
-    Each mention text is normalized once. Exact cells come from a dict
-    of normalized gold texts, partial cells from the gold spans that
-    intersect the predicted span, found by bisecting the spans sorted by
-    start. Skipping every other gold mention is exact in both SCS modes:
-    a null span, a zero-length span, and spans that are disjoint or only
-    touch all score exactly 1 (in absolute mode, disjoint spans have
-    ``|Δstart| + |Δend| >= len(x) + len(y)``, which the cap turns into 1).
+    Each mention text is normalized once per process (``normalize`` is
+    memoized) and the mode's SCS function is looked up once per index. Exact
+    cells come from a dict of normalized gold texts, partial cells from the
+    gold spans that intersect the predicted span, found by bisecting the
+    spans sorted by start. A mention with one cell, the usual case, has its
+    row stored as it is; several are ordered by entity index. Skipping every
+    other gold mention is exact in both SCS modes: a null span, a
+    zero-length span, and spans that are disjoint or only touch all score
+    exactly 1 (in absolute mode, disjoint spans have ``|Δstart| + |Δend| >=
+    len(x) + len(y)``, which the cap turns into 1).
 
     ``pred`` yields ``(row, mention)`` and ``gold`` yields ``(group,
     entity index, entity)``; rows and groups are any hashable keys.
     """
 
     def __init__(self, pred, gold, mode: ScsMode, casefold: bool):
-        normalized: dict[str, str] = {}
-
-        def norm(text: str) -> str:
-            if text not in normalized:
-                normalized[text] = normalize(text, casefold)
-            return normalized[text]
-
+        scs = scs_function(mode)
         by_text: dict[str, dict[tuple, Mention]] = {}
         spans = []
         for group, entity_index, entity in gold:
             cell = (group, entity_index)
             for order, mention in enumerate(entity.mentions):
-                by_text.setdefault(norm(mention.text), {}).setdefault(cell, mention)
+                by_text.setdefault(normalize(mention.text, casefold), {}).setdefault(cell, mention)
                 if mention.span is not None:
                     spans.append((mention.span.start, mention.span.end, order, cell, mention))
         spans.sort(key=lambda item: item[0])
@@ -147,7 +145,7 @@ class MatchIndex:
 
         self._rows: dict = {}
         for row, mention in pred:
-            exact = by_text.get(norm(mention.text), _NO_CELLS)
+            exact = by_text.get(normalize(mention.text, casefold), _NO_CELLS)
             nearest: dict[tuple, tuple] = {}
             x = mention.span
             if x is not None:
@@ -155,7 +153,7 @@ class MatchIndex:
                 for start, end, order, cell, candidate in spans[lo : bisect_left(starts, x.end)]:
                     if end <= x.start:
                         continue
-                    key = (span_score(x, candidate.span, mode), start, order)
+                    key = (scs(x, candidate.span), start, order)
                     if cell not in nearest or key < nearest[cell][0]:
                         nearest[cell] = (key, candidate)
             cells = []
@@ -165,7 +163,10 @@ class MatchIndex:
             for cell, ((score, _, _), target) in nearest.items():
                 if cell not in exact and score < PARTIAL_THRESHOLD:
                     cells.append((cell, EntityMatch(False, score, target)))
-            if cells:
+            if len(cells) == 1:
+                [((group, entity_index), match)] = cells
+                self._rows[row] = {group: {entity_index: match}}
+            elif cells:
                 groups: dict = {}
                 for (group, entity_index), match in sorted(cells, key=lambda item: item[0][1]):
                     groups.setdefault(group, {})[entity_index] = match
@@ -224,7 +225,7 @@ class MentionPairing:
 
     @property
     def exact_count(self) -> int:
-        return sum(1 for p in self.pairs if p.exact)
+        return sum([p.exact for p in self.pairs])
 
     @property
     def partial_count(self) -> int:
@@ -247,14 +248,11 @@ def _build_pairing(
         return _unpaired(len(rows), gold_count)
     matched_pred = {i for i, _ in index_pairs}
     matched_gold = {j for _, j in index_pairs}
-    pairs = tuple(
-        MentionPair(i, j, rows[i][j].exact, rows[i][j].score, rows[i][j].gold_mention)
-        for i, j in index_pairs
-    )
+    # List comprehensions: on these few items a generator costs more than the work.
     return MentionPairing(
-        pairs=pairs,
-        unmatched_pred=tuple(i for i in range(len(rows)) if i not in matched_pred),
-        unmatched_gold=tuple(j for j in range(gold_count) if j not in matched_gold),
+        tuple([MentionPair(i, j, m.exact, m.score, m.gold_mention) for i, j in index_pairs for m in (rows[i][j],)]),
+        tuple([i for i in range(len(rows)) if i not in matched_pred]),
+        tuple([j for j in range(gold_count) if j not in matched_gold]),
     )
 
 
@@ -266,10 +264,15 @@ def _best_role_pairing(rows: list[Mapping[int, EntityMatch]], gold_count: int) -
     fixed numerator more partials means fewer errors. Ties go to the
     lexicographically smallest pair tuple. With ``K = len(rows)`` pairs
     at most, a cost of ``-(K+1)`` per exact cell and ``-1`` per partial
-    one orders pairings the same way, so this is one lex-min assignment.
+    one orders pairings the same way, so this is one lex-min assignment;
+    when no two cells share a pred or an entity, every cell is taken
+    without one.
     """
+    cells = [(i, j) for i, row in enumerate(rows) for j in row]
+    if uncontested(cells):
+        return _build_pairing(tuple(cells), rows, gold_count)
     exact_cost = -(len(rows) + 1)
-    cost = {(i, j): exact_cost if match.exact else -1 for i, row in enumerate(rows) for j, match in row.items()}
+    cost = {(i, j): exact_cost if rows[i][j].exact else -1 for i, j in cells}
     return _build_pairing(lexmin_assignment(cost), rows, gold_count)
 
 
@@ -349,8 +352,9 @@ class _PairTable:
     ``numerators[p][g]`` and ``errors[p][g]`` are the pair's exact-match
     numerator and implied errors, ``set_matches[p, g]`` its set-fill roles
     with equal values (schema order), and ``pred_rows``/``gold_rows`` each
-    template's ``filler_row``. Role pairings are kept for linked roles
-    only; ``pair`` rebuilds the rest from filler counts.
+    template's ``filler_row``. Role pairings are kept, with their exact
+    pair counts, for linked roles only; ``pair`` rebuilds the rest from
+    filler counts.
     """
 
     numerators: list[list[int]]
@@ -359,12 +363,12 @@ class _PairTable:
     pred_rows: list[list[int]]
     gold_rows: list[list[int]]
     set_matches: dict[tuple[int, int], list[str]]
-    linked: dict[tuple[int, int], dict[str, MentionPairing]]
+    linked: dict[tuple[int, int], dict[str, tuple[MentionPairing, int]]]
 
     def pair(self, p: int, g: int) -> TemplatePair:
         linked = self.linked.get((p, g), {})
         pairings = {
-            role: linked[role] if role in linked else _unpaired(self.pred_rows[p][k], self.gold_rows[g][k])
+            role: linked[role][0] if role in linked else _unpaired(self.pred_rows[p][k], self.gold_rows[g][k])
             for role, k in self.string_roles
         }
         return TemplatePair(p, g, pairings, tuple(self.set_matches.get((p, g), ())))
@@ -375,18 +379,19 @@ def _pair_scores(
 ) -> _PairTable:
     """Score every (pred, gold) template pair of a document.
 
-    A set-fill role scores 1 on equal normalized values; a wrong value
-    costs two errors (spurious plus missing), a one-sided value one. A
-    string-fill role with ``m`` mentions and ``e`` entities costs
-    ``m + e - 2·exact - partial`` under its pairing. Only the roles that
-    the index links, by a cell with an entity of the same role, reach
-    ``pair_role(rows, e)``, where ``rows`` holds each mention's cells
-    (``_best_role_pairing`` for the exact matcher, a polynomial solve); a
-    cell in another role only feeds incorrect-role detection. Every other
-    role is the empty ``_unpaired(m, e)``: an unlinked pair's two ints
-    come from its filler totals and its equal set-fill values, found by
-    grouping the gold templates by normalized value. The only allocation
-    per pair is the role list of a pair that shares a set-fill value.
+    A set-fill role scores 1 on equal normalized values; a wrong value costs
+    two errors (spurious plus missing), a one-sided value one. A string-fill
+    role with ``m`` mentions and ``e`` entities costs ``m + e - 2·exact -
+    partial`` under its pairing. Only the roles that the index links, by a
+    cell with an entity of the same role, reach ``pair_role(rows, e)``,
+    where ``rows`` holds each mention's cells, collected in one pass over
+    the index (``_best_role_pairing`` for the exact matcher, a polynomial
+    solve); a cell in another role only feeds incorrect-role detection.
+    Every other role is the empty ``_unpaired(m, e)``: an unlinked pair's
+    two ints come from its filler totals and its equal set-fill values,
+    found by grouping the gold templates by normalized value. The only
+    allocation per pair is the role list of a pair that shares a set-fill
+    value.
     """
     set_roles = [role.name for role in schema.set_fill_roles]
     string_roles = [(role.name, k) for k, role in enumerate(schema) if role.kind is RoleKind.STRING_FILL]
@@ -414,21 +419,23 @@ def _pair_scores(
                 set_matches.setdefault((p, g), []).append(role)
         numerators.append(numerator_row)
         errors.append([pred_size + gold_size - 2 * n for gold_size, n in zip(gold_sizes, numerator_row)])
-    position = {role: k for k, (role, _) in enumerate(string_roles)}
-    links: dict[tuple[int, int], set[int]] = {}
-    for (p, role, _), groups in index.items():
-        for g, gold_role in groups:
+    column = dict(string_roles)
+    role_rows: dict[tuple[int, int, str], list[Mapping[int, EntityMatch]]] = {}
+    for (p, role, i), groups in index.items():
+        for (g, gold_role), hits in groups.items():
             if gold_role == role:
-                links.setdefault((p, g), set()).add(position[role])
-    linked: dict[tuple[int, int], dict[str, MentionPairing]] = {}
-    for (p, g), positions in sorted(links.items()):
-        pairings = linked[p, g] = {}
-        for role, k in map(string_roles.__getitem__, sorted(positions)):
-            rows = [index.hits((p, role, i), (g, role)) for i in range(pred_rows[p][k])]
-            pairing = pairings[role] = pair_role(rows, gold_rows[g][k])
-            exact = pairing.exact_count
-            numerators[p][g] += exact
-            errors[p][g] -= 2 * exact + pairing.partial_count
+                rows = role_rows.get((p, g, role))
+                if rows is None:
+                    rows = role_rows[p, g, role] = [_NO_CELLS] * pred_rows[p][column[role]]
+                rows[i] = hits
+    linked: dict[tuple[int, int], dict[str, tuple[MentionPairing, int]]] = {}
+    for (p, g, role), rows in role_rows.items():
+        pairing = pair_role(rows, gold_rows[g][column[role]])
+        exact = pairing.exact_count
+        linked.setdefault((p, g), {})[role] = (pairing, exact)
+        numerators[p][g] += exact
+        # Each exact pair removes two errors, each partial one.
+        errors[p][g] -= exact + len(pairing.pairs)
     return _PairTable(numerators, errors, string_roles, pred_rows, gold_rows, set_matches, linked)
 
 
@@ -438,11 +445,11 @@ def _assemble(
     """The matching of the chosen pairs, the only ones that get a ``TemplatePair``."""
     pairs = tuple(table.pair(p, g) for p, g in chosen)
     numerators = dict.fromkeys((role.name for role in schema), 0)
-    for pair in pairs:
-        for role in pair.matched_set_roles:
+    for p, g in chosen:
+        for role in table.set_matches.get((p, g), ()):
             numerators[role] += 1
-        for role, pairing in pair.role_pairings.items():
-            numerators[role] += pairing.exact_count
+        for role, (_, exact) in table.linked.get((p, g), {}).items():
+            numerators[role] += exact
     role_tallies = {
         name: Tally(n, sum(row[k] for row in table.pred_rows), sum(row[k] for row in table.gold_rows))
         for k, (name, n) in enumerate(numerators.items())

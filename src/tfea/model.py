@@ -12,6 +12,7 @@ import operator
 import re
 import unicodedata
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Mapping
 
 
@@ -88,16 +89,22 @@ def _frozen_write(self, name, *value):
     raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
 
 
+@lru_cache(maxsize=None)
 def normalize(text: str, casefold: bool = True) -> str:
     """Canonicalize a string for exact-match comparison.
 
     Applies Unicode composition (NFC), trims and collapses whitespace
     runs to single spaces, and case-folds unless ``casefold`` is False.
-    Idempotent.
+    Idempotent. Memoized for the life of the process: the memo holds one
+    key per distinct text (with its setting) the process has normalized,
+    so the loader, span resolution and the matcher share one memo. A text
+    that is already canonical is returned as itself, so the memo holds it
+    once.
     """
-    text = unicodedata.normalize("NFC", text)
-    text = " ".join(text.split())
-    return text.casefold() if casefold else text
+    canonical = " ".join(unicodedata.normalize("NFC", text).split())
+    if casefold:
+        canonical = canonical.casefold()
+    return text if canonical == text else canonical
 
 
 def texts_match(a: str, b: str, casefold: bool = True) -> bool:
@@ -123,7 +130,8 @@ class RoleSpec:
     multi: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
+        if type(self.values) is not tuple:
+            object.__setattr__(self, "values", tuple(self.values))
         if self.kind is RoleKind.SET_FILL:
             if not self.values:
                 raise ValueError(f"set-fill role '{self.name}' needs a value inventory")
@@ -139,7 +147,8 @@ class Schema:
     roles: tuple[RoleSpec, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "roles", tuple(self.roles))
+        if type(self.roles) is not tuple:
+            object.__setattr__(self, "roles", tuple(self.roles))
         names = [r.name for r in self.roles]
         if len(set(names)) != len(names):
             raise ValueError("role names must be unique within a schema")
@@ -203,7 +212,8 @@ class GoldEntity:
     mentions: tuple[Mention, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "mentions", tuple(self.mentions))
+        if type(self.mentions) is not tuple:
+            object.__setattr__(self, "mentions", tuple(self.mentions))
         if not self.mentions:
             raise ValueError("an entity needs at least one mention")
 
@@ -256,8 +266,9 @@ class Document:
     predicted_templates: tuple[Template, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "gold_templates", tuple(self.gold_templates))
-        object.__setattr__(self, "predicted_templates", tuple(self.predicted_templates))
+        for name in ("gold_templates", "predicted_templates"):
+            if type(getattr(self, name)) is not tuple:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
 
 
 def find_normalized(text: str, doc_text: str, casefold: bool = True) -> Span | None:

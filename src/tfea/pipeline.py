@@ -20,10 +20,10 @@ so a collection only rescans the corpus and the results. With it on,
 unpickling the pool's results in the parent took about three times as
 long.
 
-With ``bench/run.py`` on 2 CPUs (medians of ten seeds, ``BENCH_22.json``,
+With ``bench/run.py`` on 2 CPUs (medians of ten seeds, ``BENCH_23.json``,
 reference-scaled seconds) ``--parallel 2`` is still slower than serial:
-0.160 against 0.127 s on wide_templates (8 documents), 0.295 against
-0.234 s on guard_overflow (30) and 0.587 against 0.489 s on small_docs
+0.156 against 0.125 s on wide_templates (8 documents), 0.256 against
+0.223 s on guard_overflow (30) and 0.495 against 0.463 s on small_docs
 (400). There two CPU-bound processes started together mostly took twice
 as long as one alone, so the pool's start-up and result transfer (the
 caller rebuilds each result record) are what is left to cut.

@@ -8,6 +8,7 @@ overlap. A zero-length operand always scores 1, even against itself.
 from __future__ import annotations
 
 from enum import Enum
+from typing import Callable
 
 from .model import Span
 
@@ -42,7 +43,10 @@ def scs_geometric(x: Span, y: Span) -> float:
     return 1.0 - (si * si) / (x.length * y.length)
 
 
+def scs_function(mode: ScsMode) -> Callable[[Span, Span], float]:
+    """The SCS function of a mode, for callers that score many span pairs."""
+    return scs_absolute if mode is ScsMode.ABSOLUTE else scs_geometric
+
+
 def span_score(x: Span, y: Span, mode: ScsMode = ScsMode.GEOMETRIC) -> float:
-    if mode is ScsMode.ABSOLUTE:
-        return scs_absolute(x, y)
-    return scs_geometric(x, y)
+    return scs_function(mode)(x, y)

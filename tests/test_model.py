@@ -26,6 +26,18 @@ from tfea.model import (
 from tfea.spans import ScsMode
 
 
+# Text that each step of ``normalize`` changes: letters in both cases
+# (some that case-fold to other lengths or scripts), combining marks that
+# NFC composes, and whitespace of every kind.
+normalizing_text = st.lists(
+    st.one_of(
+        st.characters(categories=("Lu", "Ll", "Lt", "Mn", "Me", "Zs", "Zl", "Zp", "Cc")),
+        st.sampled_from(["e\u0301", "A\u030a", "\u212b", "ß", "ﬁ", "İ", "\u212a", "\x1c", "\x85", "\u3000"]),
+    ),
+    max_size=12,
+).map("".join)
+
+
 class TestNormalize:
     @pytest.mark.parametrize(
         "raw,expected",
@@ -50,6 +62,18 @@ class TestNormalize:
     @given(st.text(max_size=80))
     def test_no_surrounding_whitespace(self, s):
         assert normalize(s) == normalize(s).strip()
+
+    @settings(max_examples=500)
+    @given(text=normalizing_text, casefold=st.booleans())
+    def test_memo_equals_unmemoized(self, text, casefold):
+        expected = normalize.__wrapped__(text, casefold)
+        # The memo keys positional and keyword calls apart; the first call
+        # and every repeat must give the unmemoized value.
+        for _ in range(2):
+            assert normalize(text, casefold) == expected
+            assert normalize(text, casefold=casefold) == expected
+            assert normalize(text=text, casefold=casefold) == expected
+            assert normalize(text) == normalize.__wrapped__(text)
 
 
 class TestExactMatch:
@@ -249,6 +273,27 @@ class TestTypes:
         role = RoleSpec("agent", RoleKind.STRING_FILL)
         with pytest.raises(ValueError):
             Schema((role, role))
+
+    def test_sequence_fields_become_tuples(self):
+        role = RoleSpec("status", RoleKind.SET_FILL, values=["a", "b"])
+        mentions = (Mention("a"), Mention("b", Span(0, 1)))
+        template = Template({})
+        # A document holds templates, which hold dicts: it has no hash.
+        for make, listed, field, hashable in [
+            (lambda v: RoleSpec("status", RoleKind.SET_FILL, values=v), ["a", "b"], "values", True),
+            (Schema, [role], "roles", True),
+            (GoldEntity, list(mentions), "mentions", True),
+            (lambda v: Document("d", "", v), [template], "gold_templates", False),
+            (lambda v: Document("d", "", (), v), [template], "predicted_templates", False),
+        ]:
+            from_list, from_tuple = make(listed), make(tuple(listed))
+            assert type(getattr(from_list, field)) is tuple
+            assert from_list == from_tuple
+            if hashable:
+                assert hash(from_list) == hash(from_tuple)
+            # A tuple is kept as the same object.
+            given_tuple = tuple(listed)
+            assert getattr(make(given_tuple), field) is given_tuple
 
 
 def _mentions(value) -> list[Mention]:
