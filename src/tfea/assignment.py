@@ -20,7 +20,7 @@ give ``()`` and ``((2, 1),)``.
 from __future__ import annotations
 
 import math
-from typing import Collection, Mapping
+from typing import Mapping
 
 
 def _min_cost_assignment(cost: list[list[int]]) -> tuple[list[int], list[int], list[int]]:
@@ -68,27 +68,29 @@ def _min_cost_assignment(cost: list[list[int]]) -> tuple[list[int], list[int], l
     return row_of[:n], u, v[:n]
 
 
-def uncontested(cells: Collection[tuple[int, int]]) -> bool:
-    """Whether no two cells share a pred or a gold: with every cost below 0, all are taken."""
-    return len({p for p, _ in cells}) == len({g for _, g in cells}) == len(cells)
-
-
 def lexmin_assignment(cost: Mapping[tuple[int, int], int]) -> tuple[tuple[int, int], ...]:
     """The pair tuple minimizing ``(Σ cost, pairs)`` over the given cells.
 
     ``cost`` maps each allowed ``(pred, gold)`` cell, in pred order, to a
-    cost of at most 0. With no zero cost and the cells ``uncontested``,
-    every cell is taken. Else each component is a k-square block, preds and
-    golds ascending; a row on a cell that is not a pair is unpaired. The
-    walk takes the preds in order: stop once the pairs taken reach the
-    optimum (the shortest tuple is the smallest), else take the smallest
-    gold that an alternating cycle of tight cells can reroute the assignment
-    onto, else leave the pred unpaired. Its row then keeps only the gold it
-    took, or only its tight columns that are not pairs: an unpaired pred may
-    sit on a gold's absent cell, and a later cycle can still move it off.
+    cost of at most 0. With no competing cell and no zero cost, every cell
+    is taken. Else each component is a k-square block, preds and golds
+    ascending; a row on a cell that is not a pair is unpaired. The walk
+    takes the preds in order: stop once the pairs taken reach the optimum
+    (the shortest tuple is the smallest), else take the smallest gold that
+    an alternating cycle of tight cells can reroute the assignment onto,
+    else leave the pred unpaired. Its row then keeps only the gold it took,
+    or only its tight columns that are not pairs: an unpaired pred may sit
+    on a gold's absent cell, and a later cycle can still move it off.
     """
-    if 0 not in cost.values() and uncontested(cost):
-        return tuple(cost)
+    if 0 not in cost.values():
+        preds_seen, golds_seen = set(), set()
+        for p, g in cost:
+            if p in preds_seen or g in golds_seen:
+                break
+            preds_seen.add(p)
+            golds_seen.add(g)
+        else:
+            return tuple(cost)
     golds_of: dict[int, list[int]] = {}
     preds_of: dict[int, list[int]] = {}
     for p, g in cost:

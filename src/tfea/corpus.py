@@ -46,7 +46,7 @@ from .model import (
     Span,
     Template,
     find_normalized,
-    normalize,
+    normalizer,
 )
 
 log = logging.getLogger("tfea")
@@ -122,20 +122,21 @@ class _SideReader:
     """One pass over the decoded objects of one corpus side.
 
     The schema becomes a role table once per side, with each set-fill
-    inventory normalized into a set (``normalize`` is memoized, so each
-    distinct text is normalized once per process). ``json.load`` decodes
-    every object to a dict, so the shape checks test for ``dict`` and
-    ``list``.
+    inventory normalized into a set; texts go through the memoized
+    ``normalizer``, so each distinct text is normalized once per process.
+    ``json.load`` decodes every object to a dict, so the shape checks test
+    for ``dict`` and ``list``.
     """
 
     def __init__(self, path: str, schema: Schema, gold: bool, casefold: bool):
         self.path = path
         self.gold = gold
         self.casefold = casefold
+        self.normalize = normalizer(casefold)
         # role name -> (set-fill inventory or None for a string-fill role, multi)
         self.roles: dict[str, tuple[frozenset | None, bool]] = {
             role.name: (
-                frozenset(normalize(v, casefold) for v in role.values) if role.kind is RoleKind.SET_FILL else None,
+                frozenset(map(self.normalize, role.values)) if role.kind is RoleKind.SET_FILL else None,
                 role.multi,
             )
             for role in schema
@@ -156,7 +157,7 @@ class _SideReader:
             if inventory is not None:
                 if not isinstance(value, str):
                     raise ParseError(self.path, f"set-fill filler must be a string, got {value!r}", where)
-                if normalize(value, self.casefold) not in inventory:
+                if self.normalize(value) not in inventory:
                     log.warning("%s: value %r is not in the role inventory", where, value)
                 fillers[role_name] = value
                 continue
@@ -181,7 +182,7 @@ class _SideReader:
         seen: set[str] = set()
         for entity in entities:
             for mention in entity.mentions:
-                key = normalize(mention.text, self.casefold)
+                key = self.normalize(mention.text)
                 if key in seen:
                     log.warning("%s: mention %r appears in two entities", where, mention.text)
                 seen.add(key)
@@ -207,7 +208,7 @@ class _SideReader:
             log.warning("%s: span [%d, %d) falls outside the document, re-locating", where, start, end)
             return self.relocate(text, doc_text)
         found = doc_text[start:end]
-        if found != text and normalize(found, self.casefold) != normalize(text, self.casefold):
+        if found != text and self.normalize(found) != self.normalize(text):
             log.warning(
                 "%s: text %r does not match the document at [%d, %d), re-locating",
                 where,

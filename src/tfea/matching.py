@@ -14,8 +14,8 @@ a zero-cost pair may precede a negative one in another component.
 
 Every pairing question (is this predicted filler an exact or a partial
 match of that gold entity?) is answered by one per-document
-``MatchIndex``. It normalizes each mention text once per process
-(``normalize`` is memoized) and records only the cells where a predicted
+``MatchIndex``. It normalizes each mention text once per process (through
+the memoized ``normalizer``) and records only the cells where a predicted
 mention shares a normalized text with an entity or has a span that
 intersects one of the entity's spans; the rest, usually the large
 majority, are a shared "no match". Leaving them out is exact, not a
@@ -41,13 +41,14 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from functools import lru_cache
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Callable, Mapping
 
-from .assignment import lexmin_assignment, uncontested
+from .assignment import lexmin_assignment
 from .config import AnalysisConfig
 from .exceptions import ComplexityGuardExceeded
-from .model import Document, Factory, Mention, RoleKind, Schema, Template, normalize, record
+from .model import Document, Factory, Mention, RoleKind, Schema, Template, normalizer, record
 from .spans import ScsMode, scs_function
 
 PARTIAL_THRESHOLD = 1.0
@@ -104,6 +105,10 @@ NO_MATCH = EntityMatch(False, 1.0, None)
 _NO_CELLS: Mapping = MappingProxyType({})
 
 
+def _entity_index(cell_match: tuple) -> int:
+    return cell_match[0][1]
+
+
 class MatchIndex:
     """The cells where a predicted mention meets a gold entity.
 
@@ -114,29 +119,28 @@ class MatchIndex:
     arg-min mention by ``(score, span start, mention order)`` as its
     span-alteration target. Every other cell is ``NO_MATCH``.
 
-    Each mention text is normalized once per process (``normalize`` is
-    memoized) and the mode's SCS function is looked up once per index. Exact
-    cells come from a dict of normalized gold texts, partial cells from the
-    gold spans that intersect the predicted span, found by bisecting the
-    spans sorted by start. A mention with one cell, the usual case, has its
-    row stored as it is; several are ordered by entity index. Skipping every
-    other gold mention is exact in both SCS modes: a null span, a
-    zero-length span, and spans that are disjoint or only touch all score
-    exactly 1 (in absolute mode, disjoint spans have ``|Δstart| + |Δend| >=
-    len(x) + len(y)``, which the cap turns into 1).
+    Each mention text is normalized once per process (the memoized
+    ``normalizer``) and the mode's SCS function is looked up once per
+    index. Exact cells come from a dict of normalized gold texts, partial
+    cells from the gold spans that intersect the predicted span, found by
+    bisecting the spans sorted by start. Skipping every other gold mention
+    is exact in both SCS modes: a null span, a zero-length span, and spans
+    that are disjoint or only touch all score exactly 1 (in absolute mode,
+    disjoint spans have ``|Δstart| + |Δend| >= len(x) + len(y)``, which the
+    cap turns into 1).
 
     ``pred`` yields ``(row, mention)`` and ``gold`` yields ``(group,
     entity index, entity)``; rows and groups are any hashable keys.
     """
 
     def __init__(self, pred, gold, mode: ScsMode, casefold: bool):
-        scs = scs_function(mode)
+        scs, norm = scs_function(mode), normalizer(casefold)
         by_text: dict[str, dict[tuple, Mention]] = {}
         spans = []
         for group, entity_index, entity in gold:
             cell = (group, entity_index)
             for order, mention in enumerate(entity.mentions):
-                by_text.setdefault(normalize(mention.text, casefold), {}).setdefault(cell, mention)
+                by_text.setdefault(norm(mention.text), {}).setdefault(cell, mention)
                 if mention.span is not None:
                     spans.append((mention.span.start, mention.span.end, order, cell, mention))
         spans.sort(key=lambda item: item[0])
@@ -145,7 +149,7 @@ class MatchIndex:
 
         self._rows: dict = {}
         for row, mention in pred:
-            exact = by_text.get(normalize(mention.text, casefold), _NO_CELLS)
+            exact = by_text.get(norm(mention.text), _NO_CELLS)
             nearest: dict[tuple, tuple] = {}
             x = mention.span
             if x is not None:
@@ -163,12 +167,10 @@ class MatchIndex:
             for cell, ((score, _, _), target) in nearest.items():
                 if cell not in exact and score < PARTIAL_THRESHOLD:
                     cells.append((cell, EntityMatch(False, score, target)))
-            if len(cells) == 1:
-                [((group, entity_index), match)] = cells
-                self._rows[row] = {group: {entity_index: match}}
-            elif cells:
+            if cells:
                 groups: dict = {}
-                for (group, entity_index), match in sorted(cells, key=lambda item: item[0][1]):
+                cells.sort(key=_entity_index)
+                for (group, entity_index), match in cells:
                     groups.setdefault(group, {})[entity_index] = match
                 self._rows[row] = groups
 
@@ -225,11 +227,14 @@ class MentionPairing:
 
     @property
     def exact_count(self) -> int:
-        return sum([p.exact for p in self.pairs])
+        return sum(map(_is_exact, self.pairs))
 
     @property
     def partial_count(self) -> int:
         return len(self.pairs) - self.exact_count
+
+
+_is_exact = attrgetter("exact")
 
 
 @lru_cache(maxsize=256)
@@ -246,14 +251,16 @@ def _build_pairing(
     """Pairing from index pairs; ``rows[i]`` maps entity index to match for pred ``i``."""
     if not index_pairs:
         return _unpaired(len(rows), gold_count)
-    matched_pred = {i for i, _ in index_pairs}
-    matched_gold = {j for _, j in index_pairs}
-    # List comprehensions: on these few items a generator costs more than the work.
-    return MentionPairing(
-        tuple([MentionPair(i, j, m.exact, m.score, m.gold_mention) for i, j in index_pairs for m in (rows[i][j],)]),
-        tuple([i for i in range(len(rows)) if i not in matched_pred]),
-        tuple([j for j in range(gold_count) if j not in matched_gold]),
-    )
+    # One loop: a pairing has a few items, and comprehensions would cost
+    # more than their work.
+    pairs = []
+    unmatched_pred, unmatched_gold = list(range(len(rows))), list(range(gold_count))
+    for i, j in index_pairs:
+        match = rows[i][j]
+        pairs.append(MentionPair(i, j, match.exact, match.score, match.gold_mention))
+        unmatched_pred.remove(i)
+        unmatched_gold.remove(j)
+    return MentionPairing(tuple(pairs), tuple(unmatched_pred), tuple(unmatched_gold))
 
 
 def _best_role_pairing(rows: list[Mapping[int, EntityMatch]], gold_count: int) -> MentionPairing:
@@ -264,15 +271,10 @@ def _best_role_pairing(rows: list[Mapping[int, EntityMatch]], gold_count: int) -
     fixed numerator more partials means fewer errors. Ties go to the
     lexicographically smallest pair tuple. With ``K = len(rows)`` pairs
     at most, a cost of ``-(K+1)`` per exact cell and ``-1`` per partial
-    one orders pairings the same way, so this is one lex-min assignment;
-    when no two cells share a pred or an entity, every cell is taken
-    without one.
+    one orders pairings the same way, so this is one lex-min assignment.
     """
-    cells = [(i, j) for i, row in enumerate(rows) for j in row]
-    if uncontested(cells):
-        return _build_pairing(tuple(cells), rows, gold_count)
     exact_cost = -(len(rows) + 1)
-    cost = {(i, j): exact_cost if rows[i][j].exact else -1 for i, j in cells}
+    cost = {(i, j): exact_cost if match.exact else -1 for i, row in enumerate(rows) for j, match in row.items()}
     return _build_pairing(lexmin_assignment(cost), rows, gold_count)
 
 
@@ -352,9 +354,8 @@ class _PairTable:
     ``numerators[p][g]`` and ``errors[p][g]`` are the pair's exact-match
     numerator and implied errors, ``set_matches[p, g]`` its set-fill roles
     with equal values (schema order), and ``pred_rows``/``gold_rows`` each
-    template's ``filler_row``. Role pairings are kept, with their exact
-    pair counts, for linked roles only; ``pair`` rebuilds the rest from
-    filler counts.
+    template's ``filler_row``. Role pairings are kept for linked roles
+    only; ``pair`` rebuilds the rest from filler counts.
     """
 
     numerators: list[list[int]]
@@ -363,12 +364,12 @@ class _PairTable:
     pred_rows: list[list[int]]
     gold_rows: list[list[int]]
     set_matches: dict[tuple[int, int], list[str]]
-    linked: dict[tuple[int, int], dict[str, tuple[MentionPairing, int]]]
+    linked: dict[tuple[int, int], dict[str, MentionPairing]]
 
     def pair(self, p: int, g: int) -> TemplatePair:
         linked = self.linked.get((p, g), {})
         pairings = {
-            role: linked[role][0] if role in linked else _unpaired(self.pred_rows[p][k], self.gold_rows[g][k])
+            role: linked[role] if role in linked else _unpaired(self.pred_rows[p][k], self.gold_rows[g][k])
             for role, k in self.string_roles
         }
         return TemplatePair(p, g, pairings, tuple(self.set_matches.get((p, g), ())))
@@ -400,8 +401,10 @@ def _pair_scores(
     pred_rows = [t.filler_row(schema) for t in doc.predicted_templates]
     gold_rows = [t.filler_row(schema) for t in doc.gold_templates]
 
+    norm = normalizer(config.casefold)
+
     def values(template: Template) -> list[str | None]:
-        return [None if v is None else normalize(v, config.casefold) for v in map(template.set_fill, set_roles)]
+        return [None if v is None else norm(v) for v in map(template.set_fill, set_roles)]
 
     golds_by_value: list[dict[str, list[int]]] = [{} for _ in set_roles]
     for g, template in enumerate(doc.gold_templates):
@@ -428,11 +431,10 @@ def _pair_scores(
                 if rows is None:
                     rows = role_rows[p, g, role] = [_NO_CELLS] * pred_rows[p][column[role]]
                 rows[i] = hits
-    linked: dict[tuple[int, int], dict[str, tuple[MentionPairing, int]]] = {}
+    linked: dict[tuple[int, int], dict[str, MentionPairing]] = {}
     for (p, g, role), rows in role_rows.items():
-        pairing = pair_role(rows, gold_rows[g][column[role]])
+        pairing = linked.setdefault((p, g), {})[role] = pair_role(rows, gold_rows[g][column[role]])
         exact = pairing.exact_count
-        linked.setdefault((p, g), {})[role] = (pairing, exact)
         numerators[p][g] += exact
         # Each exact pair removes two errors, each partial one.
         errors[p][g] -= exact + len(pairing.pairs)
@@ -444,16 +446,16 @@ def _assemble(
 ) -> TemplateMatching:
     """The matching of the chosen pairs, the only ones that get a ``TemplatePair``."""
     pairs = tuple(table.pair(p, g) for p, g in chosen)
-    numerators = dict.fromkeys((role.name for role in schema), 0)
-    for p, g in chosen:
-        for role in table.set_matches.get((p, g), ()):
+    names = schema.names
+    numerators = dict.fromkeys(names, 0)
+    for pair in pairs:
+        for role in pair.matched_set_roles:
             numerators[role] += 1
-        for role, (_, exact) in table.linked.get((p, g), {}).items():
-            numerators[role] += exact
-    role_tallies = {
-        name: Tally(n, sum(row[k] for row in table.pred_rows), sum(row[k] for row in table.gold_rows))
-        for k, (name, n) in enumerate(numerators.items())
-    }
+        for role, pairing in pair.role_pairings.items():
+            numerators[role] += pairing.exact_count
+    # Column sums of the filler rows; the zero row keeps a side with no templates.
+    pred_totals = list(map(sum, zip([0] * len(names), *table.pred_rows)))
+    gold_totals = list(map(sum, zip([0] * len(names), *table.gold_rows)))
     matched_pred = {p for p, _ in chosen}
     matched_gold = {g for _, g in chosen}
     return TemplateMatching(
@@ -461,8 +463,8 @@ def _assemble(
         pairs=pairs,
         spurious_templates=tuple(i for i in range(len(doc.predicted_templates)) if i not in matched_pred),
         missing_templates=tuple(j for j in range(len(doc.gold_templates)) if j not in matched_gold),
-        role_tallies=role_tallies,
-        total=sum(role_tallies.values(), Tally()),
+        role_tallies=dict(zip(names, map(Tally, numerators.values(), pred_totals, gold_totals))),
+        total=Tally(sum(numerators.values()), sum(pred_totals), sum(gold_totals)),
         error_tally=sum(table.errors[p][g] - 2 for p, g in chosen) + len(table.pred_rows) + len(table.gold_rows),
         approximate=approximate,
     )

@@ -12,7 +12,7 @@ import operator
 import re
 import unicodedata
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Mapping
 
 
@@ -89,22 +89,31 @@ def _frozen_write(self, name, *value):
     raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
 
 
-@lru_cache(maxsize=None)
 def normalize(text: str, casefold: bool = True) -> str:
     """Canonicalize a string for exact-match comparison.
 
     Applies Unicode composition (NFC), trims and collapses whitespace
     runs to single spaces, and case-folds unless ``casefold`` is False.
-    Idempotent. Memoized for the life of the process: the memo holds one
-    key per distinct text (with its setting) the process has normalized,
-    so the loader, span resolution and the matcher share one memo. A text
-    that is already canonical is returned as itself, so the memo holds it
-    once.
+    Idempotent; a text that is already canonical is returned as itself.
+    ``normalizer`` gives its memoized form.
     """
     canonical = " ".join(unicodedata.normalize("NFC", text).split())
-    if casefold:
-        canonical = canonical.casefold()
+    canonical = canonical.casefold() if casefold else canonical
     return text if canonical == text else canonical
+
+
+_NORMALIZERS = {casefold: lru_cache(maxsize=4096)(partial(normalize, casefold=casefold)) for casefold in (True, False)}
+
+
+def normalizer(casefold: bool = True) -> Callable[[str], str]:
+    """``normalize`` of one setting, memoized per process.
+
+    The loader, span resolution and the matcher normalize every mention
+    text through it and share its memo, which is keyed by the text alone
+    and keeps the 4,096 most recently used texts of the setting, so a
+    long-lived process cannot grow it without bound.
+    """
+    return _NORMALIZERS[casefold]
 
 
 def texts_match(a: str, b: str, casefold: bool = True) -> bool:
@@ -300,8 +309,10 @@ def _searcher(doc_text: str, casefold: bool) -> Callable[[str], Span | None]:
         hay = doc_text.lower() if casefold else doc_text
     flags = re.IGNORECASE if casefold else 0
 
+    norm = normalizer(casefold)
+
     def find(text: str) -> Span | None:
-        key = normalize(text, casefold)
+        key = norm(text)
         if not key:
             return None
         tokens = key.split(" ")

@@ -22,8 +22,8 @@ long.
 
 With ``bench/run.py`` on 2 CPUs (medians of ten seeds, ``BENCH_23.json``,
 reference-scaled seconds) ``--parallel 2`` is still slower than serial:
-0.156 against 0.125 s on wide_templates (8 documents), 0.256 against
-0.223 s on guard_overflow (30) and 0.495 against 0.463 s on small_docs
+0.161 against 0.127 s on wide_templates (8 documents), 0.279 against
+0.223 s on guard_overflow (30) and 0.556 against 0.455 s on small_docs
 (400). There two CPU-bound processes started together mostly took twice
 as long as one alone, so the pool's start-up and result transfer (the
 caller rebuilds each result record) are what is left to cut.

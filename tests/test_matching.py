@@ -20,7 +20,6 @@ from oracles import (
     pair_scores_reference,
 )
 from support import fuzzed_corpus
-from tfea import matching
 from tfea.assignment import lexmin_assignment
 from tfea.config import AnalysisConfig
 from tfea.exceptions import ComplexityGuardExceeded
@@ -117,61 +116,6 @@ class TestMentionMatchings:
             ), (pred, gold, mode, casefold)
         assert min(shapes["contested"], shapes["uncontested"]) > 2000, shapes
         assert min(cells["exact"], cells["partial"], cells["absent"]) > 10_000, cells
-
-    def test_uncontested_role_skips_the_solve(self, monkeypatch):
-        """With no two cells on one mention or one entity, every cell is taken without a solve."""
-        solves = []
-        solve = matching.lexmin_assignment
-        monkeypatch.setattr(matching, "lexmin_assignment", lambda cost: solves.append(cost) or solve(cost))
-        rng = random.Random(2311)
-        shapes, row_sizes = Counter(), Counter()
-        for _ in range(5000):
-            pred, gold = _sparse_role(rng)
-            mode, casefold = rng.choice(list(ScsMode)), rng.random() < 0.7
-            index = MatchIndex(enumerate(pred), ((None, j, e) for j, e in enumerate(gold)), mode, casefold)
-            rows = [index.hits(i, None) for i in range(len(pred))]
-            row_sizes.update(min(len(row), 2) for row in rows)
-            columns = [j for row in rows for j in row]
-            contested = any(len(row) > 1 for row in rows) or len(set(columns)) < len(columns)
-            shapes["contested" if contested else "uncontested"] += 1
-            solves.clear()
-            assert _best_role_pairing(rows, len(gold)) == best_mention_matching_reference(
-                pred, gold, mode, casefold
-            ), (pred, gold, mode, casefold)
-            assert len(solves) == contested
-        assert min(shapes["contested"], shapes["uncontested"]) > 1000, shapes
-        assert row_sizes[1] > 4 * row_sizes[2] > 0 and row_sizes[0] > 0, row_sizes
-
-
-def _sparse_role(rng: random.Random) -> tuple[list[Mention], list[GoldEntity]]:
-    """Up to five mentions and entities, where a mention mostly meets at most one entity.
-
-    Entity ``k`` has its own word and its spans in ``[10k, 10k + 5)``; a
-    mention mostly picks the ``k`` of an entity, so two mentions may meet
-    the same one. A mention spelled ``z`` can only meet an entity by its
-    span, and one gold mention in ten takes another entity's word, giving
-    a mention two cells.
-    """
-    words = "abcdef"
-
-    def mention(k: int, text: str) -> Mention:
-        if rng.random() < 0.3:
-            return Mention(text)
-        start = 10 * k + rng.randint(0, 2)
-        return Mention(text, Span(start, start + rng.randint(1, 3)))
-
-    places = rng.sample(range(6), rng.randint(0, 5))
-    gold = [
-        GoldEntity(
-            tuple(mention(k, words[k if rng.random() < 0.9 else rng.randrange(6)]) for _ in range(rng.randint(1, 2)))
-        )
-        for k in places
-    ]
-    pred = []
-    for _ in range(rng.randint(0, 5)):
-        k = rng.choice(places) if places and rng.random() < 0.8 else rng.randrange(6)
-        pred.append(mention(k, words[k] if rng.random() < 0.7 else "z"))
-    return pred, gold
 
 
 def _random_role(rng: random.Random) -> tuple[list[Mention], list[GoldEntity]]:

@@ -20,6 +20,7 @@ from tfea.model import (
     Template,
     find_normalized,
     normalize,
+    normalizer,
     resolve_document_spans,
     texts_match,
 )
@@ -66,14 +67,11 @@ class TestNormalize:
     @settings(max_examples=500)
     @given(text=normalizing_text, casefold=st.booleans())
     def test_memo_equals_unmemoized(self, text, casefold):
-        expected = normalize.__wrapped__(text, casefold)
-        # The memo keys positional and keyword calls apart; the first call
-        # and every repeat must give the unmemoized value.
+        expected = normalize(text, casefold=casefold)
+        # The first call fills the memo of its setting, a repeat reads it.
         for _ in range(2):
-            assert normalize(text, casefold) == expected
-            assert normalize(text, casefold=casefold) == expected
-            assert normalize(text=text, casefold=casefold) == expected
-            assert normalize(text) == normalize.__wrapped__(text)
+            assert normalizer(casefold)(text) == expected
+            assert normalizer(not casefold)(text) == normalize(text, not casefold)
 
 
 class TestExactMatch:
