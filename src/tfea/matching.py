@@ -103,10 +103,9 @@ class EntityMatch:
 
 NO_MATCH = EntityMatch(False, 1.0, None)
 _NO_CELLS: Mapping = MappingProxyType({})
-
-
-def _entity_index(cell_match: tuple) -> int:
-    return cell_match[0][1]
+# One role's cells, (pred filler, entity index) -> match: the preds in order,
+# the cells of one pred in any order.
+Cells = Mapping[tuple[int, int], EntityMatch]
 
 
 class MatchIndex:
@@ -130,7 +129,8 @@ class MatchIndex:
     cap turns into 1).
 
     ``pred`` yields ``(row, mention)`` and ``gold`` yields ``(group,
-    entity index, entity)``; rows and groups are any hashable keys.
+    entity index, entity)``; rows and groups are any hashable keys. A row
+    is one ``{(group, entity index): match}`` dict, in the order found.
     """
 
     def __init__(self, pred, gold, mode: ScsMode, casefold: bool):
@@ -160,19 +160,14 @@ class MatchIndex:
                     key = (scs(x, candidate.span), start, order)
                     if cell not in nearest or key < nearest[cell][0]:
                         nearest[cell] = (key, candidate)
-            cells = []
+            cells = {}
             for cell, gold_mention in exact.items():
-                score = nearest[cell][0][0] if cell in nearest else 1.0
-                cells.append((cell, EntityMatch(True, score, gold_mention)))
+                cells[cell] = EntityMatch(True, nearest[cell][0][0] if cell in nearest else 1.0, gold_mention)
             for cell, ((score, _, _), target) in nearest.items():
                 if cell not in exact and score < PARTIAL_THRESHOLD:
-                    cells.append((cell, EntityMatch(False, score, target)))
+                    cells[cell] = EntityMatch(False, score, target)
             if cells:
-                groups: dict = {}
-                cells.sort(key=_entity_index)
-                for (group, entity_index), match in cells:
-                    groups.setdefault(group, {})[entity_index] = match
-                self._rows[row] = groups
+                self._rows[row] = cells
 
     @classmethod
     def for_document(cls, doc: Document, schema: Schema, config: AnalysisConfig) -> "MatchIndex":
@@ -193,19 +188,15 @@ class MatchIndex:
         return cls(pred, gold, config.scs_mode, config.casefold)
 
     def items(self):
-        """``(row, group -> {entity index: match})`` for every mention with a cell."""
+        """``(row, {(group, entity index): match})`` for every mention with a cell."""
         return self._rows.items()
 
-    def row(self, row) -> Mapping:
-        """Group -> {entity index: match} over the non-empty cells of one mention."""
+    def row(self, row) -> Mapping[tuple, EntityMatch]:
+        """``(group, entity index) -> match`` over the non-empty cells of one mention."""
         return self._rows.get(row, _NO_CELLS)
 
-    def hits(self, row, group) -> Mapping[int, EntityMatch]:
-        """Entity index -> match for the non-empty cells of one mention in one group."""
-        return self.row(row).get(group, _NO_CELLS)
-
     def cell(self, row, group, entity_index: int) -> EntityMatch:
-        return self.hits(row, group).get(entity_index, NO_MATCH)
+        return self.row(row).get((group, entity_index), NO_MATCH)
 
 
 @record(frozen=True)
@@ -229,10 +220,6 @@ class MentionPairing:
     def exact_count(self) -> int:
         return sum(map(_is_exact, self.pairs))
 
-    @property
-    def partial_count(self) -> int:
-        return len(self.pairs) - self.exact_count
-
 
 _is_exact = attrgetter("exact")
 
@@ -244,38 +231,36 @@ def _unpaired(pred_count: int, gold_count: int) -> MentionPairing:
 
 
 def _build_pairing(
-    index_pairs: tuple[tuple[int, int], ...],
-    rows: list[Mapping[int, EntityMatch]],
-    gold_count: int,
+    index_pairs: tuple[tuple[int, int], ...], cells: Cells, pred_count: int, gold_count: int
 ) -> MentionPairing:
-    """Pairing from index pairs; ``rows[i]`` maps entity index to match for pred ``i``."""
+    """Pairing from index pairs; ``cells`` maps ``(pred, entity index)`` to its match."""
     if not index_pairs:
-        return _unpaired(len(rows), gold_count)
+        return _unpaired(pred_count, gold_count)
     # One loop: a pairing has a few items, and comprehensions would cost
     # more than their work.
     pairs = []
-    unmatched_pred, unmatched_gold = list(range(len(rows))), list(range(gold_count))
+    unmatched_pred, unmatched_gold = list(range(pred_count)), list(range(gold_count))
     for i, j in index_pairs:
-        match = rows[i][j]
+        match = cells[i, j]
         pairs.append(MentionPair(i, j, match.exact, match.score, match.gold_mention))
         unmatched_pred.remove(i)
         unmatched_gold.remove(j)
     return MentionPairing(tuple(pairs), tuple(unmatched_pred), tuple(unmatched_gold))
 
 
-def _best_role_pairing(rows: list[Mapping[int, EntityMatch]], gold_count: int) -> MentionPairing:
+def _best_role_pairing(cells: Cells, pred_count: int, gold_count: int) -> MentionPairing:
     """The pairing with the most exact pairs, then the most partial pairs.
 
     Exact pairs are the numerator; each partial pair replaces one
     spurious plus one missing error with a single span error, so at a
     fixed numerator more partials means fewer errors. Ties go to the
-    lexicographically smallest pair tuple. With ``K = len(rows)`` pairs
+    lexicographically smallest pair tuple. With ``K = pred_count`` pairs
     at most, a cost of ``-(K+1)`` per exact cell and ``-1`` per partial
     one orders pairings the same way, so this is one lex-min assignment.
     """
-    exact_cost = -(len(rows) + 1)
-    cost = {(i, j): exact_cost if match.exact else -1 for i, row in enumerate(rows) for j, match in row.items()}
-    return _build_pairing(lexmin_assignment(cost), rows, gold_count)
+    exact_cost = -(pred_count + 1)
+    cost = {cell: exact_cost if match.exact else -1 for cell, match in cells.items()}
+    return _build_pairing(lexmin_assignment(cost), cells, pred_count, gold_count)
 
 
 @record(frozen=True)
@@ -344,7 +329,7 @@ class TemplateMatching:
         return self.total.f1
 
 
-RolePairer = Callable[[list[Mapping[int, EntityMatch]], int], MentionPairing]
+RolePairer = Callable[[Cells, int, int], MentionPairing]
 
 
 @record(frozen=True)
@@ -384,15 +369,14 @@ def _pair_scores(
     two errors (spurious plus missing), a one-sided value one. A string-fill
     role with ``m`` mentions and ``e`` entities costs ``m + e - 2·exact -
     partial`` under its pairing. Only the roles that the index links, by a
-    cell with an entity of the same role, reach ``pair_role(rows, e)``,
-    where ``rows`` holds each mention's cells, collected in one pass over
-    the index (``_best_role_pairing`` for the exact matcher, a polynomial
-    solve); a cell in another role only feeds incorrect-role detection.
-    Every other role is the empty ``_unpaired(m, e)``: an unlinked pair's
-    two ints come from its filler totals and its equal set-fill values,
-    found by grouping the gold templates by normalized value. The only
-    allocation per pair is the role list of a pair that shares a set-fill
-    value.
+    cell with an entity of the same role, reach ``pair_role(cells, m, e)``,
+    its cells collected in one pass over the index (``_best_role_pairing``
+    for the exact matcher, a polynomial solve); a cell in another role only
+    feeds incorrect-role detection. Every other role is the empty
+    ``_unpaired(m, e)``: an unlinked pair's two ints come from its filler
+    totals and its equal set-fill values, found by grouping the gold
+    templates by normalized value. The only allocation per pair is the role
+    list of a pair that shares a set-fill value.
     """
     set_roles = [role.name for role in schema.set_fill_roles]
     string_roles = [(role.name, k) for k, role in enumerate(schema) if role.kind is RoleKind.STRING_FILL]
@@ -422,18 +406,16 @@ def _pair_scores(
                 set_matches.setdefault((p, g), []).append(role)
         numerators.append(numerator_row)
         errors.append([pred_size + gold_size - 2 * n for gold_size, n in zip(gold_sizes, numerator_row)])
-    column = dict(string_roles)
-    role_rows: dict[tuple[int, int, str], list[Mapping[int, EntityMatch]]] = {}
-    for (p, role, i), groups in index.items():
-        for (g, gold_role), hits in groups.items():
+    role_cells: dict[tuple[int, int, str], dict[tuple[int, int], EntityMatch]] = {}
+    for (p, role, i), cells in index.items():
+        for ((g, gold_role), j), match in cells.items():
             if gold_role == role:
-                rows = role_rows.get((p, g, role))
-                if rows is None:
-                    rows = role_rows[p, g, role] = [_NO_CELLS] * pred_rows[p][column[role]]
-                rows[i] = hits
+                role_cells.setdefault((p, g, role), {})[i, j] = match
+    column = dict(string_roles)
     linked: dict[tuple[int, int], dict[str, MentionPairing]] = {}
-    for (p, g, role), rows in role_rows.items():
-        pairing = linked.setdefault((p, g), {})[role] = pair_role(rows, gold_rows[g][column[role]])
+    for (p, g, role), cells in role_cells.items():
+        k = column[role]
+        pairing = linked.setdefault((p, g), {})[role] = pair_role(cells, pred_rows[p][k], gold_rows[g][k])
         exact = pairing.exact_count
         numerators[p][g] += exact
         # Each exact pair removes two errors, each partial one.
@@ -520,27 +502,16 @@ def find_optimal_matching(
     return _assemble(doc, schema, best, table, approximate=False)
 
 
-def _greedy_role_pairing(rows: list[Mapping[int, EntityMatch]], gold_count: int) -> MentionPairing:
+def _greedy_role_pairing(cells: Cells, pred_count: int, gold_count: int) -> MentionPairing:
     """Exact pairs first, each pred taking its lowest free entity; then the nearest free span."""
     taken: set[int] = set()
-    index_pairs = []
-    for i, row in enumerate(rows):
-        for j, match in row.items():
-            if j not in taken and match.exact:
-                taken.add(j)
-                index_pairs.append((i, j))
-                break
-    paired = {i for i, _ in index_pairs}
-    for i, row in enumerate(rows):
-        if i in paired:
-            continue
-        candidates = [(match.score, j) for j, match in row.items() if j not in taken]
-        if candidates:
-            _, j = min(candidates)
+    paired: dict[int, int] = {}
+    # The exact cells by (pred, entity), then the rest by (pred, score, entity).
+    for _, i, _, j in sorted((not m.exact, i, 0.0 if m.exact else m.score, j) for (i, j), m in cells.items()):
+        if i not in paired and j not in taken:
             taken.add(j)
-            index_pairs.append((i, j))
-    index_pairs.sort()
-    return _build_pairing(tuple(index_pairs), rows, gold_count)
+            paired[i] = j
+    return _build_pairing(tuple(sorted(paired.items())), cells, pred_count, gold_count)
 
 
 def greedy_matching(

@@ -292,12 +292,20 @@ def find_normalized(text: str, doc_text: str, casefold: bool = True) -> Span | N
     may start or end inside a word. Returns None for a blank ``text`` or
     when there is no match.
 
+    ``re.IGNORECASE`` folds one character at a time, so a case-folded
+    token in which a letter changed length (``ß`` to ``ss``, ``ﬁ`` to
+    ``fi``, ``İ`` to ``i`` and a dot above) no longer finds the letter as
+    written. With ``casefold`` on, the tokens of ``normalize(text,
+    casefold=False)`` are therefore searched too, and the earlier match
+    by ``(start, end)`` wins.
+
     ASCII inputs are scanned token by token with no regex: there each
     token starts with a non-space character, so a whitespace gap can only
-    be the whole run, and ``lower()`` is the regex's case-insensitivity.
-    Any other input goes through the regex, whose ``re.IGNORECASE``
-    matching (``ſ`` and ``s``, Kelvin sign and ``k``) ``lower()`` does not
-    reproduce.
+    be the whole run, and ``lower()`` is the regex's case-insensitivity;
+    an unfolded letter whose folded form is ASCII matches no ASCII letter
+    its folded form does not. Any other input goes through the regex,
+    whose ``re.IGNORECASE`` matching (``ſ`` and ``s``, Kelvin sign and
+    ``k``) ``lower()`` does not reproduce.
     """
     return _searcher(doc_text, casefold)(text)
 
@@ -309,20 +317,18 @@ def _searcher(doc_text: str, casefold: bool) -> Callable[[str], Span | None]:
         hay = doc_text.lower() if casefold else doc_text
     flags = re.IGNORECASE if casefold else 0
 
-    norm = normalizer(casefold)
+    norm, as_written = normalizer(casefold), normalizer(False)
 
     def find(text: str) -> Span | None:
         key = norm(text)
         if not key:
             return None
-        tokens = key.split(" ")
         if hay is not None and key.isascii():
-            return _scan_tokens(tokens, hay)
-        pattern = r"\s+".join(re.escape(tok) for tok in tokens)
-        found = re.search(pattern, doc_text, flags)
-        if found is None:
-            return None
-        return Span(found.start(), found.end())
+            return _scan_tokens(key.split(" "), hay)
+        # With casefold off the two keys are equal, and one search runs.
+        patterns = {r"\s+".join(map(re.escape, k.split(" "))) for k in (key, as_written(text))}
+        found = [m.span() for pattern in patterns if (m := re.search(pattern, doc_text, flags))]
+        return Span(*min(found)) if found else None
 
     return find
 

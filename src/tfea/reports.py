@@ -55,27 +55,21 @@ def _side_tallies(profile: ErrorProfile) -> dict:
     }
 
 
-def errors_section(
-    profile: ErrorProfile,
-    schema: Schema,
-    per_doc: dict[str, ErrorProfile] | None = None,
-) -> dict:
-    section = {
+def errors_section(profile: ErrorProfile, schema: Schema, per_doc: dict[str, ErrorProfile]) -> dict:
+    return {
         "per_type": _counts_dict(profile.counts),
         "per_role": {
             role: _counts_dict(profile.per_role.get(role, {})) for role in schema.names
         },
         "side_tallies": _side_tallies(profile),
-    }
-    if per_doc is not None:
-        section["per_doc"] = {
+        "per_doc": {
             doc_id: {
                 "per_type": _counts_dict(p.counts),
                 "side_tallies": _side_tallies(p),
             }
             for doc_id, p in sorted(per_doc.items())
-        }
-    return section
+        },
+    }
 
 
 def transformation_entry(transformation: Transformation) -> dict:

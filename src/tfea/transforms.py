@@ -142,11 +142,11 @@ def _explain_filler(
 ) -> list[Transformation]:
     """The group of edits that explains a predicted filler that is not an exact match.
 
-    Stages follow the module's precedence, and plain spurious is last.
-    Within a stage an exact text match beats a partial span match, then
-    the lowest gold template, role (in schema order) and entity index
-    wins. A partial match is preceded by an alter-span onto the arg-min
-    gold mention (for a partial pair, the pair's ``gold_mention``).
+    Stages follow the module's precedence; plain spurious is last. In one
+    loop over the filler's index row, an exact match beats a partial one
+    within a stage, then the lowest gold template, role (schema order) and
+    entity index wins. A partial match is preceded by an alter-span onto
+    the arg-min gold mention (for a partial pair, the pair's ``gold_mention``).
 
     A mismatched set-fill value comes with ``filler_index`` None and
     ``Mention(value)``; the match index has no rows for set-fill roles,
@@ -159,14 +159,14 @@ def _explain_filler(
     else:
         best = None
         matched_entities = [p.entity_index for p in pairs]
-        for (gold_index, gold_role), cells in index.row((pair.pred_index, role_name, filler_index)).items():
+        cells = index.row((pair.pred_index, role_name, filler_index))
+        for ((gold_index, gold_role), entity_index), match in cells.items():
             stage = 1 + 2 * (gold_index != pair.gold_index) + (gold_role != role_name)
-            for entity_index, match in cells.items():
-                if stage == 1 and entity_index not in matched_entities:
-                    continue
-                key = (stage, not match.exact, gold_index, role_rank[gold_role], entity_index)
-                if best is None or key < best[0]:
-                    best = (key, gold_role, match.gold_mention)
+            if stage == 1 and entity_index not in matched_entities:
+                continue
+            key = (stage, not match.exact, gold_index, role_rank[gold_role], entity_index)
+            if best is None or key < best[0]:
+                best = (key, gold_role, match.gold_mention)
     subject = dict(
         pred_template=pair.pred_index,
         role=role_name,

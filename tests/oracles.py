@@ -62,16 +62,21 @@ def iter_template_matchings(pred_count: int, gold_count: int) -> Iterator[tuple[
 
 
 def find_normalized_reference(text: str, doc_text: str, casefold: bool = True):
-    """``model.find_normalized`` as one regex: the tokens joined by ``\\s+``."""
-    tokens = normalize(text, casefold).split(" ")
-    if tokens == [""]:
+    """``model.find_normalized`` by regex: the tokens joined by ``\\s+``.
+
+    With ``casefold`` on, the tokens of the case-folded and of the
+    as-written normalized text are both searched under ``re.IGNORECASE``,
+    and the earlier match by ``(start, end)`` is returned.
+    """
+    if not normalize(text, casefold):
         return None
-    pattern = r"\s+".join(re.escape(tok) for tok in tokens)
     flags = re.IGNORECASE if casefold else 0
-    found = re.search(pattern, doc_text, flags)
-    if found is None:
-        return None
-    return Span(found.start(), found.end())
+    found = []
+    for key in (normalize(text, casefold), normalize(text, casefold=False)):
+        match = re.search(r"\s+".join(re.escape(tok) for tok in key.split(" ")), doc_text, flags)
+        if match is not None:
+            found.append((match.start(), match.end()))
+    return Span(*min(found)) if found else None
 
 
 def _geometric_scs(a, b) -> float:
@@ -199,6 +204,16 @@ def _best_role_numerator(mentions, entities, casefold: bool) -> int:
     return best
 
 
+def role_cells(index, rows, group) -> dict:
+    """``(i, entity index) -> match`` over the cells of ``rows[i]`` in ``group``, in row order."""
+    return {
+        (i, j): match
+        for i, row in enumerate(rows)
+        for (cell_group, j), match in index.row(row).items()
+        if cell_group == group
+    }
+
+
 def pair_scores_reference(doc: Document, schema: Schema, config, index, pair_role) -> dict:
     """``(p, g) -> (numerator, errors, role numerators, role pairings)`` by the full role loop.
 
@@ -228,9 +243,8 @@ def pair_scores_reference(doc: Document, schema: Schema, config, index, pair_rol
                         role_numerators[role.name] = num
                     continue
                 mentions, entities = pred.mentions(role.name), gold.entities(role.name)
-                group = (g, role.name)
-                rows = [index.hits((p, role.name, i), group) for i in range(len(mentions))]
-                pairing = pair_role(rows, len(entities))
+                cells = role_cells(index, [(p, role.name, i) for i in range(len(mentions))], (g, role.name))
+                pairing = pair_role(cells, len(mentions), len(entities))
                 exact = sum(1 for pair in pairing.pairs if pair.exact)
                 numerator += exact
                 if exact:

@@ -73,6 +73,24 @@ class TestAnalyze:
         for role_counts in report["errors"]["per_role"].values():
             assert len(role_counts) == 13
 
+    @pytest.mark.parametrize("gold_text,pred_text", [("Straße", "Straß"), ("Strasse", "Strass")])
+    def test_prediction_cut_from_a_folding_letter_is_a_span_error(self, tmp_path, gold_text, pred_text):
+        """``ß`` case-folds to ``ss``; the prediction is still located in the text, as its ASCII twin is."""
+        doctext = f"sie wohnt in der {gold_text} am Markt"
+        sides = {
+            "gold.json": {"d1": {"doctext": doctext, "templates": [{"agent": [[{"text": gold_text}]]}]}},
+            "pred.json": {"d1": {"doctext": doctext, "templates": [{"agent": [{"text": pred_text}]}]}},
+            "schema.json": {"roles": [{"name": "agent", "kind": "string_fill", "multi": True}]},
+        }
+        for name, payload in sides.items():
+            (tmp_path / name).write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
+        out = tmp_path / "report.json"
+        assert main(_analyze_args(*(tmp_path / name for name in sides), out)) == EXIT_OK
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert {kind: n for kind, n in report["errors"]["per_type"].items() if n} == {"span_error": 1}
+        (transformation,) = report["transformations"]["d1"]
+        assert (transformation["kind"], transformation["pred_span"]) == ("alter_span", [17, 17 + len(pred_text)])
+
     def test_report_json_round_trips_byte_identically(self, tmp_path, corpus_files):
         gold, pred, schema = corpus_files
         out = tmp_path / "report.json"

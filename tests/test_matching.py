@@ -18,6 +18,7 @@ from oracles import (
     naive_best_f1,
     naive_denominators,
     pair_scores_reference,
+    role_cells,
 )
 from support import fuzzed_corpus
 from tfea.assignment import lexmin_assignment
@@ -102,16 +103,16 @@ class TestMentionMatchings:
             pred, gold = _random_role(rng)
             mode, casefold = rng.choice(list(ScsMode)), rng.random() < 0.7
             index = MatchIndex(enumerate(pred), ((None, j, e) for j, e in enumerate(gold)), mode, casefold)
-            rows = [index.hits(i, None) for i in range(len(pred))]
-            columns = [j for row in rows for j in row]
-            contested = any(len(row) > 1 for row in rows) or len(set(columns)) < len(columns)
+            role = role_cells(index, range(len(pred)), None)
+            preds, columns = [i for i, _ in role], [j for _, j in role]
+            contested = len(set(preds)) < len(preds) or len(set(columns)) < len(columns)
             shapes["contested" if contested else "uncontested"] += 1
             cells.update(
-                "exact" if j in row and row[j].exact else "partial" if j in row else "absent"
-                for row in rows
+                "exact" if (i, j) in role and role[i, j].exact else "partial" if (i, j) in role else "absent"
+                for i in range(len(pred))
                 for j in range(len(gold))
             )
-            assert _best_role_pairing(rows, len(gold)) == best_mention_matching_reference(
+            assert _best_role_pairing(role, len(pred), len(gold)) == best_mention_matching_reference(
                 pred, gold, mode, casefold
             ), (pred, gold, mode, casefold)
         assert min(shapes["contested"], shapes["uncontested"]) > 2000, shapes
@@ -313,11 +314,11 @@ def _pair_score_cases(config: AnalysisConfig | None = None) -> list[tuple[Docume
 
 
 def _recorded(pair_role, calls: list):
-    """``pair_role`` that logs, per call, whether any row has a cell."""
+    """``pair_role`` that logs, per call, whether the role has a cell."""
 
-    def pairer(rows, gold_count):
-        calls.append(any(rows))
-        return pair_role(rows, gold_count)
+    def pairer(cells, pred_count, gold_count):
+        calls.append(bool(cells))
+        return pair_role(cells, pred_count, gold_count)
 
     return pairer
 
@@ -334,8 +335,8 @@ _PAIR_KINDS = ("linked", "cell-less", "other role only", "empty template", "equa
 def _pair_kinds(doc: Document, schema: Schema, index: MatchIndex, config: AnalysisConfig):
     """The kinds of template pair a document offers, one entry per pair and kind."""
     same, other = set(), set()
-    for (p, role, _), groups in index.items():
-        for g, gold_role in groups:
+    for (p, role, _), cells in index.items():
+        for (g, gold_role), _ in cells:
             (same if gold_role == role else other).add((p, g))
     for p, pred in enumerate(doc.predicted_templates):
         for g, gold in enumerate(doc.gold_templates):
@@ -599,6 +600,43 @@ class TestAssignmentSolver:
             contested += len({p for p, _ in cells}) < len(cells)
         assert contested > 200
 
+    def test_order_of_a_preds_cells_does_not_matter(self):
+        """Shuffling each pred's cells, preds still in order, leaves the lex-min tuple as it was."""
+        rng = random.Random(2417)
+        moved = 0
+        for _ in range(300):
+            pred_count, gold_count, cells = _grouped_cells(rng)
+            tables = (
+                {cell: rng.choice((0, -1, -2, -2, -3)) for cell in sorted(cells)},
+                {cell: rng.choice((-(pred_count + 1), -1)) for cell in sorted(cells)},
+            )
+            for cost in tables:
+                shuffled = _shuffled_within_preds(cost, rng)
+                assert lexmin_assignment(shuffled) == lexmin_assignment(cost), cost
+                moved += list(shuffled) != list(cost)
+        assert moved > 300, moved
+
+    def test_pairers_read_a_roles_cells_in_any_order(self):
+        """Both role pairers give one pairing for a role's cells in index order or shuffled within each pred.
+
+        The greedy pairer sorts the cells, so it also takes them fully shuffled.
+        """
+        rng = random.Random(2418)
+        moved = 0
+        for _ in range(3000):
+            pred, gold = _random_role(rng)
+            index = MatchIndex(enumerate(pred), ((None, j, e) for j, e in enumerate(gold)), ScsMode.GEOMETRIC, True)
+            cells = role_cells(index, range(len(pred)), None)
+            shuffled = _shuffled_within_preds(cells, rng)
+            moved += list(shuffled) != list(cells)
+            for pair_role in (_best_role_pairing, _greedy_role_pairing):
+                assert pair_role(shuffled, len(pred), len(gold)) == pair_role(cells, len(pred), len(gold)), cells
+            scrambled = rng.sample(list(cells.items()), len(cells))
+            assert _greedy_role_pairing(dict(scrambled), len(pred), len(gold)) == _greedy_role_pairing(
+                cells, len(pred), len(gold)
+            ), cells
+        assert moved > 500, moved
+
     @pytest.mark.parametrize("size", [12, 40])
     def test_large_document_equals_dense_reference(self, size):
         """With the cap lifted, the matching equals the dense solve of the reference pair scores."""
@@ -633,11 +671,22 @@ def _grouped_cells(rng: random.Random) -> tuple[int, int, set[tuple[int, int]]]:
     }
 
 
-def _dense_role_pairing(rows, gold_count: int):
+def _shuffled_within_preds(cells: dict, rng: random.Random) -> dict:
+    """``cells`` with the cells of each pred in a random order, the preds in their first order."""
+    by_pred: dict[int, list] = {}
+    for item in cells.items():
+        by_pred.setdefault(item[0][0], []).append(item)
+    return {cell: value for items in by_pred.values() for cell, value in rng.sample(items, len(items))}
+
+
+def _dense_role_pairing(cells, pred_count: int, gold_count: int):
     """``_best_role_pairing`` solved by the dense reference."""
-    exact_cost = -(len(rows) + 1)
-    cost = [[None if j not in row else exact_cost if row[j].exact else -1 for j in range(gold_count)] for row in rows]
-    return _build_pairing(dense_lexmin_assignment(cost, gold_count), rows, gold_count)
+    exact_cost = -(pred_count + 1)
+    cost = [
+        [None if (i, j) not in cells else exact_cost if cells[i, j].exact else -1 for j in range(gold_count)]
+        for i in range(pred_count)
+    ]
+    return _build_pairing(dense_lexmin_assignment(cost, gold_count), cells, pred_count, gold_count)
 
 
 def _injected_document(size: int) -> tuple[Document, Schema]:

@@ -1,9 +1,10 @@
 """Core model: normalization, exact match, span resolution, type invariants."""
 
 import random
+import unicodedata
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import find_normalized_reference, resolve_document_spans_reference
@@ -236,11 +237,27 @@ class TestFindNormalized:
             ("Ab", "ab Ab", False, Span(3, 5)),
             ("a.b", "axb a.b", True, Span(4, 7)),
             ("   ", "a b", True, None),
+            # A letter whose case-folded form has another length is still
+            # found as written, and the earliest match wins.
+            ("Straße", "in der Straße", True, Span(7, 13)),
+            ("Straß", "Straße ﬁle", True, Span(0, 5)),
+            ("classiﬁcation", "the classiﬁcation task", True, Span(4, 17)),
+            ("Straße", "Straße strasse", True, Span(0, 6)),
         ],
     )
     def test_examples(self, text, doc, casefold, expected):
         assert find_normalized(text, doc, casefold) == expected
         assert find_normalized_reference(text, doc, casefold) == expected
+
+    @settings(max_examples=500)
+    @given(doc=normalizing_text, cut=st.tuples(st.integers(0, 12), st.integers(0, 12)), casefold=st.booleans())
+    def test_cut_of_the_document_is_located(self, doc, cut, casefold):
+        """A non-blank NFC cut of an NFC document is found, starting no later than the cut's first letter."""
+        doc = unicodedata.normalize("NFC", doc)
+        text = doc[min(cut) : max(cut)]
+        assume(text.strip() and unicodedata.is_normalized("NFC", text))
+        found = find_normalized(text, doc, casefold)
+        assert found is not None and found.start <= min(cut) + len(text) - len(text.lstrip()), (text, doc)
 
 
 class TestTypes:
