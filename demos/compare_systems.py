@@ -16,8 +16,9 @@ from tfea import (
     generate_corpus,
     inject_errors,
 )
+from tfea.compare import compare_reports, render_comparison_text
 from tfea.inject import default_schema
-from tfea.reports import build_report, compare_reports, render_comparison_text
+from tfea.reports import build_report
 
 schema = default_schema()
 params = GenerationParams(

@@ -16,13 +16,11 @@ from .corpus import read_json, side_to_dict
 from .errors import ErrorType
 from .exceptions import ComplexityGuardExceeded, ParseError, TfeaError
 from .matching import MAX_COUNT_DIGITS, printable_template_matchings
-from .pipeline import analyze_corpus
+from .pipeline import analyze_each
 from .reports import (
-    build_report,
-    compare_reports,
+    assemble_report,
+    document_row,
     errors_section,
-    load_report,
-    render_comparison_text,
     render_csv,
     render_json,
     render_text,
@@ -60,9 +58,9 @@ def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
                         help="cap on the closed-form matching count; larger documents go to --on-guard")
     parser.add_argument("--on-guard", choices=ON_GUARD_CHOICES, default=None)
     parser.add_argument("--parallel", type=int, default=None,
-                        help="processes, this one included and at most one per document; each worker receives "
-                             "its share of the corpus once. The report and exit code (2 under --on-guard fail) "
-                             "match a serial run")
+                        help="processes, this one included and at most one per document and one per CPU this "
+                             "process may run on; each worker receives its share of the corpus once. The report "
+                             "and exit code (2 under --on-guard fail) match a serial run")
     parser.add_argument("--label", default=None, help="system label echoed in the report")
     parser.add_argument("--config", default=None, help="JSON config file (flags win)")
 
@@ -140,14 +138,16 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def _analysis_report(args: argparse.Namespace, config: AnalysisConfig, extras: dict, derive: bool) -> dict:
-    """Load, analyze and build the report; the corpus and its analysis are freed before it is rendered."""
+    """Load, analyze and build the report; the corpus is freed before it is rendered.
+
+    Each document becomes its report row in the process that analyzed it,
+    so no analysis outlives its document or crosses the ``--parallel`` pool.
+    """
     schema = load_schema(args.schema)
     documents = load_corpus(args.gold, args.pred, schema, config.casefold)
-    analysis = analyze_corpus(
-        documents, schema, config, parallel=extras["parallel"], derive=derive
-    )
+    rows = analyze_each(documents, schema, config, document_row, extras["parallel"], derive)
     label = extras["label"] or Path(args.pred).stem
-    return build_report(analysis, config, label=label, include_errors=derive)
+    return assemble_report(rows, schema, config, label, include_errors=derive)
 
 
 def _run_analysis(args: argparse.Namespace, derive: bool) -> int:
@@ -202,6 +202,9 @@ def _cmd_inject(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    # Imported here: analyze and score never compile the comparison code.
+    from .compare import compare_reports, load_report, render_comparison_text
+
     reports = [load_report(path) for path in args.reports]
     comparison = compare_reports(reports)
     if args.format == "text":

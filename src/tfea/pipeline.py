@@ -1,18 +1,23 @@
 """Per-document analysis pipeline and corpus-level aggregation.
 
-Documents are independent, so ``analyze_corpus(..., parallel=N)`` splits
+Documents are independent, so ``analyze_each(..., parallel=N)`` splits
 the corpus over ``N`` processes, the calling one included, and never over
-more processes than there are documents. The caller analyzes the first
-``len // N`` documents in doc-id order while a pool of ``N - 1`` workers
-takes the rest. Each worker receives its share, the schema and the
-settings once, when it starts (inherited under the ``fork`` start method,
-pickled once per worker under ``spawn`` and ``forkserver``), and is then
-sent batches of indices into that share. Results are merged in doc-id
-order, which makes the output identical for any process count, and an
-error such as ``ComplexityGuardExceeded`` under ``on_guard="fail"``
-reaches the caller as it would from a serial run: the caller's share
-comes first, and if it raises, the batches the pool has not started are
-cancelled.
+more processes than there are documents or CPUs this process may run on.
+The caller analyzes the first ``len // N`` documents in doc-id order
+while a pool of ``N - 1`` workers takes the rest. Each worker receives
+its share, the schema, the settings and the per-document function once,
+when it starts (inherited under the ``fork`` start method, pickled once
+per worker under ``spawn`` and ``forkserver``), and is then sent batches
+of indices into that share. Each process applies the per-document
+function to a document's analysis right after making it, and only what
+that returns is kept and, from a worker, sent back: the CLI passes
+``reports.document_row``, so a plain report row of builtins crosses the
+pipe, and ``analyze_corpus`` keeps the ``DocumentAnalysis`` records for
+library callers. Results are merged in doc-id order, which makes the
+output identical for any process count, and an error such as
+``ComplexityGuardExceeded`` under ``on_guard="fail"`` reaches the caller
+as it would from a serial run: the caller's share comes first, and if it
+raises, the batches the pool has not started are cancelled.
 
 The CLI runs with the cyclic garbage collector paused, and each worker
 pauses it too (``_start_worker``): nothing here builds reference cycles,
@@ -20,20 +25,23 @@ so a collection only rescans the corpus and the results. With it on,
 unpickling the pool's results in the parent took about three times as
 long.
 
-With ``bench/run.py`` on 2 CPUs (medians of ten seeds, ``BENCH_23.json``,
-reference-scaled seconds) ``--parallel 2`` is still slower than serial:
-0.161 against 0.127 s on wide_templates (8 documents), 0.279 against
-0.223 s on guard_overflow (30) and 0.556 against 0.455 s on small_docs
-(400). There two CPU-bound processes started together mostly took twice
-as long as one alone, so the pool's start-up and result transfer (the
-caller rebuilds each result record) are what is left to cut.
+Sent as rows, the 200 results of small_docs' pool share (seed 5) pickle
+to 77,244 bytes, not 343,780 as records, and unpickle in 1 ms, not 10.
+With ``bench/run.py`` on 2 CPUs (medians of ten alternating pairs,
+``BENCH_25.json``, reference-scaled seconds) that took small_docs
+``--parallel 2`` from 0.542 to 0.506 s, and it is still slower than
+serial: 0.155 against 0.125 s on wide_templates (8 documents), 0.259
+against 0.217 s on guard_overflow (30) and 0.506 against 0.440 s on
+small_docs (400). Two CPU-bound processes started together mostly take
+twice as long as one alone there, so the pool's start-up is what is left.
 """
 
 from __future__ import annotations
 
 import gc
 import math
-from typing import Sequence
+import os
+from typing import Callable, Sequence
 
 from .config import AnalysisConfig
 from .errors import ErrorProfile, map_errors
@@ -89,24 +97,25 @@ def analyze_document(
     return analysis
 
 
-# The pool's share of the corpus and the settings, in this worker process;
-# set once per worker by ``_start_worker``. The parent never writes it.
-_worker_job: tuple[list[Document], Schema, AnalysisConfig, bool] | None = None
+# The pool's share of the corpus, the settings and the per-document
+# function, in this worker process; set once per worker by
+# ``_start_worker``. The parent never writes it.
+_worker_job: tuple[list[Document], Schema, AnalysisConfig, bool, Callable] | None = None
 
 
 def _start_worker(
-    documents: list[Document], schema: Schema, config: AnalysisConfig, derive: bool
+    documents: list[Document], schema: Schema, config: AnalysisConfig, derive: bool, per_document: Callable
 ) -> None:
     global _worker_job
     # As in the CLI process: no cycles to collect. Under fork the worker
     # inherits the paused collector; under spawn and forkserver it does not.
     gc.disable()
-    _worker_job = (documents, schema, config, derive)
+    _worker_job = (documents, schema, config, derive, per_document)
 
 
-def _analyze_nth(i: int) -> DocumentAnalysis:
-    documents, schema, config, derive = _worker_job
-    return analyze_document(documents[i], schema, config, derive)
+def _analyze_nth(i: int):
+    documents, schema, config, derive, per_document = _worker_job
+    return per_document(analyze_document(documents[i], schema, config, derive))
 
 
 @record
@@ -143,12 +152,41 @@ def analyze_corpus(
     derive: bool = True,
 ) -> CorpusAnalysis:
     """Analyze every document, in up to ``parallel`` processes counting this one."""
+    return CorpusAnalysis(schema, analyze_each(documents, schema, config, _as_is, parallel, derive))
+
+
+def _as_is(analysis: DocumentAnalysis) -> DocumentAnalysis:
+    return analysis
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def analyze_each(
+    documents: Sequence[Document],
+    schema: Schema,
+    config: AnalysisConfig | None,
+    per_document: Callable[[DocumentAnalysis], object],
+    parallel: int = 1,
+    derive: bool = True,
+) -> list:
+    """``per_document`` of each document's analysis, in doc-id order.
+
+    ``per_document`` runs in the process that analyzed the document, and
+    only what it returns is kept (and sent back from a pool worker). It
+    must be a module-level function, so that it pickles by reference.
+    The documents are split over at most ``parallel`` processes counting
+    this one, one per document and one per CPU this process may run on.
+    """
     config = config or AnalysisConfig()
     ordered = sorted(documents, key=lambda d: d.doc_id)
-    workers = min(parallel, len(ordered))
+    workers = min(parallel, len(ordered), _usable_cpus())
     if workers < 2:
-        results = [analyze_document(doc, schema, config, derive) for doc in ordered]
-        return CorpusAnalysis(schema=schema, documents=results)
+        return [per_document(analyze_document(doc, schema, config, derive)) for doc in ordered]
     # Imported here: a run that starts no pool skips loading multiprocessing.
     from concurrent.futures import ProcessPoolExecutor
 
@@ -157,12 +195,14 @@ def analyze_corpus(
     own = len(ordered) // workers
     rest = ordered[own:]
     chunksize = math.ceil(len(rest) / (4 * (workers - 1)))
-    pool = ProcessPoolExecutor(workers - 1, initializer=_start_worker, initargs=(rest, schema, config, derive))
+    pool = ProcessPoolExecutor(
+        workers - 1, initializer=_start_worker, initargs=(rest, schema, config, derive, per_document)
+    )
     try:
         pooled = pool.map(_analyze_nth, range(len(rest)), chunksize=chunksize)
-        results = [analyze_document(doc, schema, config, derive) for doc in ordered[:own]]
+        results = [per_document(analyze_document(doc, schema, config, derive)) for doc in ordered[:own]]
         results += pooled
     finally:
         # On an error, queued chunks are dropped rather than waited for.
         pool.shutdown(cancel_futures=True)
-    return CorpusAnalysis(schema=schema, documents=results)
+    return results

@@ -1,4 +1,4 @@
-"""Report assembly, rendering (JSON, CSV, text), and cross-system comparison.
+"""Report assembly from per-document rows, and rendering (JSON, CSV, text).
 
 Reports are plain dicts rendered with sorted keys so identical inputs
 and configuration produce byte-identical files.
@@ -8,17 +8,16 @@ from __future__ import annotations
 
 import io
 import json
-import sys
+from typing import Iterable
 
 from . import __version__
 from .config import AnalysisConfig
-from .corpus import _check_keys, _decode_object, read_json, schema_to_dict
+from .corpus import schema_to_dict
 from .errors import ERROR_TYPES, ErrorProfile
-from .exceptions import IncompatibleReports
 from .matching import Tally
 from .model import Schema
-from .pipeline import CorpusAnalysis
-from .scoring import Scores
+from .pipeline import CorpusAnalysis, DocumentAnalysis
+from .scoring import Scores, score_corpus
 from .transforms import Transformation
 
 TOOL_NAME = "tfea"
@@ -44,8 +43,12 @@ def _scores_dict(scores: Scores, schema: Schema) -> dict:
     }
 
 
+_TYPE_VALUES = tuple((etype, etype.value) for etype in ERROR_TYPES)
+
+
 def _counts_dict(counts: dict) -> dict:
-    return {etype.value: counts.get(etype, 0) for etype in ERROR_TYPES}
+    # ``counts`` is keyed by ErrorType or by its value: a str enum member hashes and compares as its value.
+    return {value: counts.get(etype, 0) for etype, value in _TYPE_VALUES}
 
 
 def _side_tallies(profile: ErrorProfile) -> dict:
@@ -55,21 +58,39 @@ def _side_tallies(profile: ErrorProfile) -> dict:
     }
 
 
-def errors_section(profile: ErrorProfile, schema: Schema, per_doc: dict[str, ErrorProfile]) -> dict:
+def error_counts(profile: ErrorProfile) -> dict:
+    """A profile in builtins: counts per type (every type) and per role, keyed by type value, and side tallies."""
     return {
         "per_type": _counts_dict(profile.counts),
-        "per_role": {
-            role: _counts_dict(profile.per_role.get(role, {})) for role in schema.names
-        },
+        "per_role": {role: {etype.value: n for etype, n in c.items()} for role, c in profile.per_role.items()},
         "side_tallies": _side_tallies(profile),
+    }
+
+
+def errors_section(profile: ErrorProfile, schema: Schema, per_doc: dict[str, ErrorProfile]) -> dict:
+    return _errors_section(error_counts(profile), schema, {doc_id: error_counts(p) for doc_id, p in per_doc.items()})
+
+
+def _errors_section(total: dict, schema: Schema, per_doc: dict[str, dict]) -> dict:
+    """The errors section from ``error_counts``: the corpus ``total`` and each document's, by doc id."""
+    return {
+        "per_type": total["per_type"],
+        "per_role": {role: _counts_dict(total["per_role"].get(role, {})) for role in schema.names},
+        "side_tallies": total["side_tallies"],
         "per_doc": {
-            doc_id: {
-                "per_type": _counts_dict(p.counts),
-                "side_tallies": _side_tallies(p),
-            }
-            for doc_id, p in sorted(per_doc.items())
+            doc_id: {"per_type": counts["per_type"], "side_tallies": counts["side_tallies"]}
+            for doc_id, counts in sorted(per_doc.items())
         },
     }
+
+
+def _add(total: dict, counts: dict) -> None:
+    """Add the numbers of ``counts`` into ``total``, at every depth."""
+    for key, value in counts.items():
+        if isinstance(value, dict):
+            _add(total.setdefault(key, {}), value)
+        else:
+            total[key] = total.get(key, 0) + value
 
 
 def transformation_entry(transformation: Transformation) -> dict:
@@ -101,32 +122,62 @@ def config_echo(config: AnalysisConfig) -> dict:
     }
 
 
-def build_report(
-    analysis: CorpusAnalysis,
-    config: AnalysisConfig,
-    label: str = "system",
-    include_errors: bool = True,
+def document_row(analysis: DocumentAnalysis) -> tuple:
+    """One document's part of the report in builtins only, made where the document was analyzed.
+
+    The row is (doc id, guard message, approximate, role tallies as
+    numerator and denominator triples, ``error_counts``, transformation
+    entries), the last three None where the analysis has none.
+    """
+    matching, profile, log = analysis.matching, analysis.profile, analysis.log
+    tallies = errors = entries = None
+    if matching is not None:
+        tallies = {role: (t.numerator, t.precision_denominator, t.recall_denominator)
+                   for role, t in matching.role_tallies.items()}
+    if profile is not None:
+        errors = error_counts(profile)
+    if log is not None:
+        entries = [transformation_entry(t) for t in log]
+    return analysis.doc_id, analysis.guard_message, analysis.approximate, tallies, errors, entries
+
+
+def assemble_report(
+    rows: Iterable[tuple], schema: Schema, config: AnalysisConfig, label: str, include_errors: bool
 ) -> dict:
+    """The report of ``document_row``s in doc-id order; a row with a guard message is a skipped document."""
+    skipped, approximate, tallies, per_doc, transformations = [], [], [], {}, {}
+    total = error_counts(ErrorProfile())
+    for doc_id, guard_message, approximated, role_tallies, errors, entries in rows:
+        if approximated:
+            approximate.append(doc_id)
+        if guard_message is not None:
+            skipped.append({"doc_id": doc_id, "reason": guard_message})
+            continue
+        tallies.append({role: Tally(*triple) for role, triple in role_tallies.items()})
+        if errors is not None:
+            per_doc[doc_id] = errors
+            _add(total, errors)
+        if entries is not None:
+            transformations[doc_id] = entries
     report = {
         "tool": {"name": TOOL_NAME, "version": __version__},
         "label": label,
         "config": config_echo(config),
-        "schema": schema_to_dict(analysis.schema),
-        "scores": _scores_dict(analysis.scores, analysis.schema),
-        "skipped_documents": [
-            {"doc_id": d.doc_id, "reason": d.guard_message} for d in analysis.skipped
-        ],
-        "approximate_documents": [d.doc_id for d in analysis.documents if d.approximate],
+        "schema": schema_to_dict(schema),
+        "scores": _scores_dict(score_corpus(tallies), schema),
+        "skipped_documents": skipped,
+        "approximate_documents": approximate,
     }
     if include_errors:
-        per_doc = {d.doc_id: d.profile for d in analysis.analyzed if d.profile is not None}
-        report["errors"] = errors_section(analysis.profile, analysis.schema, per_doc)
-        report["transformations"] = {
-            d.doc_id: [transformation_entry(t) for t in d.log]
-            for d in analysis.analyzed
-            if d.log is not None
-        }
+        report["errors"] = _errors_section(total, schema, per_doc)
+        report["transformations"] = transformations
     return report
+
+
+def build_report(
+    analysis: CorpusAnalysis, config: AnalysisConfig, label: str = "system", include_errors: bool = True
+) -> dict:
+    return assemble_report(map(document_row, analysis.documents), analysis.schema, config, label, include_errors)
 
 
 def render_json(report: dict) -> str:
@@ -182,136 +233,4 @@ def render_text(report: dict) -> str:
         lines.append("skipped documents:")
         for entry in report["skipped_documents"]:
             lines.append(f"  {entry['doc_id']}: {entry['reason']}")
-    return "\n".join(lines) + "\n"
-
-
-def load_report(path: str) -> dict:
-    """The report in ``path``; an object at any depth that names a key twice is a ``ParseError``."""
-    return read_json(path, "report", lambda pairs: _check_keys(path, _decode_object(pairs), None))
-
-
-def _is_numbers(table, fields: tuple[str, ...] = ()) -> bool:
-    """A JSON object whose values are all numbers and that has ``fields``.
-
-    A number is an int or a float within the float range, which the text
-    rendering can format with ``:.4f``; NaN and infinities are not numbers.
-    """
-    return (
-        isinstance(table, dict)
-        and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
-            for v in table.values()
-        )
-        and all(name in table for name in fields)
-    )
-
-
-def _compared_names(report) -> tuple | None:
-    """The role names and (if present) the error names a comparison reads.
-
-    None when ``report`` is not a report: a section the comparison reads
-    is missing or holds something other than numbers, or the label is
-    not a string.
-    """
-    if not isinstance(report, dict) or not isinstance(report.get("label", ""), str):
-        return None
-    scores = report.get("scores")
-    per_role = scores.get("per_role") if isinstance(scores, dict) else None
-    if not isinstance(per_role, dict) or not all(
-        _is_numbers(triple, ("p", "r", "f1")) for triple in (scores.get("overall"), *per_role.values())
-    ):
-        return None
-    if "errors" not in report:
-        return set(per_role), None
-    errors = report["errors"]
-    if not (
-        isinstance(errors, dict)
-        and "per_role" in errors
-        and _is_numbers(errors.get("per_type"))
-        and _is_numbers(errors.get("side_tallies"))
-    ):
-        return None
-    return set(per_role), (set(errors["per_type"]), set(errors["side_tallies"]))
-
-
-def compare_reports(reports: list[dict]) -> dict:
-    """Side-by-side counts and scores, with deltas against the first report."""
-    if len(reports) < 2:
-        raise IncompatibleReports("need at least two reports to compare")
-    names = [_compared_names(r) for r in reports]
-    for position, entry in enumerate(names, 1):
-        if entry is None:
-            raise IncompatibleReports(f"input {position} is not a {TOOL_NAME} report")
-    schemas = [r.get("schema") for r in reports]
-    if any(s != schemas[0] for s in schemas[1:]):
-        raise IncompatibleReports("reports were produced against different schemas")
-    if any(roles != names[0][0] for roles, _ in names):
-        raise IncompatibleReports("reports score different roles")
-    with_errors = all(errors is not None for _, errors in names)
-    if with_errors and any(errors != names[0][1] for _, errors in names):
-        raise IncompatibleReports("reports count different error types")
-    base = reports[0]
-    systems = []
-    for report in reports:
-        entry = {
-            "label": report.get("label", "system"),
-            "scores": report["scores"],
-            "score_deltas": {
-                "overall": {
-                    key: report["scores"]["overall"][key] - base["scores"]["overall"][key]
-                    for key in ("p", "r", "f1")
-                },
-                "per_role": {
-                    role: {
-                        key: report["scores"]["per_role"][role][key]
-                        - base["scores"]["per_role"][role][key]
-                        for key in ("p", "r", "f1")
-                    }
-                    for role in report["scores"]["per_role"]
-                },
-            },
-        }
-        if with_errors:
-            entry["errors_per_type"] = report["errors"]["per_type"]
-            entry["errors_per_type_delta"] = {
-                etype: report["errors"]["per_type"][etype] - base["errors"]["per_type"][etype]
-                for etype in report["errors"]["per_type"]
-            }
-            entry["errors_per_role"] = report["errors"]["per_role"]
-            entry["side_tallies"] = report["errors"]["side_tallies"]
-            entry["side_tallies_delta"] = {
-                key: report["errors"]["side_tallies"][key]
-                - base["errors"]["side_tallies"][key]
-                for key in report["errors"]["side_tallies"]
-            }
-        systems.append(entry)
-    return {
-        "tool": {"name": TOOL_NAME, "version": __version__},
-        "baseline": base.get("label", "system"),
-        "schema": schemas[0],
-        "systems": systems,
-    }
-
-
-def render_comparison_text(comparison: dict) -> str:
-    labels = [s["label"] for s in comparison["systems"]]
-    lines = [f"{TOOL_NAME} comparison (baseline: {comparison['baseline']})", ""]
-    rows = [
-        ["f1"] + [f"{s['scores']['overall']['f1']:.4f}" for s in comparison["systems"]],
-        ["precision"] + [f"{s['scores']['overall']['p']:.4f}" for s in comparison["systems"]],
-        ["recall"] + [f"{s['scores']['overall']['r']:.4f}" for s in comparison["systems"]],
-    ]
-    lines.append(_table(rows, ["metric"] + labels))
-    if all("errors_per_type" in s for s in comparison["systems"]):
-        lines.append("")
-        error_rows = []
-        for etype in comparison["systems"][0]["errors_per_type"]:
-            error_rows.append(
-                [etype] + [str(s["errors_per_type"][etype]) for s in comparison["systems"]]
-            )
-        for tally in comparison["systems"][0]["side_tallies"]:
-            error_rows.append(
-                [tally] + [str(s["side_tallies"][tally]) for s in comparison["systems"]]
-            )
-        lines.append(_table(error_rows, ["error type"] + labels))
     return "\n".join(lines) + "\n"

@@ -15,6 +15,9 @@ from collections import Counter
 from itertools import combinations, permutations
 from typing import Iterator, Mapping
 
+from tfea import __version__
+from tfea.corpus import schema_to_dict
+from tfea.errors import ERROR_TYPES, ErrorProfile
 from tfea.exceptions import ParseError, SchemaMismatch
 from tfea.matching import MentionPair, MentionPairing, Tally, TemplateMatching, TemplatePair
 from tfea.model import (
@@ -29,6 +32,7 @@ from tfea.model import (
     normalize,
     texts_match,
 )
+from tfea.reports import TOOL_NAME, _scores_dict, config_echo, transformation_entry
 from tfea.spans import ScsMode
 
 
@@ -721,3 +725,49 @@ def _dense_reroute(
                 return True
             frontier.append(nxt)
     return False
+
+
+def _counts_reference(counts: Mapping) -> dict:
+    return {etype.value: counts.get(etype, 0) for etype in ERROR_TYPES}
+
+
+def _side_tallies_reference(profile: ErrorProfile) -> dict:
+    return {
+        "spurious_template_role_fillers": profile.spurious_template_role_fillers,
+        "missing_template_role_fillers": profile.missing_template_role_fillers,
+    }
+
+
+def build_report_reference(analysis, config, label: str = "system", include_errors: bool = True) -> dict:
+    """The report straight from the analysis records: corpus scores and profile by their properties.
+
+    This is how the report was assembled before documents became report
+    rows where they are analyzed.
+    """
+    report = {
+        "tool": {"name": TOOL_NAME, "version": __version__},
+        "label": label,
+        "config": config_echo(config),
+        "schema": schema_to_dict(analysis.schema),
+        "scores": _scores_dict(analysis.scores, analysis.schema),
+        "skipped_documents": [{"doc_id": d.doc_id, "reason": d.guard_message} for d in analysis.skipped],
+        "approximate_documents": [d.doc_id for d in analysis.documents if d.approximate],
+    }
+    if include_errors:
+        profile = analysis.profile
+        per_doc = {d.doc_id: d.profile for d in analysis.analyzed if d.profile is not None}
+        report["errors"] = {
+            "per_type": _counts_reference(profile.counts),
+            "per_role": {
+                role: _counts_reference(profile.per_role.get(role, {})) for role in analysis.schema.names
+            },
+            "side_tallies": _side_tallies_reference(profile),
+            "per_doc": {
+                doc_id: {"per_type": _counts_reference(p.counts), "side_tallies": _side_tallies_reference(p)}
+                for doc_id, p in sorted(per_doc.items())
+            },
+        }
+        report["transformations"] = {
+            d.doc_id: [transformation_entry(t) for t in d.log] for d in analysis.analyzed if d.log is not None
+        }
+    return report

@@ -29,6 +29,15 @@ def child_env(*paths: str, **variables: str) -> dict[str, str]:
     return env
 
 
+def only_builtins(value) -> bool:
+    """Whether ``value`` is made of str, int, float, bool, None, list, dict and tuple alone: no record, no enum."""
+    if type(value) in (list, tuple):
+        return all(only_builtins(item) for item in value)
+    if type(value) is dict:
+        return all(only_builtins(key) and only_builtins(item) for key, item in value.items())
+    return type(value) in (str, int, float, bool, type(None))
+
+
 def dump_side(documents, path, gold: bool) -> None:
     """Write one side of a corpus as the JSON file that ``corpus.load_side`` reads."""
     with open(path, "w", encoding="utf-8") as handle:

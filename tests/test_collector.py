@@ -121,15 +121,15 @@ def test_pool_worker_start_pauses_the_collector(monkeypatch):
     documents, schema = fuzzed_corpus(0)
     monkeypatch.setattr(pipeline, "_worker_job", None)
     with _collector(enabled=True):
-        pipeline._start_worker(documents, schema, AnalysisConfig(), True)
+        pipeline._start_worker(documents, schema, AnalysisConfig(), True, pipeline._as_is)
         assert not gc.isenabled()
 
 
 def test_cli_import_does_not_load_the_injector():
     # Importing the CLI loads neither the injector, nor what only some runs
-    # use (csv output, a --parallel pool), nor dataclasses and the inspect
-    # module it imports, which the package does not use.
-    unused = ("dataclasses", "inspect", "csv", "concurrent.futures.process")
+    # use (csv output, a --parallel pool, report comparison), nor dataclasses
+    # and the inspect module it imports, which the package does not use.
+    unused = ("dataclasses", "inspect", "csv", "concurrent.futures.process", "tfea.compare")
     probe = (
         "import sys, tfea.cli\n"
         "print('tfea.inject' in sys.modules)\n"

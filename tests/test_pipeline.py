@@ -13,10 +13,11 @@ from tfea.errors import ErrorType, total_errors
 from tfea.exceptions import ComplexityGuardExceeded
 from tfea.inject import GenerationParams, InjectionSpec, default_schema, generate_corpus, inject_errors
 from tfea.model import Document
-from tfea.pipeline import analyze_corpus, analyze_document
+from tfea.pipeline import analyze_corpus, analyze_document, analyze_each
+from tfea.reports import document_row
 
 from conftest import gold_template, pred_template, span_mention
-from support import child_env, fuzzed_corpus
+from support import child_env, fuzzed_corpus, only_builtins
 
 
 @pytest.fixture
@@ -29,6 +30,15 @@ def small_corpus():
         gold, schema, InjectionSpec(counts={ErrorType.SPAN_ERROR: 1}), seed=1
     )
     return result.documents, schema, result
+
+
+def _cpus(monkeypatch, count: int | None) -> None:
+    """Make this process see ``count`` usable CPUs; None drops the affinity mask and leaves no CPU count."""
+    if count is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
 
 
 class TestGuardModes:
@@ -89,6 +99,11 @@ class TestScoreOnly:
 
 
 class TestParallel:
+    @pytest.fixture(autouse=True)
+    def _many_cpus(self, monkeypatch):
+        """Each test starts the process counts it names, on a machine with any number of CPUs."""
+        _cpus(monkeypatch, 64)
+
     def test_worker_counts_agree(self, small_corpus):
         documents, schema, _ = small_corpus
         config = AnalysisConfig()
@@ -123,9 +138,15 @@ class TestParallel:
         for ours, theirs in zip(pooled.documents, serial.documents):
             for name in type(theirs).__match_args__:
                 assert getattr(ours, name) == getattr(theirs, name), (theirs.doc_id, name)
+        # The CLI's path: each document becomes its report row where it is analyzed.
+        rows = analyze_each(documents, schema, config, document_row, workers, derive)
+        assert rows == [document_row(d) for d in serial.documents]
+        assert only_builtins(rows)
+        assert multiprocessing.active_children() == []
 
-    def test_no_more_workers_than_documents(self, small_corpus, monkeypatch):
-        """One process per document at most, the parent included: the pool gets one fewer."""
+    @staticmethod
+    def _recording_pool(monkeypatch) -> list[int]:
+        """The ``max_workers`` of every pool started from now on."""
         started = []
 
         class RecordingPool(concurrent.futures.ProcessPoolExecutor):
@@ -134,12 +155,29 @@ class TestParallel:
                 super().__init__(max_workers, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        return started
+
+    def test_no_more_workers_than_documents(self, small_corpus, monkeypatch):
+        """One process per document at most, the parent included: the pool gets one fewer."""
+        started = self._recording_pool(monkeypatch)
         documents, schema, _ = small_corpus
         serial = analyze_corpus(documents, schema)
         assert analyze_corpus(documents, schema, parallel=16).documents == serial.documents
         assert analyze_corpus(documents, schema, parallel=len(documents)).documents == serial.documents
         assert analyze_corpus(documents[:1], schema, parallel=16).documents == serial.documents[:1]
         assert started == [len(documents) - 1] * 2
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus,pools", [(3, [2, 1]), (2, [1, 1]), (1, []), (None, [])])
+    def test_no_more_workers_than_cpus(self, small_corpus, monkeypatch, cpus, pools):
+        """One process per CPU this process may run on at most; without a count, one CPU."""
+        started = self._recording_pool(monkeypatch)
+        _cpus(monkeypatch, cpus)
+        documents, schema, _ = small_corpus
+        serial = analyze_corpus(documents, schema)
+        assert analyze_corpus(documents, schema, parallel=500).documents == serial.documents
+        assert analyze_corpus(documents, schema, parallel=2).documents == serial.documents
+        assert started == pools
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("parallel", [2, 3])
@@ -191,18 +229,23 @@ class TestParallel:
     def _pool_under(start_method: str) -> list[str]:
         """What a child interpreter prints after comparing a pooled run under ``start_method`` with serial."""
         script = (
-            "import multiprocessing\n"
-            "from support import child_env, fuzzed_corpus\n"
+            "import multiprocessing, os\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from support import fuzzed_corpus, only_builtins\n"
             "from tfea.config import AnalysisConfig\n"
-            "from tfea.pipeline import analyze_corpus\n"
+            "from tfea.pipeline import analyze_corpus, analyze_each\n"
+            "from tfea.reports import document_row\n"
             f"multiprocessing.set_start_method({start_method!r})\n"
             "documents, schema = fuzzed_corpus(1, n_docs=11)\n"
             "config = AnalysisConfig(max_template_matchings=7, on_guard='greedy')\n"
             "serial = analyze_corpus(documents, schema, config)\n"
             "pooled = analyze_corpus(documents, schema, config, parallel=2)\n"
             "assert pooled.documents == serial.documents\n"
+            "rows = analyze_each(documents, schema, config, document_row, 2)\n"
+            "assert rows == [document_row(d) for d in serial.documents]\n"
+            "assert only_builtins(rows)\n"
             "assert multiprocessing.active_children() == []\n"
-            "print(multiprocessing.get_start_method(), len(pooled.documents))\n"
+            "print(multiprocessing.get_start_method(), len(pooled.documents), len(rows))\n"
         )
         env = child_env(os.path.dirname(__file__))
         child = subprocess.run(
@@ -212,9 +255,9 @@ class TestParallel:
         return child.stdout.split()
 
     def test_spawned_workers_equal_serial(self):
-        assert self._pool_under("spawn") == ["spawn", "11"]
+        assert self._pool_under("spawn") == ["spawn", "11", "11"]
 
     def test_forkserver_workers_equal_serial(self):
         # The Linux default from Python 3.14; each worker unpickles its
         # initargs as under spawn.
-        assert self._pool_under("forkserver") == ["forkserver", "11"]
+        assert self._pool_under("forkserver") == ["forkserver", "11", "11"]

@@ -3,7 +3,12 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from oracles import build_report_reference
+from support import fuzzed_corpus
+from tfea.compare import compare_reports, render_comparison_text
 from tfea.config import AnalysisConfig
 from tfea.errors import ErrorType
 from tfea.exceptions import IncompatibleReports
@@ -17,12 +22,11 @@ from tfea.inject import (
 from tfea.pipeline import analyze_corpus
 from tfea.reports import (
     build_report,
-    compare_reports,
-    render_comparison_text,
     render_csv,
     render_json,
     render_text,
 )
+from tfea.spans import ScsMode
 
 TRANSFORMATION_KEYS = {
     "kind",
@@ -100,6 +104,39 @@ class TestReportShape:
     def test_per_doc_errors_sorted(self, report):
         doc_ids = list(report["errors"]["per_doc"])
         assert doc_ids == sorted(doc_ids)
+
+
+# A cap of 7 admits 2 x 2 templates and sends larger documents to the guard.
+REFERENCE_CONFIGS = {
+    "default": AnalysisConfig(),
+    "absolute-cased": AnalysisConfig(scs_mode=ScsMode.ABSOLUTE, case_sensitive=True),
+    "skip": AnalysisConfig(max_template_matchings=7, on_guard="skip"),
+    "greedy": AnalysisConfig(max_template_matchings=7, on_guard="greedy"),
+}
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 10_000),
+    setting=st.sampled_from(sorted(REFERENCE_CONFIGS)),
+    derive=st.booleans(),
+    include_errors=st.booleans(),
+)
+# Each of these corpora has skipped (or approximate) and fully analyzed documents.
+@example(seed=1, setting="skip", derive=True, include_errors=True)
+@example(seed=1, setting="greedy", derive=True, include_errors=True)
+@example(seed=1, setting="skip", derive=False, include_errors=False)
+def test_assembled_report_equals_reference(seed, setting, derive, include_errors):
+    """The report assembled from per-document rows equals the one read off the analysis records."""
+    config = REFERENCE_CONFIGS[setting]
+    documents, schema = fuzzed_corpus(seed, n_docs=6, max_templates=4, vary_settings=True)
+    analysis = analyze_corpus(documents, schema, config, derive=derive)
+    ours = build_report(analysis, config, "probe", include_errors)
+    reference = build_report_reference(analysis, config, "probe", include_errors)
+    assert ours == reference
+    # The text and CSV renderings also read the order of each section.
+    for render in (render_json, render_text, render_csv):
+        assert render(ours) == render(reference)
 
 
 class TestRendering:
