@@ -23,7 +23,6 @@ from .exceptions import (
 )
 from .matching import (
     MentionPair,
-    MentionPairing,
     Tally,
     TemplateMatching,
     TemplatePair,
@@ -84,7 +83,6 @@ __all__ = [
     "InjectionSpec",
     "Mention",
     "MentionPair",
-    "MentionPairing",
     "ParseError",
     "RoleKind",
     "RoleSpec",

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from functools import lru_cache
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Callable, Mapping
@@ -208,47 +207,21 @@ class MentionPair:
     gold_mention: Mention
 
 
-@record(frozen=True)
-class MentionPairing:
-    """Injective partial pairing of one role's predicted mentions to entities."""
-
-    pairs: tuple[MentionPair, ...]
-    unmatched_pred: tuple[int, ...]
-    unmatched_gold: tuple[int, ...]
-
-    @property
-    def exact_count(self) -> int:
-        return sum(map(_is_exact, self.pairs))
-
-
 _is_exact = attrgetter("exact")
 
 
-@lru_cache(maxsize=256)
-def _unpaired(pred_count: int, gold_count: int) -> MentionPairing:
-    # Most role pairings have no candidate pair at all; they share one value.
-    return MentionPairing((), tuple(range(pred_count)), tuple(range(gold_count)))
-
-
-def _build_pairing(
-    index_pairs: tuple[tuple[int, int], ...], cells: Cells, pred_count: int, gold_count: int
-) -> MentionPairing:
-    """Pairing from index pairs; ``cells`` maps ``(pred, entity index)`` to its match."""
-    if not index_pairs:
-        return _unpaired(pred_count, gold_count)
+def _build_pairing(index_pairs: tuple[tuple[int, int], ...], cells: Cells) -> tuple[MentionPair, ...]:
+    """The pairs of ``index_pairs``; ``cells`` maps ``(pred, entity index)`` to its match."""
     # One loop: a pairing has a few items, and comprehensions would cost
     # more than their work.
     pairs = []
-    unmatched_pred, unmatched_gold = list(range(pred_count)), list(range(gold_count))
     for i, j in index_pairs:
         match = cells[i, j]
         pairs.append(MentionPair(i, j, match.exact, match.score, match.gold_mention))
-        unmatched_pred.remove(i)
-        unmatched_gold.remove(j)
-    return MentionPairing(tuple(pairs), tuple(unmatched_pred), tuple(unmatched_gold))
+    return tuple(pairs)
 
 
-def _best_role_pairing(cells: Cells, pred_count: int, gold_count: int) -> MentionPairing:
+def _best_role_pairing(cells: Cells, pred_count: int) -> tuple[MentionPair, ...]:
     """The pairing with the most exact pairs, then the most partial pairs.
 
     Exact pairs are the numerator; each partial pair replaces one
@@ -260,7 +233,7 @@ def _best_role_pairing(cells: Cells, pred_count: int, gold_count: int) -> Mentio
     """
     exact_cost = -(pred_count + 1)
     cost = {cell: exact_cost if match.exact else -1 for cell, match in cells.items()}
-    return _build_pairing(lexmin_assignment(cost), cells, pred_count, gold_count)
+    return _build_pairing(lexmin_assignment(cost), cells)
 
 
 @record(frozen=True)
@@ -307,7 +280,7 @@ class TemplatePair:
 
     pred_index: int
     gold_index: int
-    role_pairings: dict[str, MentionPairing] = Factory(dict)
+    role_pairings: dict[str, tuple[MentionPair, ...]] = Factory(dict)  # string-fill role -> pairs, pred order
     matched_set_roles: tuple[str, ...] = ()
 
 
@@ -329,7 +302,7 @@ class TemplateMatching:
         return self.total.f1
 
 
-RolePairer = Callable[[Cells, int, int], MentionPairing]
+RolePairer = Callable[[Cells, int], tuple[MentionPair, ...]]
 
 
 @record(frozen=True)
@@ -340,7 +313,7 @@ class _PairTable:
     numerator and implied errors, ``set_matches[p, g]`` its set-fill roles
     with equal values (schema order), and ``pred_rows``/``gold_rows`` each
     template's ``filler_row``. Role pairings are kept for linked roles
-    only; ``pair`` rebuilds the rest from filler counts.
+    only; ``pair`` gives every other role the empty pairing.
     """
 
     numerators: list[list[int]]
@@ -349,14 +322,11 @@ class _PairTable:
     pred_rows: list[list[int]]
     gold_rows: list[list[int]]
     set_matches: dict[tuple[int, int], list[str]]
-    linked: dict[tuple[int, int], dict[str, MentionPairing]]
+    linked: dict[tuple[int, int], dict[str, tuple[MentionPair, ...]]]
 
     def pair(self, p: int, g: int) -> TemplatePair:
         linked = self.linked.get((p, g), {})
-        pairings = {
-            role: linked[role] if role in linked else _unpaired(self.pred_rows[p][k], self.gold_rows[g][k])
-            for role, k in self.string_roles
-        }
+        pairings = {role: linked.get(role, ()) for role, _ in self.string_roles}
         return TemplatePair(p, g, pairings, tuple(self.set_matches.get((p, g), ())))
 
 
@@ -369,14 +339,14 @@ def _pair_scores(
     two errors (spurious plus missing), a one-sided value one. A string-fill
     role with ``m`` mentions and ``e`` entities costs ``m + e - 2·exact -
     partial`` under its pairing. Only the roles that the index links, by a
-    cell with an entity of the same role, reach ``pair_role(cells, m, e)``,
+    cell with an entity of the same role, reach ``pair_role(cells, m)``,
     its cells collected in one pass over the index (``_best_role_pairing``
     for the exact matcher, a polynomial solve); a cell in another role only
-    feeds incorrect-role detection. Every other role is the empty
-    ``_unpaired(m, e)``: an unlinked pair's two ints come from its filler
-    totals and its equal set-fill values, found by grouping the gold
-    templates by normalized value. The only allocation per pair is the role
-    list of a pair that shares a set-fill value.
+    feeds incorrect-role detection. Every other role has the empty pairing
+    ``()``: an unlinked pair's two ints come from its filler totals and its
+    equal set-fill values, found by grouping the gold templates by
+    normalized value. The only allocation per pair is the role list of a
+    pair that shares a set-fill value.
     """
     set_roles = [role.name for role in schema.set_fill_roles]
     string_roles = [(role.name, k) for k, role in enumerate(schema) if role.kind is RoleKind.STRING_FILL]
@@ -412,14 +382,13 @@ def _pair_scores(
             if gold_role == role:
                 role_cells.setdefault((p, g, role), {})[i, j] = match
     column = dict(string_roles)
-    linked: dict[tuple[int, int], dict[str, MentionPairing]] = {}
+    linked: dict[tuple[int, int], dict[str, tuple[MentionPair, ...]]] = {}
     for (p, g, role), cells in role_cells.items():
-        k = column[role]
-        pairing = linked.setdefault((p, g), {})[role] = pair_role(cells, pred_rows[p][k], gold_rows[g][k])
-        exact = pairing.exact_count
+        pairing = linked.setdefault((p, g), {})[role] = pair_role(cells, pred_rows[p][column[role]])
+        exact = sum(map(_is_exact, pairing))
         numerators[p][g] += exact
         # Each exact pair removes two errors, each partial one.
-        errors[p][g] -= exact + len(pairing.pairs)
+        errors[p][g] -= exact + len(pairing)
     return _PairTable(numerators, errors, string_roles, pred_rows, gold_rows, set_matches, linked)
 
 
@@ -434,7 +403,7 @@ def _assemble(
         for role in pair.matched_set_roles:
             numerators[role] += 1
         for role, pairing in pair.role_pairings.items():
-            numerators[role] += pairing.exact_count
+            numerators[role] += sum(map(_is_exact, pairing))
     # Column sums of the filler rows; the zero row keeps a side with no templates.
     pred_totals = list(map(sum, zip([0] * len(names), *table.pred_rows)))
     gold_totals = list(map(sum, zip([0] * len(names), *table.gold_rows)))
@@ -502,7 +471,7 @@ def find_optimal_matching(
     return _assemble(doc, schema, best, table, approximate=False)
 
 
-def _greedy_role_pairing(cells: Cells, pred_count: int, gold_count: int) -> MentionPairing:
+def _greedy_role_pairing(cells: Cells, pred_count: int) -> tuple[MentionPair, ...]:
     """Exact pairs first, each pred taking its lowest free entity; then the nearest free span."""
     taken: set[int] = set()
     paired: dict[int, int] = {}
@@ -511,7 +480,7 @@ def _greedy_role_pairing(cells: Cells, pred_count: int, gold_count: int) -> Ment
         if i not in paired and j not in taken:
             taken.add(j)
             paired[i] = j
-    return _build_pairing(tuple(sorted(paired.items())), cells, pred_count, gold_count)
+    return _build_pairing(tuple(sorted(paired.items())), cells)
 
 
 def greedy_matching(

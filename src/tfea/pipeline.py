@@ -32,8 +32,10 @@ With ``bench/run.py`` on 2 CPUs (medians of ten alternating pairs,
 ``--parallel 2`` from 0.542 to 0.506 s, and it is still slower than
 serial: 0.155 against 0.125 s on wide_templates (8 documents), 0.259
 against 0.217 s on guard_overflow (30) and 0.506 against 0.440 s on
-small_docs (400). Two CPU-bound processes started together mostly take
-twice as long as one alone there, so the pool's start-up is what is left.
+small_docs (400). What is left is start-up: in-process on small_docs
+(seed 5), 0.158 s in one process, 0.185 s in two with a per-document
+function returning nothing, 0.198 s with rows; two won from about 1,600
+documents up (one-off numbers on 2 CPUs from ROADMAP.md's re-anchor).
 """
 
 from __future__ import annotations

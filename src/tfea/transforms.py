@@ -152,7 +152,7 @@ def _explain_filler(
     ``Mention(value)``; the match index has no rows for set-fill roles,
     so it is always plain spurious, with no filler index or span.
     """
-    pairs = pair.role_pairings[role_name].pairs if filler_index is not None else ()
+    pairs = pair.role_pairings[role_name] if filler_index is not None else ()
     own = next((p for p in pairs if p.pred_index == filler_index), None)
     if own is not None:
         best = ((0, True, pair.gold_index, role_rank[role_name], own.entity_index), role_name, own.gold_mention)
@@ -236,10 +236,11 @@ def derive_transformations(
                 unexplained = () if value is None else ((None, Mention(value)),)
                 missing = () if gold_template.set_fill(role.name) is None else (None,)
             else:
-                pairing = pair.role_pairings[role.name]
-                exact = {p.pred_index for p in pairing.pairs if p.exact}
+                pairs = pair.role_pairings[role.name]
+                exact = {p.pred_index for p in pairs if p.exact}
                 unexplained = [(i, m) for i, m in enumerate(pred_template.mentions(role.name)) if i not in exact]
-                missing = pairing.unmatched_gold
+                paired = {p.entity_index for p in pairs}
+                missing = [j for j in range(len(gold_template.entities(role.name))) if j not in paired]
             for filler_index, mention in unexplained:
                 group = _explain_filler(role_rank, index, pair, role.name, filler_index, mention)
                 if all(t.kind not in _REMOVAL_KINDS for t in group):

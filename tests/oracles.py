@@ -19,7 +19,7 @@ from tfea import __version__
 from tfea.corpus import schema_to_dict
 from tfea.errors import ERROR_TYPES, ErrorProfile
 from tfea.exceptions import ParseError, SchemaMismatch
-from tfea.matching import MentionPair, MentionPairing, Tally, TemplateMatching, TemplatePair
+from tfea.matching import MentionPair, Tally, TemplateMatching, TemplatePair
 from tfea.model import (
     Document,
     GoldEntity,
@@ -148,13 +148,8 @@ def _mention_pairings(cells) -> list[tuple[int, int, tuple[tuple[int, int], ...]
     return out
 
 
-def _mention_pairing(pairs, cells, gold_count: int) -> MentionPairing:
-    paired_pred, paired_gold = {i for i, _ in pairs}, {j for _, j in pairs}
-    return MentionPairing(
-        tuple(MentionPair(i, j, *cells[i][j]) for i, j in pairs),
-        tuple(i for i in range(len(cells)) if i not in paired_pred),
-        tuple(j for j in range(gold_count) if j not in paired_gold),
-    )
+def _mention_pairing(pairs, cells) -> tuple[MentionPair, ...]:
+    return tuple(MentionPair(i, j, *cells[i][j]) for i, j in pairs)
 
 
 def _reference_cells(pred, gold, mode: ScsMode, casefold: bool):
@@ -164,14 +159,14 @@ def _reference_cells(pred, gold, mode: ScsMode, casefold: bool):
 def enumerate_mention_matchings(pred, gold, mode: ScsMode = ScsMode.GEOMETRIC, casefold: bool = True):
     """Every pairing of mentions to entities, with cells from ``entity_match_reference``."""
     cells = _reference_cells(pred, gold, mode, casefold)
-    return [_mention_pairing(pairs, cells, len(gold)) for *_, pairs in _mention_pairings(cells)]
+    return [_mention_pairing(pairs, cells) for *_, pairs in _mention_pairings(cells)]
 
 
-def best_mention_matching_reference(pred, gold, mode: ScsMode, casefold: bool) -> MentionPairing:
+def best_mention_matching_reference(pred, gold, mode: ScsMode, casefold: bool) -> tuple[MentionPair, ...]:
     """Most exact pairs, then most partial pairs, then the smallest ``(pred, entity)`` tuple."""
     cells = _reference_cells(pred, gold, mode, casefold)
     *_, pairs = min(_mention_pairings(cells))
-    return _mention_pairing(pairs, cells, len(gold))
+    return _mention_pairing(pairs, cells)
 
 
 def _pair_allowed(mention, entity, casefold: bool) -> bool:
@@ -248,12 +243,12 @@ def pair_scores_reference(doc: Document, schema: Schema, config, index, pair_rol
                     continue
                 mentions, entities = pred.mentions(role.name), gold.entities(role.name)
                 cells = role_cells(index, [(p, role.name, i) for i in range(len(mentions))], (g, role.name))
-                pairing = pair_role(cells, len(mentions), len(entities))
-                exact = sum(1 for pair in pairing.pairs if pair.exact)
+                pairing = pair_role(cells, len(mentions))
+                exact = sum(1 for pair in pairing if pair.exact)
                 numerator += exact
                 if exact:
                     role_numerators[role.name] = exact
-                errors += len(mentions) + len(entities) - 2 * exact - (len(pairing.pairs) - exact)
+                errors += len(mentions) + len(entities) - 2 * exact - (len(pairing) - exact)
                 role_pairings[role.name] = pairing
             scores[p, g] = (numerator, errors, role_numerators, role_pairings)
     return scores

@@ -178,8 +178,8 @@ def test_scs_point_values():
 def _partition_identities_hold(doc, schema, matching, profile) -> bool:
     string_roles = [r.name for r in schema.string_fill_roles]
     set_roles = [r.name for r in schema.set_fill_roles]
-    exact_pairs = sum(p.role_pairings[r].exact_count for p in matching.pairs for r in string_roles)
-    matched_entities = sum(len(p.role_pairings[r].pairs) for p in matching.pairs for r in string_roles)
+    exact_pairs = sum(m.exact for p in matching.pairs for r in string_roles for m in p.role_pairings[r])
+    matched_entities = sum(len(p.role_pairings[r]) for p in matching.pairs for r in string_roles)
     error_string = sum(
         profile.per_role.get(r, {}).get(t, 0) for r in string_roles for t in PRED_SIDE_TYPES
     )

@@ -70,30 +70,28 @@ class TestMentionMatchings:
         pred = [span_mention("newcastle", 57)]
         gold = [GoldEntity((span_mention("Newcastle", 57),))]
         pairings = enumerate_mention_matchings(pred, gold)
-        shapes = {tuple((p.pred_index, p.entity_index, p.exact) for p in m.pairs) for m in pairings}
+        shapes = {tuple((p.pred_index, p.entity_index, p.exact) for p in m) for m in pairings}
         assert shapes == {(), ((0, 0, True),)}
 
     def test_nothing_to_pair(self):
         gold = [GoldEntity((span_mention("a", 0),)), GoldEntity((span_mention("b", 10),))]
         pairings = enumerate_mention_matchings([], gold)
-        assert len(pairings) == 1
-        assert pairings[0].unmatched_gold == (0, 1)
+        assert pairings == [()]
 
     def test_overlapping_spans_allow_partial(self):
         pred = [Mention("maoist shining path group", Span(100, 125))]
         gold = [GoldEntity((Mention("shining path", Span(107, 119)),))]
         pairings = enumerate_mention_matchings(pred, gold)
         assert len(pairings) == 2
-        partial = [m for m in pairings if m.pairs]
-        assert partial[0].pairs[0].exact is False
-        assert 0 < partial[0].pairs[0].score < 1
+        partial = [m for m in pairings if m]
+        assert partial[0][0].exact is False
+        assert 0 < partial[0][0].score < 1
 
     def test_disjoint_spans_not_pairable(self):
         pred = [span_mention("unrelated", 0)]
         gold = [GoldEntity((span_mention("target", 50),))]
         pairings = enumerate_mention_matchings(pred, gold)
-        assert len(pairings) == 1
-        assert pairings[0].pairs == ()
+        assert pairings == [()]
 
     def test_role_pairing_matches_enumeration(self):
         """The solved role pairing is the enumerated lex-min on tie-heavy roles."""
@@ -112,7 +110,7 @@ class TestMentionMatchings:
                 for i in range(len(pred))
                 for j in range(len(gold))
             )
-            assert _best_role_pairing(role, len(pred), len(gold)) == best_mention_matching_reference(
+            assert _best_role_pairing(role, len(pred)) == best_mention_matching_reference(
                 pred, gold, mode, casefold
             ), (pred, gold, mode, casefold)
         assert min(shapes["contested"], shapes["uncontested"]) > 2000, shapes
@@ -316,9 +314,9 @@ def _pair_score_cases(config: AnalysisConfig | None = None) -> list[tuple[Docume
 def _recorded(pair_role, calls: list):
     """``pair_role`` that logs, per call, whether the role has a cell."""
 
-    def pairer(cells, pred_count, gold_count):
+    def pairer(cells, pred_count):
         calls.append(bool(cells))
-        return pair_role(cells, pred_count, gold_count)
+        return pair_role(cells, pred_count)
 
     return pairer
 
@@ -379,7 +377,7 @@ class TestPairScores:
                 pair = table.pair(p, g)
                 pair_numerators = dict.fromkeys(pair.matched_set_roles, 1)
                 pair_numerators.update(
-                    (role, n) for role, pairing in pair.role_pairings.items() if (n := pairing.exact_count)
+                    (role, n) for role, pairing in pair.role_pairings.items() if (n := sum(p.exact for p in pairing))
                 )
                 assert (table.numerators[p][g], table.errors[p][g], pair_numerators) == (
                     numerator, errors, role_numerators
@@ -541,7 +539,7 @@ class TestAssignmentSolver:
         )
         matching = find_optimal_matching(doc, _simple_schema())
         pairing = matching.pairs[0].role_pairings["agent"]
-        assert [(p.pred_index, p.entity_index, p.exact) for p in pairing.pairs] == [(i, i, True) for i in range(8)]
+        assert [(p.pred_index, p.entity_index, p.exact) for p in pairing] == [(i, i, True) for i in range(8)]
         assert matching.f1 == 1.0
 
     def test_twelve_by_twelve_is_solved_exactly(self):
@@ -630,11 +628,9 @@ class TestAssignmentSolver:
             shuffled = _shuffled_within_preds(cells, rng)
             moved += list(shuffled) != list(cells)
             for pair_role in (_best_role_pairing, _greedy_role_pairing):
-                assert pair_role(shuffled, len(pred), len(gold)) == pair_role(cells, len(pred), len(gold)), cells
+                assert pair_role(shuffled, len(pred)) == pair_role(cells, len(pred)), cells
             scrambled = rng.sample(list(cells.items()), len(cells))
-            assert _greedy_role_pairing(dict(scrambled), len(pred), len(gold)) == _greedy_role_pairing(
-                cells, len(pred), len(gold)
-            ), cells
+            assert _greedy_role_pairing(dict(scrambled), len(pred)) == _greedy_role_pairing(cells, len(pred)), cells
         assert moved > 500, moved
 
     @pytest.mark.parametrize("size", [12, 40])
@@ -679,14 +675,15 @@ def _shuffled_within_preds(cells: dict, rng: random.Random) -> dict:
     return {cell: value for items in by_pred.values() for cell, value in rng.sample(items, len(items))}
 
 
-def _dense_role_pairing(cells, pred_count: int, gold_count: int):
-    """``_best_role_pairing`` solved by the dense reference."""
+def _dense_role_pairing(cells, pred_count: int):
+    """``_best_role_pairing`` solved by the dense reference, as wide as the highest entity index in ``cells``."""
+    gold_count = 1 + max((j for _, j in cells), default=-1)
     exact_cost = -(pred_count + 1)
     cost = [
         [None if (i, j) not in cells else exact_cost if cells[i, j].exact else -1 for j in range(gold_count)]
         for i in range(pred_count)
     ]
-    return _build_pairing(dense_lexmin_assignment(cost, gold_count), cells, pred_count, gold_count)
+    return _build_pairing(dense_lexmin_assignment(cost, gold_count), cells)
 
 
 def _injected_document(size: int) -> tuple[Document, Schema]:

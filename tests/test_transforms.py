@@ -35,6 +35,7 @@ def _analyze(doc, schema, config=None):
 
 class TestDerive:
     def test_perfect_predictions_empty_log(self, two_role_schema):
+        """A perfect prediction has an empty log; one that pairs only entity 1 of three introduces 0 and 2."""
         doc = Document(
             "d",
             "alpha beta",
@@ -43,6 +44,12 @@ class TestDerive:
         )
         _, log = _analyze(doc, two_role_schema)
         assert len(log) == 0
+        entities = [[span_mention("alpha", 0)], [span_mention("beta", 6)], [span_mention("gamma", 11)]]
+        doc = Document(
+            "d", "alpha beta gamma", (gold_template(agent=entities),), (pred_template(agent=[span_mention("beta", 6)]),)
+        )
+        _, log = _analyze(doc, two_role_schema)
+        assert [(t.kind, t.gold_entity) for t in log] == [(_K.INTRODUCE_ROLE_FILLER, 0), (_K.INTRODUCE_ROLE_FILLER, 2)]
 
     def test_duplicate_filler(self, two_role_schema):
         # A second coreferent mention predicted as its own filler.
