@@ -16,7 +16,7 @@ from .corpus import read_json, side_to_dict
 from .errors import ErrorType
 from .exceptions import ComplexityGuardExceeded, ParseError, TfeaError
 from .matching import MAX_COUNT_DIGITS, printable_template_matchings
-from .pipeline import analyze_each
+from .pipeline import MENTIONS_PER_PROCESS, analyze_each
 from .reports import (
     assemble_report,
     document_row,
@@ -58,9 +58,10 @@ def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
                         help="cap on the closed-form matching count; larger documents go to --on-guard")
     parser.add_argument("--on-guard", choices=ON_GUARD_CHOICES, default=None)
     parser.add_argument("--parallel", type=int, default=None,
-                        help="processes, this one included and at most one per document and one per CPU this "
-                             "process may run on; each worker receives its share of the corpus once. The report "
-                             "and exit code (2 under --on-guard fail) match a serial run")
+                        help=f"processes, this one included; at most one per document, per usable CPU and per "
+                             f"{MENTIONS_PER_PROCESS:,} mentions (gold and predicted), so a corpus of fewer than "
+                             f"{2 * MENTIONS_PER_PROCESS:,} runs serially. The report and exit code (2 under "
+                             "--on-guard fail) match a serial run")
     parser.add_argument("--label", default=None, help="system label echoed in the report")
     parser.add_argument("--config", default=None, help="JSON config file (flags win)")
 

@@ -1,16 +1,20 @@
 """Per-document analysis pipeline and corpus-level aggregation.
 
 Documents are independent, so ``analyze_each(..., parallel=N)`` splits
-the corpus over ``N`` processes, the calling one included, and never over
-more processes than there are documents or CPUs this process may run on.
-The caller analyzes the first ``len // N`` documents in doc-id order
-while a pool of ``N - 1`` workers takes the rest. Each worker receives
-its share, the schema, the settings and the per-document function once,
-when it starts (inherited under the ``fork`` start method, pickled once
-per worker under ``spawn`` and ``forkserver``), and is then sent batches
-of indices into that share. Each process applies the per-document
-function to a document's analysis right after making it, and only what
-that returns is kept and, from a worker, sent back: the CLI passes
+the corpus over at most ``N`` processes, the calling one included: no
+more than there are documents, CPUs this process may run on, or
+``MENTIONS_PER_PROCESS`` mentions (gold-entity and predicted) in the
+corpus, and at least one. Below two processes' worth of mentions the run
+is the serial one and starts no pool; the mentions are counted only when
+the other limits allow two processes. With ``k`` processes the caller
+analyzes the first ``len // k`` documents in doc-id order while a pool
+of ``k - 1`` workers takes the rest. Each worker receives its share, the
+schema, the settings and the per-document function once, when it starts
+(inherited under the ``fork`` start method, pickled once per worker
+under ``spawn`` and ``forkserver``), and is then sent batches of indices
+into that share. Each process applies the per-document function to a
+document's analysis right after making it, and only what that returns is
+kept and, from a worker, sent back: the CLI passes
 ``reports.document_row``, so a plain report row of builtins crosses the
 pipe, and ``analyze_corpus`` keeps the ``DocumentAnalysis`` records for
 library callers. Results are merged in doc-id order, which makes the
@@ -25,22 +29,20 @@ so a collection only rescans the corpus and the results. With it on,
 unpickling the pool's results in the parent took about three times as
 long.
 
-Sent as rows, the 200 results of small_docs' pool share (seed 5) pickle
-to 77,244 bytes, not 343,780 as records, and unpickle in 1 ms, not 10.
-With ``bench/run.py`` on 2 CPUs (medians of ten alternating pairs,
-``BENCH_25.json``, reference-scaled seconds) that took small_docs
-``--parallel 2`` from 0.542 to 0.506 s, and it is still slower than
-serial: 0.155 against 0.125 s on wide_templates (8 documents), 0.259
-against 0.217 s on guard_overflow (30) and 0.506 against 0.440 s on
-small_docs (400). What is left is start-up: in-process on small_docs
-(seed 5), 0.158 s in one process, 0.185 s in two with a per-document
-function returning nothing, 0.198 s with rows; two won from about 1,600
-documents up (one-off numbers on 2 CPUs from ROADMAP.md's re-anchor).
+A pool's start-up made ``--parallel 2`` slower than serial on test sets
+of MUC-4's size (``bench/run.py`` medians on 2 CPUs, ``BENCH_26.json``):
+0.158 against 0.125 s on wide_templates (484 mentions), 0.259 against
+0.215 s on guard_overflow (8,541), 0.500 against 0.437 s on small_docs
+(18,300). On merged small_docs corpora with the second CPU free, two
+processes did not win at 18,300 mentions and won from 20,100 in-process;
+through the CLI they lost at 18,300, broke even up to 36,600 and won at
+73,200 (0.87 against 1.05 s). With it busy they lost at every size.
 """
 
 from __future__ import annotations
 
 import gc
+import logging
 import math
 import os
 from typing import Callable, Sequence
@@ -49,9 +51,13 @@ from .config import AnalysisConfig
 from .errors import ErrorProfile, map_errors
 from .exceptions import ComplexityGuardExceeded
 from .matching import MatchIndex, TemplateMatching, find_optimal_matching, greedy_matching
-from .model import Document, Factory, Schema, record, resolve_document_spans
+from .model import Document, Factory, GoldEntity, Schema, record, resolve_document_spans
 from .scoring import Scores, score_corpus, score_document
 from .transforms import TransformationLog, derive_transformations
+
+log = logging.getLogger("tfea")
+# Mentions per process: two processes start from 40,000 (measured above).
+MENTIONS_PER_PROCESS = 20_000
 
 
 @record
@@ -168,6 +174,15 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _mention_count(documents: Sequence[Document]) -> int:
+    """Every gold-entity mention and every predicted mention of ``documents``."""
+    return sum(
+        len(item.mentions) if isinstance(item, GoldEntity) else 1
+        for doc in documents for template in doc.gold_templates + doc.predicted_templates
+        for value in template.role_fillers.values() if not isinstance(value, str) for item in value
+    )
+
+
 def analyze_each(
     documents: Sequence[Document],
     schema: Schema,
@@ -182,11 +197,15 @@ def analyze_each(
     only what it returns is kept (and sent back from a pool worker). It
     must be a module-level function, so that it pickles by reference.
     The documents are split over at most ``parallel`` processes counting
-    this one, one per document and one per CPU this process may run on.
+    this one, one per document, per usable CPU and per ``MENTIONS_PER_PROCESS`` mentions.
     """
     config = config or AnalysisConfig()
     ordered = sorted(documents, key=lambda d: d.doc_id)
     workers = min(parallel, len(ordered), _usable_cpus())
+    if workers > 1:
+        mentions = _mention_count(ordered)
+        workers = max(1, min(workers, mentions // MENTIONS_PER_PROCESS))
+        log.debug("%d documents, %d mentions: %d process(es)", len(ordered), mentions, workers)
     if workers < 2:
         return [per_document(analyze_document(doc, schema, config, derive)) for doc in ordered]
     # Imported here: a run that starts no pool skips loading multiprocessing.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import os
 import random
@@ -9,6 +10,7 @@ import random
 from hypothesis import strategies as st
 
 import tfea
+from tfea import pipeline
 from tfea.corpus import side_to_dict
 from tfea.inject import _decoy_phrases, default_schema  # noqa: F401
 from tfea.model import Document, GoldEntity, Mention, RoleKind, Schema, Span, Template
@@ -27,6 +29,38 @@ def child_env(*paths: str, **variables: str) -> dict[str, str]:
     if "PYTHONDONTWRITEBYTECODE" in os.environ:
         env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
     return env
+
+
+def usable_cpus(monkeypatch, count: int | None) -> None:
+    """Make this process see ``count`` usable CPUs; None drops the affinity mask and leaves no CPU count."""
+    if count is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+
+def recording_pool(monkeypatch) -> list[int]:
+    """The ``max_workers`` of every process pool started from now on."""
+    started = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return started
+
+
+def pool_for_any_corpus(monkeypatch, cpus: int = 64) -> list[int]:
+    """Let ``--parallel`` start a pool on a tiny corpus: ``cpus`` usable CPUs, one mention per process.
+
+    Returns the ``max_workers`` of every pool started from now on.
+    """
+    usable_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(pipeline, "MENTIONS_PER_PROCESS", 1)
+    return recording_pool(monkeypatch)
 
 
 def only_builtins(value) -> bool:

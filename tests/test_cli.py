@@ -2,13 +2,15 @@
 
 import io
 import json
+import os
+import re
 from contextlib import redirect_stderr
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from support import child_env, dump_side, json_values, replace_subtree, subtree_paths
+from support import child_env, dump_side, json_values, pool_for_any_corpus, replace_subtree, subtree_paths
 from tfea.cli import ECHO_LIMIT, EXIT_ERROR, EXIT_GUARD, EXIT_OK, main
 from tfea.corpus import schema_to_dict, side_to_dict
 from tfea.errors import ErrorType
@@ -350,13 +352,15 @@ class TestAnalyze:
         assert err.startswith("error: ") and f"({where})" in err and f"key '{key}' appears more than once" in err, err
         assert "Traceback" not in err and not out.exists()
 
-    def test_parallel_smoke(self, tmp_path, corpus_files):
+    def test_parallel_smoke(self, tmp_path, corpus_files, monkeypatch):
+        started = pool_for_any_corpus(monkeypatch)
         gold, pred, schema = corpus_files
         one = tmp_path / "one.json"
         four = tmp_path / "four.json"
         assert main(_analyze_args(gold, pred, schema, one, "--parallel", "1")) == EXIT_OK
         assert main(_analyze_args(gold, pred, schema, four, "--parallel", "4")) == EXIT_OK
         assert one.read_bytes() == four.read_bytes()
+        assert started == [2]  # three documents
 
 
 class TestScore:
@@ -790,59 +794,90 @@ def test_fresh_process_determinism(tmp_path, corpus_files):
     assert outputs[0] == outputs[1]
 
 
-def test_parallel_guard_fail_matches_serial(tmp_path, corpus_files):
-    """A guard error raised in a pool worker exits like the serial run."""
-    import subprocess
-    import sys
-
+def _guard_fail_stderr(tmp_path, corpus_files, capfd, workers: str) -> str:
+    """What ``analyze --on-guard fail`` writes to stderr, pool workers included; it must exit with the guard code."""
     gold, pred, schema = corpus_files
+    argv = _analyze_args(gold, pred, schema, tmp_path / f"report-{workers}.json")
+    code = main([*argv, "--parallel", workers, "--max-matchings", "1", "--on-guard", "fail"])
+    stderr = capfd.readouterr().err
+    assert code == EXIT_GUARD, stderr
+    return stderr
+
+
+def test_parallel_guard_fail_matches_serial(tmp_path, corpus_files, monkeypatch, capfd):
+    """A guard error raised in a pool worker exits like the serial run."""
+    started = pool_for_any_corpus(monkeypatch)
     stderr = {}
     for workers in ("1", "2"):
-        child = subprocess.run(
-            [
-                sys.executable, "-m", "tfea.cli",
-                *_analyze_args(gold, pred, schema, tmp_path / f"report-{workers}.json"),
-                "--parallel", workers,
-                "--max-matchings", "1",
-                "--on-guard", "fail",
-            ],
-            env=child_env(),
-            cwd="/",
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert child.returncode == EXIT_GUARD, child.stderr
-        assert "Traceback" not in child.stderr
-        stderr[workers] = [line for line in child.stderr.splitlines() if line.startswith("error:")]
+        err = _guard_fail_stderr(tmp_path, corpus_files, capfd, workers)
+        assert "Traceback" not in err
+        stderr[workers] = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(stderr["1"]) == 1
     assert stderr["2"] == stderr["1"]
+    assert started == [1]
 
 
-def test_guard_error_is_printed_once(tmp_path, corpus_files):
+def test_guard_error_is_printed_once(tmp_path, corpus_files, monkeypatch, capfd):
     """Under --on-guard fail the guard error is the one stderr line, serial and from a pool."""
+    started = pool_for_any_corpus(monkeypatch)
+    for workers in ("1", "2"):
+        lines = _guard_fail_stderr(tmp_path, corpus_files, capfd, workers).splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: document '"), (workers, lines)
+    assert started == [1]
+
+
+def _cli_in_child(argv: list[str], setup: str, **variables: str) -> tuple[str, str]:
+    """Stdout and stderr of a child interpreter that runs ``setup``, then ``main(argv)``.
+
+    The child prints the exit code and whether ``concurrent.futures.process``,
+    the pool's module, was loaded.
+    """
     import subprocess
     import sys
 
+    script = (
+        f"import sys\n{setup}\n"
+        "from tfea.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, 'concurrent.futures.process' in sys.modules)\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env=child_env(os.path.dirname(__file__), **variables),
+        cwd="/",
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    return child.stdout, child.stderr
+
+
+def test_parallel_below_one_process_of_work_starts_no_pool(tmp_path, corpus_files):
+    """``--parallel 4`` on four usable CPUs and a corpus of far fewer mentions than a process's worth runs serially."""
     gold, pred, schema = corpus_files
-    for workers in ("1", "2"):
-        child = subprocess.run(
-            [
-                sys.executable, "-m", "tfea.cli",
-                *_analyze_args(gold, pred, schema, tmp_path / f"report-{workers}.json"),
-                "--parallel", workers,
-                "--max-matchings", "1",
-                "--on-guard", "fail",
-            ],
-            env=child_env(),
-            cwd="/",
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert child.returncode == EXIT_GUARD, child.stderr
-        lines = child.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: document '"), (workers, lines)
+    serial = tmp_path / "serial.json"
+    assert main(_analyze_args(gold, pred, schema, serial, "--parallel", "1")) == EXIT_OK
+    out = tmp_path / "four.json"
+    stdout, stderr = _cli_in_child(
+        _analyze_args(gold, pred, schema, out, "--parallel", "4"),
+        "import os\nos.sched_getaffinity = lambda pid: {0, 1, 2, 3}",
+        TFEA_LOG="DEBUG",
+    )
+    assert stdout.split() == [str(EXIT_OK), "False"]
+    assert re.fullmatch(r"DEBUG tfea: 3 documents, \d+ mentions: 1 process\(es\)\n", stderr), stderr
+    assert out.read_bytes() == serial.read_bytes()
+
+
+def test_parallel_run_writes_nothing_to_stderr(tmp_path, corpus_files):
+    """A pooled run that succeeds is silent at the default log level; TFEA_LOG=DEBUG shows the pool's size."""
+    gold, pred, schema = corpus_files
+    argv = _analyze_args(gold, pred, schema, tmp_path / "report.json", "--parallel", "2")
+    setup = "import pytest, support\nsupport.pool_for_any_corpus(pytest.MonkeyPatch())"
+    assert _cli_in_child(argv, setup) == (f"{EXIT_OK} True\n", "")
+    stdout, stderr = _cli_in_child(argv, setup, TFEA_LOG="DEBUG")
+    assert stdout == f"{EXIT_OK} True\n"
+    assert re.fullmatch(r"DEBUG tfea: 3 documents, \d+ mentions: 2 process\(es\)\n", stderr), stderr
 
 
 def test_schema_mismatch_names_the_predictions_file(tmp_path, corpus_files, capsys):

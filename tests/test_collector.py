@@ -14,7 +14,7 @@ from contextlib import contextmanager, redirect_stderr
 
 import pytest
 
-from support import child_env, dump_side, fuzzed_corpus
+from support import child_env, dump_side, fuzzed_corpus, pool_for_any_corpus
 from tfea import pipeline
 from tfea.cli import EXIT_ERROR, EXIT_GUARD, EXIT_OK, main
 from tfea.config import AnalysisConfig
@@ -27,6 +27,12 @@ GUARD_CONFIGS = {
     "skip": AnalysisConfig(max_template_matchings=1, on_guard="skip"),
     "greedy": AnalysisConfig(max_template_matchings=1, on_guard="greedy"),
 }
+
+
+@pytest.fixture(autouse=True)
+def started(monkeypatch) -> list[int]:
+    """The ``--parallel`` runs here start a pool on their tiny corpora; the pools started."""
+    return pool_for_any_corpus(monkeypatch)
 
 
 @contextmanager
@@ -94,7 +100,7 @@ def test_cli_garbage_does_not_grow_with_the_corpus(tmp_path):
 
 @pytest.mark.parametrize("enabled", [True, False])
 @pytest.mark.parametrize("outcome", ["ok", "parse error", "guard"])
-def test_main_restores_the_collector_state(tmp_path, enabled, outcome):
+def test_main_restores_the_collector_state(tmp_path, started, enabled, outcome):
     files = _corpus_files(tmp_path / "corpus", 3)
     extra, expected = {
         "ok": ((), EXIT_OK),
@@ -106,14 +112,16 @@ def test_main_restores_the_collector_state(tmp_path, enabled, outcome):
         with redirect_stderr(io.StringIO()):
             assert main(argv) == expected
         assert gc.isenabled() is enabled
+    assert started == ([1] if outcome == "guard" else [])
 
 
-def test_analyze_corpus_leaves_the_collector_alone():
+def test_analyze_corpus_leaves_the_collector_alone(started):
     documents, schema = fuzzed_corpus(1, n_docs=3)
     for enabled in (True, False):
         with _collector(enabled):
             analyze_corpus(documents, schema, parallel=2)
             assert gc.isenabled() is enabled
+    assert started == [1, 1]
 
 
 def test_pool_worker_start_pauses_the_collector(monkeypatch):

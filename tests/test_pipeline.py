@@ -1,6 +1,6 @@
 """Pipeline: guard handling, case modes, score-only runs, parallel merge."""
 
-import concurrent.futures
+import logging
 import multiprocessing
 import os
 import subprocess
@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from tfea import pipeline
 from tfea.config import AnalysisConfig
 from tfea.errors import ErrorType, total_errors
 from tfea.exceptions import ComplexityGuardExceeded
@@ -17,7 +18,7 @@ from tfea.pipeline import analyze_corpus, analyze_document, analyze_each
 from tfea.reports import document_row
 
 from conftest import gold_template, pred_template, span_mention
-from support import child_env, fuzzed_corpus, only_builtins
+from support import child_env, fuzzed_corpus, only_builtins, recording_pool, usable_cpus
 
 
 @pytest.fixture
@@ -30,15 +31,6 @@ def small_corpus():
         gold, schema, InjectionSpec(counts={ErrorType.SPAN_ERROR: 1}), seed=1
     )
     return result.documents, schema, result
-
-
-def _cpus(monkeypatch, count: int | None) -> None:
-    """Make this process see ``count`` usable CPUs; None drops the affinity mask and leaves no CPU count."""
-    if count is None:
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    else:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: count)
 
 
 class TestGuardModes:
@@ -102,13 +94,20 @@ class TestParallel:
     @pytest.fixture(autouse=True)
     def _many_cpus(self, monkeypatch):
         """Each test starts the process counts it names, on a machine with any number of CPUs."""
-        _cpus(monkeypatch, 64)
+        usable_cpus(monkeypatch, 64)
 
-    def test_worker_counts_agree(self, small_corpus):
+    @pytest.fixture(autouse=True)
+    def started(self, monkeypatch) -> list[int]:
+        """One mention is a process's worth of work, so these tiny corpora reach the pool; the pools started."""
+        monkeypatch.setattr(pipeline, "MENTIONS_PER_PROCESS", 1)
+        return recording_pool(monkeypatch)
+
+    def test_worker_counts_agree(self, small_corpus, started):
         documents, schema, _ = small_corpus
         config = AnalysisConfig()
         serial = analyze_corpus(documents, schema, config, parallel=1)
         pooled = analyze_corpus(documents, schema, config, parallel=4)
+        assert started == [3]
         assert [d.doc_id for d in serial.documents] == [d.doc_id for d in pooled.documents]
         assert serial.profile == pooled.profile
         assert serial.scores == pooled.scores
@@ -124,7 +123,7 @@ class TestParallel:
         ids=["skip", "greedy", "score-only"],
     )
     @pytest.mark.parametrize("workers", [2, 3, 8])
-    def test_batches_equal_serial(self, config, derive, flag, workers):
+    def test_batches_equal_serial(self, config, derive, flag, workers, started):
         # 11 documents: the parent analyzes 5, 3 and 1 of them; the pool
         # gets batches of 2 from one worker (the last one short), of 1 from
         # two and seven
@@ -142,24 +141,11 @@ class TestParallel:
         rows = analyze_each(documents, schema, config, document_row, workers, derive)
         assert rows == [document_row(d) for d in serial.documents]
         assert only_builtins(rows)
+        assert started == [workers - 1] * 2
         assert multiprocessing.active_children() == []
 
-    @staticmethod
-    def _recording_pool(monkeypatch) -> list[int]:
-        """The ``max_workers`` of every pool started from now on."""
-        started = []
-
-        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                started.append(max_workers)
-                super().__init__(max_workers, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        return started
-
-    def test_no_more_workers_than_documents(self, small_corpus, monkeypatch):
+    def test_no_more_workers_than_documents(self, small_corpus, started):
         """One process per document at most, the parent included: the pool gets one fewer."""
-        started = self._recording_pool(monkeypatch)
         documents, schema, _ = small_corpus
         serial = analyze_corpus(documents, schema)
         assert analyze_corpus(documents, schema, parallel=16).documents == serial.documents
@@ -169,10 +155,9 @@ class TestParallel:
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("cpus,pools", [(3, [2, 1]), (2, [1, 1]), (1, []), (None, [])])
-    def test_no_more_workers_than_cpus(self, small_corpus, monkeypatch, cpus, pools):
+    def test_no_more_workers_than_cpus(self, small_corpus, monkeypatch, started, cpus, pools):
         """One process per CPU this process may run on at most; without a count, one CPU."""
-        started = self._recording_pool(monkeypatch)
-        _cpus(monkeypatch, cpus)
+        usable_cpus(monkeypatch, cpus)
         documents, schema, _ = small_corpus
         serial = analyze_corpus(documents, schema)
         assert analyze_corpus(documents, schema, parallel=500).documents == serial.documents
@@ -182,7 +167,7 @@ class TestParallel:
 
     @pytest.mark.parametrize("parallel", [2, 3])
     @pytest.mark.parametrize("share", ["parent", "worker"])
-    def test_guard_failure_equals_serial(self, share, parallel):
+    def test_guard_failure_equals_serial(self, share, parallel, started):
         """Under ``on_guard="fail"`` the pooled run raises the serial run's error and leaves no worker."""
         config = AnalysisConfig(max_template_matchings=7, on_guard="fail")
         documents, schema = fuzzed_corpus(1, n_docs=11)
@@ -209,9 +194,10 @@ class TestParallel:
             analyze_corpus(corpus, schema, config, parallel=parallel)
         assert type(pooled.value) is ComplexityGuardExceeded
         assert (str(pooled.value), vars(pooled.value)) == (str(serial.value), vars(serial.value))
+        assert started == [parallel - 1]
         assert multiprocessing.active_children() == []
 
-    def test_settings_do_not_leak_between_calls(self, two_role_schema):
+    def test_settings_do_not_leak_between_calls(self, two_role_schema, started):
         base = TestCaseSensitivity()._doc()
         documents = [
             Document(f"case-{i}", base.text, base.gold_templates, base.predicted_templates) for i in range(3)
@@ -224,14 +210,15 @@ class TestParallel:
             assert pooled.documents == serial.documents
             results.append(pooled.scores.overall.f1)
         assert results == [1.0, 0.0]
+        assert started == [1, 1]
 
     @staticmethod
     def _pool_under(start_method: str) -> list[str]:
         """What a child interpreter prints after comparing a pooled run under ``start_method`` with serial."""
         script = (
-            "import multiprocessing, os\n"
-            "os.sched_getaffinity = lambda pid: {0, 1}\n"
-            "from support import fuzzed_corpus, only_builtins\n"
+            "import multiprocessing, pytest\n"
+            "from support import fuzzed_corpus, only_builtins, pool_for_any_corpus\n"
+            "started = pool_for_any_corpus(pytest.MonkeyPatch(), cpus=2)\n"
             "from tfea.config import AnalysisConfig\n"
             "from tfea.pipeline import analyze_corpus, analyze_each\n"
             "from tfea.reports import document_row\n"
@@ -245,7 +232,7 @@ class TestParallel:
             "assert rows == [document_row(d) for d in serial.documents]\n"
             "assert only_builtins(rows)\n"
             "assert multiprocessing.active_children() == []\n"
-            "print(multiprocessing.get_start_method(), len(pooled.documents), len(rows))\n"
+            "print(multiprocessing.get_start_method(), len(pooled.documents), len(rows), *started)\n"
         )
         env = child_env(os.path.dirname(__file__))
         child = subprocess.run(
@@ -255,9 +242,86 @@ class TestParallel:
         return child.stdout.split()
 
     def test_spawned_workers_equal_serial(self):
-        assert self._pool_under("spawn") == ["spawn", "11", "11"]
+        assert self._pool_under("spawn") == ["spawn", "11", "11", "1", "1"]
 
     def test_forkserver_workers_equal_serial(self):
         # The Linux default from Python 3.14; each worker unpickles its
         # initargs as under spawn.
-        assert self._pool_under("forkserver") == ["forkserver", "11", "11"]
+        assert self._pool_under("forkserver") == ["forkserver", "11", "11", "1", "1"]
+
+
+class TestPoolSize:
+    """``analyze_each`` runs min(parallel, documents, CPUs, mentions // MENTIONS_PER_PROCESS) processes, at least one."""
+
+    M = 6  # MENTIONS_PER_PROCESS here: hand-sized corpora reach each size
+
+    @pytest.fixture(autouse=True)
+    def started(self, monkeypatch) -> list[int]:
+        usable_cpus(monkeypatch, 64)
+        monkeypatch.setattr(pipeline, "MENTIONS_PER_PROCESS", self.M)
+        return recording_pool(monkeypatch)
+
+    @staticmethod
+    def _corpus(mentions: int, documents: int = 4) -> list[Document]:
+        """``documents`` documents sharing ``mentions`` mentions: one gold entity and some predictions each."""
+        corpus = []
+        for i in range(documents):
+            n = mentions // documents + (i < mentions % documents)
+            gold = (gold_template(agent=[[span_mention("red fox", 4)] * ((n + 1) // 2)]),) if n else ()
+            pred = (pred_template(agent=[span_mention("red fox", 4)] * (n // 2)),) if n > 1 else ()
+            corpus.append(Document(f"d{i}", "the red fox ran", gold, pred))
+        return corpus
+
+    @pytest.mark.parametrize(
+        "mentions,parallel,documents,cpus,processes",
+        [
+            (M - 1, 4, 4, 64, 1),
+            (M, 4, 4, 64, 1),
+            (2 * M - 1, 4, 4, 64, 1),
+            (2 * M, 4, 4, 64, 2),
+            (8 * M, 3, 4, 64, 3),  # --parallel binds
+            (8 * M, 4, 2, 64, 2),  # documents bind
+            (8 * M, 4, 4, 3, 3),  # CPUs bind
+        ],
+        ids=["M-1", "M", "2M-1", "2M", "parallel", "documents", "cpus"],
+    )
+    def test_processes(self, two_role_schema, monkeypatch, caplog, started, mentions, parallel, documents, cpus, processes):
+        usable_cpus(monkeypatch, cpus)
+        corpus = self._corpus(mentions, documents)
+        assert pipeline._mention_count(corpus) == mentions
+        serial = [document_row(analyze_document(doc, two_role_schema)) for doc in corpus]
+        with caplog.at_level(logging.DEBUG, logger="tfea"):
+            rows = analyze_each(corpus, two_role_schema, None, document_row, parallel)
+        assert rows == serial
+        assert started == ([processes - 1] if processes > 1 else [])
+        assert caplog.messages == [f"{documents} documents, {mentions} mentions: {processes} process(es)"]
+        assert multiprocessing.active_children() == []
+
+    def test_one_process_counts_nothing(self, two_role_schema, monkeypatch, caplog, started):
+        """The mentions are counted only when more than one process is possible."""
+        monkeypatch.setattr(pipeline, "_mention_count", None)
+        corpus = self._corpus(8 * self.M)
+        with caplog.at_level(logging.DEBUG, logger="tfea"):
+            analyze_each(corpus, two_role_schema, None, document_row, 1)
+            analyze_each(corpus[:1], two_role_schema, None, document_row, 4)
+            usable_cpus(monkeypatch, 1)
+            analyze_each(corpus, two_role_schema, None, document_row, 4)
+        assert started == [] and caplog.messages == []
+
+
+def test_mention_count_is_every_mention_on_both_sides():
+    sides = [0, 0]
+    for seed in range(50):
+        documents, schema = fuzzed_corpus(seed)
+        gold = sum(
+            len(entity.mentions)
+            for doc in documents for template in doc.gold_templates
+            for role in schema for entity in template.entities(role.name)
+        )
+        pred = sum(
+            len(template.mentions(role.name))
+            for doc in documents for template in doc.predicted_templates for role in schema
+        )
+        assert pipeline._mention_count(documents) == gold + pred, seed
+        sides = [sides[0] + gold, sides[1] + pred]
+    assert min(sides) > 0
