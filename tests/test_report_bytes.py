@@ -1,4 +1,4 @@
-"""Pinned report bytes: the sha256 of ``analyze`` and ``score`` JSON reports.
+"""Pinned report bytes: the sha256 of ``analyze``, ``score`` and ``compare`` output.
 
 Two small seeded corpora go through the CLI in-process: one whose
 mentions declare their offsets, and one with text-only mentions that
@@ -8,13 +8,17 @@ fails here; the digests are the same under every supported Python.
 
 The same corpora are also pinned with a matching cap of 7, so every
 document above 2 x 2 templates goes to the greedy fallback or is
-skipped, and as text and CSV reports.
+skipped, and as text and CSV reports. ``compare`` is pinned on reports
+of the benchmark's wide_templates inputs at seed 0.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +50,20 @@ PINNED_FORMATS = {
     ("text_only", "text"): "1ecd785158c0a9d4c385a0fe6280ef2d2fa3c5ba28cede01c60212fd74d98056",
     ("text_only", "csv"): "7e0b122fa1fb471e5d4aaf41aaaa54d235c0abb190e483cc1afec8b82147aa92",
 }
+
+# Reports by name: "analyze" and "score" of the benchmark's predictions,
+# "injected" the analyze report of predictions made by ``tfea inject``.
+PINNED_COMPARE = {
+    (("analyze", "injected"), "json"): "6b6b207caa332c6ee5418e1c3b0edc1e2e25113dc06b4c5367fd21cbb0ec928f",
+    (("analyze", "injected"), "text"): "a2686ff7e5578d16c62b029d876d1ade96ebfd3600ac92e44c578dfecf4c0096",
+    (("injected", "analyze"), "json"): "cf70ef49e949a9a2dc1f6a2939048fd7ac247e14f6ce2511106263605f422ebb",
+    (("injected", "analyze"), "text"): "99fef4b25de8748ce6afae64ab61ba936e0c2dbc69a3b2cded8e34e46c770d08",
+    (("analyze", "injected", "score"), "json"): "2a468dd51a6394d02c9d095ba29d8171ff6b7cb77b7e1ab7f5145e6d3f3dec42",
+    (("analyze", "injected", "score"), "text"): "e1d87069cb5f8887811e977aee1cfe16862dca7c10d77664b728786ca06b1dd7",
+    (("score", "injected", "analyze"), "json"): "8cd7e8ec75cf90b966fb24a5982484e5ec75f6401d4cc3ce4d82a0c5e8f827a3",
+    (("score", "injected", "analyze"), "text"): "2782933dcfba56a7cb7bd1f7e7cc9900d63a7edea99a9f24e8ca15e9b0f74317",
+}
+INJECTION_SPEC = {"counts": {"span_error": 3, "incorrect_role": 2, "missing_template": 1, "spurious_template": 1}, "seed": 0}
 
 
 def _strip_offsets(side: dict) -> None:
@@ -99,3 +117,35 @@ def test_guarded_report_sha256_is_pinned(tmp_path, corpus, command, on_guard):
 @pytest.mark.parametrize("corpus, fmt", sorted(PINNED_FORMATS))
 def test_formatted_report_sha256_is_pinned(tmp_path, corpus, fmt):
     assert _report(tmp_path, corpus, "analyze", "--format", fmt) == PINNED_FORMATS[corpus, fmt]
+
+
+@pytest.fixture(scope="module")
+def compared_reports(tmp_path_factory) -> dict[str, Path]:
+    """Report name -> path, for the names of ``PINNED_COMPARE``."""
+    directory = tmp_path_factory.mktemp("compare")
+    bench = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", bench)
+    # Registered before it runs: its dataclasses look their module up by name.
+    workloads = sys.modules["workloads"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    workloads.write_inputs(workloads.WORKLOADS["wide_templates"], 0, directory)
+    gold, pred, schema = (str(directory / f"{name}.json") for name in ("gold", "pred", "schema"))
+    (directory / "spec.json").write_text(json.dumps(INJECTION_SPEC), encoding="utf-8")
+    injected = str(directory / "injected.json")
+    assert main(["inject", "--gold", gold, "--schema", schema, "--spec", str(directory / "spec.json"),
+                 "--out", injected, "--ledger", str(directory / "injected-ledger.json")]) == EXIT_OK
+    reports = {}
+    for name, command, predictions in (("analyze", "analyze", pred), ("injected", "analyze", injected),
+                                       ("score", "score", pred)):
+        reports[name] = directory / f"{name}-report.json"
+        argv = [command, "--gold", gold, "--pred", predictions, "--schema", schema, "--label", name]
+        assert main([*argv, "--out", str(reports[name])]) == EXIT_OK
+    return reports
+
+
+@pytest.mark.parametrize("names, fmt", sorted(PINNED_COMPARE), ids=lambda value: "-".join(value) if isinstance(value, tuple) else value)
+def test_comparison_sha256_is_pinned(tmp_path, compared_reports, names, fmt):
+    out = tmp_path / "comparison"
+    argv = ["compare", *(str(compared_reports[name]) for name in names), "--format", fmt, "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_COMPARE[names, fmt]
