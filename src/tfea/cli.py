@@ -128,14 +128,19 @@ def _resolve_settings(args: argparse.Namespace) -> tuple[AnalysisConfig, dict]:
 
 
 def _write_output(text: str, out: str | None) -> None:
-    """Write ``text`` to the file ``out``, or to stdout when ``out`` is None."""
-    if out is None:
-        sys.stdout.write(text)
-        return
+    """Write ``text`` to the file ``out``, or to stdout (flushed) when ``out`` is None."""
     try:
-        Path(out).write_text(text, encoding="utf-8")
+        if out is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            Path(out).write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise TfeaError(f"cannot write {out}: {exc.strerror or exc}") from exc
+        if out is not None:
+            raise TfeaError(f"cannot write {out}: {exc.strerror or exc}") from exc
+        # The exit-time flush of what stayed buffered would fail again: it goes to the null device.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise TfeaError(f"cannot write standard output: {exc.strerror or exc}") from exc
 
 
 def _analysis_report(args: argparse.Namespace, config: AnalysisConfig, extras: dict, derive: bool) -> dict:
@@ -224,7 +229,7 @@ def _cmd_count_matchings(args: argparse.Namespace) -> int:
     if count is None:
         raise TfeaError(f"the matching count for {args.pred_count} and {args.gold_count} "
                         f"has more than {MAX_COUNT_DIGITS} digits")
-    print(count)
+    _write_output(f"{count}\n", None)
     return EXIT_OK
 
 

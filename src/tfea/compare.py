@@ -9,6 +9,12 @@ from .corpus import _check_keys, _decode_object, read_json
 from .exceptions import IncompatibleReports
 from .reports import TOOL_NAME, _table
 
+_SCORE_KEYS = ("p", "r", "f1")
+# The text rendering's metric rows: row name and score key.
+_METRIC_ROWS = (("f1", "f1"), ("precision", "p"), ("recall", "r"))
+# A system's error tables, each with a delta, by the report's errors table it copies.
+_ERROR_TABLES = {"errors_per_type": "per_type", "side_tallies": "side_tallies"}
+
 
 def load_report(path: str) -> dict:
     """The report in ``path``; an object at any depth that names a key twice is a ``ParseError``."""
@@ -43,7 +49,7 @@ def _compared_names(report) -> tuple | None:
     scores = report.get("scores")
     per_role = scores.get("per_role") if isinstance(scores, dict) else None
     if not isinstance(per_role, dict) or not all(
-        _is_numbers(triple, ("p", "r", "f1")) for triple in (scores.get("overall"), *per_role.values())
+        _is_numbers(triple, _SCORE_KEYS) for triple in (scores.get("overall"), *per_role.values())
     ):
         return None
     if "errors" not in report:
@@ -57,6 +63,11 @@ def _compared_names(report) -> tuple | None:
     ):
         return None
     return set(per_role), (set(errors["per_type"]), set(errors["side_tallies"]))
+
+
+def _delta(table: dict, base: dict, keys) -> dict:
+    """``table[key] - base[key]`` for each of ``keys``: the one subtraction of a comparison."""
+    return {key: table[key] - base[key] for key in keys}
 
 
 def compare_reports(reports: list[dict]) -> dict:
@@ -78,37 +89,24 @@ def compare_reports(reports: list[dict]) -> dict:
     base = reports[0]
     systems = []
     for report in reports:
+        scores, base_scores = report["scores"], base["scores"]
         entry = {
             "label": report.get("label", "system"),
-            "scores": report["scores"],
+            "scores": scores,
             "score_deltas": {
-                "overall": {
-                    key: report["scores"]["overall"][key] - base["scores"]["overall"][key]
-                    for key in ("p", "r", "f1")
-                },
+                "overall": _delta(scores["overall"], base_scores["overall"], _SCORE_KEYS),
                 "per_role": {
-                    role: {
-                        key: report["scores"]["per_role"][role][key]
-                        - base["scores"]["per_role"][role][key]
-                        for key in ("p", "r", "f1")
-                    }
-                    for role in report["scores"]["per_role"]
+                    role: _delta(triple, base_scores["per_role"][role], _SCORE_KEYS)
+                    for role, triple in scores["per_role"].items()
                 },
             },
         }
         if with_errors:
-            entry["errors_per_type"] = report["errors"]["per_type"]
-            entry["errors_per_type_delta"] = {
-                etype: report["errors"]["per_type"][etype] - base["errors"]["per_type"][etype]
-                for etype in report["errors"]["per_type"]
-            }
-            entry["errors_per_role"] = report["errors"]["per_role"]
-            entry["side_tallies"] = report["errors"]["side_tallies"]
-            entry["side_tallies_delta"] = {
-                key: report["errors"]["side_tallies"][key]
-                - base["errors"]["side_tallies"][key]
-                for key in report["errors"]["side_tallies"]
-            }
+            errors, base_errors = report["errors"], base["errors"]
+            entry["errors_per_role"] = errors["per_role"]
+            for key, table in _ERROR_TABLES.items():
+                entry[key] = errors[table]
+                entry[f"{key}_delta"] = _delta(errors[table], base_errors[table], errors[table])
         systems.append(entry)
     return {
         "tool": {"name": TOOL_NAME, "version": __version__},
@@ -119,24 +117,17 @@ def compare_reports(reports: list[dict]) -> dict:
 
 
 def render_comparison_text(comparison: dict) -> str:
-    labels = [s["label"] for s in comparison["systems"]]
+    systems = comparison["systems"]
+    labels = [s["label"] for s in systems]
     lines = [f"{TOOL_NAME} comparison (baseline: {comparison['baseline']})", ""]
-    rows = [
-        ["f1"] + [f"{s['scores']['overall']['f1']:.4f}" for s in comparison["systems"]],
-        ["precision"] + [f"{s['scores']['overall']['p']:.4f}" for s in comparison["systems"]],
-        ["recall"] + [f"{s['scores']['overall']['r']:.4f}" for s in comparison["systems"]],
-    ]
+    rows = [[name] + [f"{s['scores']['overall'][key]:.4f}" for s in systems] for name, key in _METRIC_ROWS]
     lines.append(_table(rows, ["metric"] + labels))
-    if all("errors_per_type" in s for s in comparison["systems"]):
+    if all("errors_per_type" in s for s in systems):
         lines.append("")
-        error_rows = []
-        for etype in comparison["systems"][0]["errors_per_type"]:
-            error_rows.append(
-                [etype] + [str(s["errors_per_type"][etype]) for s in comparison["systems"]]
-            )
-        for tally in comparison["systems"][0]["side_tallies"]:
-            error_rows.append(
-                [tally] + [str(s["side_tallies"][tally]) for s in comparison["systems"]]
-            )
+        error_rows = [
+            [name] + [str(s[table][name]) for s in systems]
+            for table in _ERROR_TABLES
+            for name in systems[0][table]
+        ]
         lines.append(_table(error_rows, ["error type"] + labels))
     return "\n".join(lines) + "\n"

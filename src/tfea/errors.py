@@ -98,28 +98,37 @@ class ErrorProfile:
     def empty(cls) -> "ErrorProfile":
         return cls()
 
-    def bump(self, etype: ErrorType, role: str | None = None, n: int = 1) -> None:
+    def bump(self, etype: ErrorType, role: str | None = None, n: int = 1, fillers: int = 0) -> None:
+        """Count ``n`` errors of ``etype``; a template-level one adds ``fillers`` to its side tally."""
         self.counts[etype] = self.counts.get(etype, 0) + n
         if role is not None:
             role_counts = self.per_role.setdefault(role, {})
             role_counts[etype] = role_counts.get(etype, 0) + n
+        side = _SIDE_TALLIES.get(etype)
+        if side is not None:
+            setattr(self, side, getattr(self, side) + fillers)
 
     def __add__(self, other: "ErrorProfile") -> "ErrorProfile":
-        merged = ErrorProfile.empty()
-        for profile in (self, other):
-            for etype, count in profile.counts.items():
-                merged.counts[etype] = merged.counts.get(etype, 0) + count
-            for role, role_counts in profile.per_role.items():
-                target = merged.per_role.setdefault(role, {})
-                for etype, count in role_counts.items():
-                    target[etype] = target.get(etype, 0) + count
-        merged.spurious_template_role_fillers = (
-            self.spurious_template_role_fillers + other.spurious_template_role_fillers
-        )
-        merged.missing_template_role_fillers = (
-            self.missing_template_role_fillers + other.missing_template_role_fillers
-        )
-        return merged
+        # Field name to value; the empty profile comes first, so every type is listed, in order.
+        merged = {}
+        for profile in (ErrorProfile.empty(), self, other):
+            fields = {"counts": profile.counts, "per_role": profile.per_role, **side_tallies(profile)}
+            add_counts(merged, fields)
+        return ErrorProfile(**merged)
+
+
+def side_tallies(profile: ErrorProfile) -> dict[str, int]:
+    """Side-tally name to count, in ``_SIDE_TALLIES`` order."""
+    return {name: getattr(profile, name) for name in _SIDE_TALLIES.values()}
+
+
+def add_counts(total: dict, counts: dict) -> None:
+    """Add the numbers of ``counts`` into ``total``, at every depth: the one fold of error counts."""
+    for key, value in counts.items():
+        if isinstance(value, dict):
+            add_counts(total.setdefault(key, {}), value)
+        else:
+            total[key] = total.get(key, 0) + value
 
 
 def _group_role(group: list[Transformation], etype: ErrorType) -> str | None:
@@ -145,10 +154,7 @@ def map_errors(log: TransformationLog) -> ErrorProfile:
         etype = _GROUP_RULES.get(rule)
         if etype is None or len(kinds) != len(rule):
             raise UnmappableSequence(kinds, group[0].subject_key())
-        profile.bump(etype, _group_role(group, etype))
-        side = _SIDE_TALLIES.get(etype)
-        if side is not None:
-            setattr(profile, side, getattr(profile, side) + (group[0].filler_count or 0))
+        profile.bump(etype, _group_role(group, etype), fillers=group[0].filler_count or 0)
     return profile
 
 

@@ -355,8 +355,7 @@ class _DocInjector:
     def inject_spurious_template(self, etype: ErrorType) -> None:
         role = self._string_roles(etype)[0]
         self.extra_templates.append(Template({role: (self._take_decoy(etype),)}))
-        self.profile.bump(etype)
-        self.profile.spurious_template_role_fillers += 1
+        self.profile.bump(etype, fillers=1)
 
     def inject_missing_template(self, etype: ErrorType) -> None:
         taken = self.touched_templates | self.removed
@@ -366,8 +365,7 @@ class _DocInjector:
         t = self.rng.choice(candidates)
         self.removed.add(t)
         self.touched_templates.add(t)
-        self.profile.bump(etype)
-        self.profile.missing_template_role_fillers += sum(self.doc.gold_templates[t].filler_row(self.schema))
+        self.profile.bump(etype, fillers=sum(self.doc.gold_templates[t].filler_row(self.schema)))
 
     def run(self, spec: InjectionSpec) -> None:
         others = {

@@ -244,13 +244,12 @@ class Template:
         value = self.role_fillers.get(role)
         return value if isinstance(value, str) else None
 
-    def entities(self, role: str) -> tuple[GoldEntity, ...]:
+    def entities(self, role: str) -> tuple:
+        """The gold entities, or on a predicted template the mentions, filling ``role``; () for none or a set fill."""
         value = self.role_fillers.get(role)
         return tuple(value) if isinstance(value, (tuple, list)) else ()
 
-    def mentions(self, role: str) -> tuple[Mention, ...]:
-        value = self.role_fillers.get(role)
-        return tuple(value) if isinstance(value, (tuple, list)) else ()
+    mentions = entities
 
     def filler_row(self, schema: Schema) -> list[int]:
         """Number of fillers of each role, in schema order (1 per set-fill value, 1 per mention/entity)."""

@@ -29,14 +29,9 @@ so a collection only rescans the corpus and the results. With it on,
 unpickling the pool's results in the parent took about three times as
 long.
 
-A pool's start-up made ``--parallel 2`` slower than serial on test sets
-of MUC-4's size (``bench/run.py`` medians on 2 CPUs, ``BENCH_26.json``):
-0.158 against 0.125 s on wide_templates (484 mentions), 0.259 against
-0.215 s on guard_overflow (8,541), 0.500 against 0.437 s on small_docs
-(18,300). On merged small_docs corpora with the second CPU free, two
-processes did not win at 18,300 mentions and won from 20,100 in-process;
-through the CLI they lost at 18,300, broke even up to 36,600 and won at
-73,200 (0.87 against 1.05 s). With it busy they lost at every size.
+A pool's start-up (fork, pipes, imports) costs more than a second
+process saves on test sets of MUC-4's size, so below the work limit the
+run stays serial; README has the measurements behind the limit.
 """
 
 from __future__ import annotations
@@ -56,7 +51,7 @@ from .scoring import Scores, score_corpus, score_document
 from .transforms import TransformationLog, derive_transformations
 
 log = logging.getLogger("tfea")
-# Mentions per process: two processes start from 40,000 (measured above).
+# Mentions per process: two processes start from 40,000 (measured in README).
 MENTIONS_PER_PROCESS = 20_000
 
 
@@ -141,11 +136,7 @@ class CorpusAnalysis:
 
     @property
     def profile(self) -> ErrorProfile:
-        total = ErrorProfile.empty()
-        for doc in self.analyzed:
-            if doc.profile is not None:
-                total = total + doc.profile
-        return total
+        return sum((d.profile for d in self.analyzed if d.profile is not None), ErrorProfile.empty())
 
     @property
     def scores(self) -> Scores:

@@ -13,7 +13,7 @@ from typing import Iterable
 from . import __version__
 from .config import AnalysisConfig
 from .corpus import schema_to_dict
-from .errors import ERROR_TYPES, ErrorProfile
+from .errors import ERROR_TYPES, ErrorProfile, add_counts, side_tallies
 from .matching import Tally
 from .model import Schema
 from .pipeline import CorpusAnalysis, DocumentAnalysis
@@ -51,19 +51,12 @@ def _counts_dict(counts: dict) -> dict:
     return {value: counts.get(etype, 0) for etype, value in _TYPE_VALUES}
 
 
-def _side_tallies(profile: ErrorProfile) -> dict:
-    return {
-        "spurious_template_role_fillers": profile.spurious_template_role_fillers,
-        "missing_template_role_fillers": profile.missing_template_role_fillers,
-    }
-
-
 def error_counts(profile: ErrorProfile) -> dict:
     """A profile in builtins: counts per type (every type) and per role, keyed by type value, and side tallies."""
     return {
         "per_type": _counts_dict(profile.counts),
         "per_role": {role: {etype.value: n for etype, n in c.items()} for role, c in profile.per_role.items()},
-        "side_tallies": _side_tallies(profile),
+        "side_tallies": side_tallies(profile),
     }
 
 
@@ -82,15 +75,6 @@ def _errors_section(total: dict, schema: Schema, per_doc: dict[str, dict]) -> di
             for doc_id, counts in sorted(per_doc.items())
         },
     }
-
-
-def _add(total: dict, counts: dict) -> None:
-    """Add the numbers of ``counts`` into ``total``, at every depth."""
-    for key, value in counts.items():
-        if isinstance(value, dict):
-            _add(total.setdefault(key, {}), value)
-        else:
-            total[key] = total.get(key, 0) + value
 
 
 def transformation_entry(transformation: Transformation) -> dict:
@@ -156,7 +140,7 @@ def assemble_report(
         tallies.append({role: Tally(*triple) for role, triple in role_tallies.items()})
         if errors is not None:
             per_doc[doc_id] = errors
-            _add(total, errors)
+            add_counts(total, errors)
         if entries is not None:
             transformations[doc_id] = entries
     report = {
@@ -224,9 +208,8 @@ def render_text(report: dict) -> str:
     lines.append(_table(rows, ["role", "precision", "recall", "f1", "num/p_den/r_den"]))
     if "errors" in report:
         lines.append("")
-        error_rows = [[etype, str(count)] for etype, count in report["errors"]["per_type"].items()]
-        for name, count in report["errors"]["side_tallies"].items():
-            error_rows.append([name, str(count)])
+        errors = report["errors"]
+        error_rows = [[name, str(n)] for table in ("per_type", "side_tallies") for name, n in errors[table].items()]
         lines.append(_table(error_rows, ["error type", "count"]))
     if report["skipped_documents"]:
         lines.append("")

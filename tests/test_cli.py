@@ -756,6 +756,41 @@ def test_unwritable_output_is_an_error(tmp_path, corpus_files, capsys, command, 
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("stdout", ["full-device", "closed-pipe"])
+@pytest.mark.parametrize("command", ["analyze", "count-matchings"])
+def test_failing_stdout_is_an_error(corpus_files, command, stdout):
+    """Output to a full device, or to a pipe whose reader has closed, exits 1 with one error line and no traceback."""
+    import subprocess
+    import sys
+
+    gold, pred, schema = corpus_files
+    argv = {
+        "analyze": ["analyze", "--gold", str(gold), "--pred", str(pred), "--schema", str(schema)],
+        "count-matchings": ["count-matchings", "3", "3"],
+    }[command]
+    if stdout == "full-device":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        sink = os.open("/dev/full", os.O_WRONLY)
+    else:
+        reader, sink = os.pipe()
+        os.close(reader)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "tfea.cli", *argv],
+            stdout=sink,
+            stderr=subprocess.PIPE,
+            env=child_env(),
+            cwd="/",
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(sink)
+    assert child.returncode == EXIT_ERROR, child.stderr
+    assert re.fullmatch(r"error: cannot write standard output: [^\n]+\n", child.stderr), child.stderr
+
+
 def test_tfea_log_env(tmp_path, corpus_files, monkeypatch):
     monkeypatch.setenv("TFEA_LOG", "DEBUG")
     gold, pred, schema = corpus_files

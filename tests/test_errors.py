@@ -10,6 +10,7 @@ from tfea.errors import ERROR_TYPES, ErrorProfile, ErrorType, map_errors, total_
 from tfea.exceptions import UnmappableSequence
 from tfea.matching import find_optimal_matching
 from tfea.model import Mention, Span, resolve_document_spans
+from tfea.pipeline import analyze_corpus
 from tfea.spans import ScsMode
 from tfea.transforms import TransformKind, Transformation, TransformationLog, derive_transformations
 
@@ -158,14 +159,24 @@ class TestProfileAlgebra:
         a = ErrorProfile.empty()
         a.bump(ErrorType.SPAN_ERROR, "agent")
         a.spurious_template_role_fillers = 1
+        a.missing_template_role_fillers = 4
         b = ErrorProfile.empty()
         b.bump(ErrorType.SPAN_ERROR, "agent")
         b.bump(ErrorType.MISSING_ROLE_FILLER, "target")
-        merged = a + b
-        assert merged.counts[ErrorType.SPAN_ERROR] == 2
-        assert merged.per_role["agent"][ErrorType.SPAN_ERROR] == 2
-        assert merged.per_role["target"][ErrorType.MISSING_ROLE_FILLER] == 1
-        assert merged.spurious_template_role_fillers == 1
+        b.spurious_template_role_fillers = 2
+        b.missing_template_role_fillers = 3
+        for merged in (a + b, b + a):
+            assert merged.counts[ErrorType.SPAN_ERROR] == 2
+            assert merged.counts[ErrorType.MISSING_ROLE_FILLER] == 1
+            assert merged.per_role == {
+                "agent": {ErrorType.SPAN_ERROR: 2},
+                "target": {ErrorType.MISSING_ROLE_FILLER: 1},
+            }
+            assert merged.spurious_template_role_fillers == 3
+            assert merged.missing_template_role_fillers == 7
+        # the operands are left as they were
+        assert a.per_role == {"agent": {ErrorType.SPAN_ERROR: 1}} and a.spurious_template_role_fillers == 1
+        assert b.per_role["agent"] == {ErrorType.SPAN_ERROR: 1} and b.spurious_template_role_fillers == 2
 
     def test_empty_is_identity(self):
         a = ErrorProfile.empty()
@@ -188,7 +199,7 @@ class TestProfileAlgebra:
                 doc = resolve_document_spans(doc)
                 matching = find_optimal_matching(doc, schema, config)
                 refolded = refolded + map_errors(derive_transformations(doc, schema, matching, config))
-            assert merged == refolded
+            assert merged == refolded == analyze_corpus(documents, schema, config).profile
 
 
 class TestConsistencyWithMatcher:
