@@ -127,20 +127,31 @@ def _resolve_settings(args: argparse.Namespace) -> tuple[AnalysisConfig, dict]:
     return config, extras
 
 
-def _write_output(text: str, out: str | None) -> None:
-    """Write ``text`` to the file ``out``, or to stdout (flushed) when ``out`` is None."""
+def _write_output(*outputs: tuple[str, str | None]) -> None:
+    """Write each ``(text, out)`` as UTF-8 to the file ``out``, or to stdout (flushed) when ``out`` is None.
+
+    Every text is encoded before anything is opened: a lone surrogate (from
+    a JSON escape or a command-line byte) is an error that empties no file.
+    """
     try:
-        if out is None:
-            sys.stdout.write(text)
-            sys.stdout.flush()
-        else:
-            Path(out).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        if out is not None:
-            raise TfeaError(f"cannot write {out}: {exc.strerror or exc}") from exc
-        # The exit-time flush of what stayed buffered would fail again: it goes to the null device.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        raise TfeaError(f"cannot write standard output: {exc.strerror or exc}") from exc
+        encoded = [(text.encode("utf-8"), out) for text, out in outputs]
+    except UnicodeEncodeError as exc:
+        char = f"U+{ord(exc.object[exc.start]):04X}"
+        raise TfeaError(f"the output holds {char}, which UTF-8 cannot encode ({exc.reason})") from exc
+    for data, out in encoded:
+        try:
+            if out is None:
+                sys.stdout.flush()
+                sys.stdout.buffer.write(data)
+                sys.stdout.buffer.flush()
+            else:
+                Path(out).write_bytes(data)
+        except OSError as exc:
+            if out is not None:
+                raise TfeaError(f"cannot write {out}: {exc.strerror or exc}") from exc
+            # The exit-time flush of what stayed buffered would fail again: it goes to the null device.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise TfeaError(f"cannot write standard output: {exc.strerror or exc}") from exc
 
 
 def _analysis_report(args: argparse.Namespace, config: AnalysisConfig, extras: dict, derive: bool) -> dict:
@@ -160,7 +171,7 @@ def _run_analysis(args: argparse.Namespace, derive: bool) -> int:
     config, extras = _resolve_settings(args)
     report = _analysis_report(args, config, extras, derive)
     renderer = {"json": render_json, "csv": render_csv, "text": render_text}[extras["format"]]
-    _write_output(renderer(report), args.out)
+    _write_output((renderer(report), args.out))
     return EXIT_OK
 
 
@@ -202,8 +213,9 @@ def _cmd_inject(args: argparse.Namespace) -> int:
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ParseError(args.spec, f"must be an integer, got {seed!r}", "seed")
     result = inject_errors(documents, schema, InjectionSpec(counts=counts), seed=seed)
-    _write_output(render_json(side_to_dict(result.documents, gold=False)), args.out)
-    _write_output(render_json(errors_section(result.ledger, schema, result.per_doc)), args.ledger)
+    predictions = render_json(side_to_dict(result.documents, gold=False))
+    ledger = render_json(errors_section(result.ledger, schema, result.per_doc))
+    _write_output((predictions, args.out), (ledger, args.ledger))
     return EXIT_OK
 
 
@@ -213,10 +225,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
     reports = [load_report(path) for path in args.reports]
     comparison = compare_reports(reports)
-    if args.format == "text":
-        _write_output(render_comparison_text(comparison), args.out)
-    else:
-        _write_output(render_json(comparison), args.out)
+    render = render_comparison_text if args.format == "text" else render_json
+    _write_output((render(comparison), args.out))
     return EXIT_OK
 
 
@@ -229,7 +239,7 @@ def _cmd_count_matchings(args: argparse.Namespace) -> int:
     if count is None:
         raise TfeaError(f"the matching count for {args.pred_count} and {args.gold_count} "
                         f"has more than {MAX_COUNT_DIGITS} digits")
-    _write_output(f"{count}\n", None)
+    _write_output((f"{count}\n", None))
     return EXIT_OK
 
 

@@ -131,7 +131,7 @@ def add_counts(total: dict, counts: dict) -> None:
             total[key] = total.get(key, 0) + value
 
 
-def _group_role(group: list[Transformation], etype: ErrorType) -> str | None:
+def _group_role(group: tuple[Transformation, ...], etype: ErrorType) -> str | None:
     if etype in _SIDE_TALLIES:
         return None
     if etype in _GOLD_ROLE_ATTRIBUTION:
@@ -148,12 +148,12 @@ def map_errors(log: TransformationLog) -> ErrorProfile:
     produced by the transform engine never do.
     """
     profile = ErrorProfile.empty()
-    for group in log.groups():
+    for number, group in enumerate(log.groups):
         kinds = [entry.kind for entry in group]
         rule = frozenset(kinds)
         etype = _GROUP_RULES.get(rule)
         if etype is None or len(kinds) != len(rule):
-            raise UnmappableSequence(kinds, group[0].subject_key())
+            raise UnmappableSequence(kinds, f"group {number} of document '{log.doc_id}'")
         profile.bump(etype, _group_role(group, etype), fillers=group[0].filler_count or 0)
     return profile
 

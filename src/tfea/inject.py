@@ -413,7 +413,9 @@ def inject_errors(
     documents = []
     per_doc = {}
     for doc in gold_documents:
-        injector = _DocInjector(doc, schema, random.Random(f"{seed}:inject:{doc.doc_id}"))
+        # The UTF-8 bytes a str seed is hashed as; "surrogatepass" admits a lone surrogate in the doc id.
+        seed_bytes = f"{seed}:inject:{doc.doc_id}".encode("utf-8", "surrogatepass")
+        injector = _DocInjector(doc, schema, random.Random(seed_bytes))
         injector.run(spec)
         documents.append(Document(doc.doc_id, doc.text, doc.gold_templates, injector.predictions()))
         per_doc[doc.doc_id] = injector.profile

@@ -7,15 +7,18 @@ precedence: its own role pairing paired it partially (span error); a
 duplicate of an entity that role already matched; the wrong role in the
 same template; the right role in another template; the wrong role in
 another template; otherwise spurious. Each unmatched gold filler is
-introduced. Pure alterations (span fixes, role moves inside a template)
-are applied before everything else; the remaining transformations follow
-in detection order: matched template pairs by predicted index, roles in
+introduced. The log is its groups, one per error. Alteration groups (span
+fixes, role moves inside a template) come first; the rest follow in
+detection order: matched template pairs by predicted index, roles in
 schema order, fillers in list order, then unmatched templates.
 
 The replay holds each predicted template as one ``role -> list`` map (a
 set-fill value is a one-item list, a consumed filler None, an introduced
-filler appended). Any edit naming a template, filler or gold entity that
-does not exist or is already gone raises InconsistentLog.
+filler appended). It removes templates, then fixes spans (consuming the
+filler and appending the gold mention), then replays the other groups in
+log order, so a role move sees the span fixes of its target role. An edit
+of a template, filler or gold entity that does not exist or is already
+gone, or a second introduction of one gold entity, raises InconsistentLog.
 """
 
 from __future__ import annotations
@@ -49,14 +52,6 @@ class TransformKind(str, Enum):
     INTRODUCE_TEMPLATE = "introduce_template"
 
 
-_PRED_FILLER_KINDS = {
-    TransformKind.ALTER_SPAN,
-    TransformKind.ALTER_ROLE,
-    TransformKind.REMOVE_DUPLICATE_ROLE_FILLER,
-    TransformKind.REMOVE_CROSS_TEMPLATE_SPURIOUS_ROLE_FILLER,
-    TransformKind.REMOVE_SPURIOUS_ROLE_FILLER,
-}
-
 _REMOVAL_KINDS = {
     TransformKind.REMOVE_DUPLICATE_ROLE_FILLER,
     TransformKind.REMOVE_CROSS_TEMPLATE_SPURIOUS_ROLE_FILLER,
@@ -86,38 +81,23 @@ class Transformation:
     gold_mention: Mention | None = None
     filler_count: int | None = None
 
-    def subject_key(self) -> tuple:
-        if self.kind in _PRED_FILLER_KINDS:
-            return ("pred", self.pred_template, self.role, self.filler)
-        if self.kind is TransformKind.INTRODUCE_ROLE_FILLER:
-            return ("intro", self.gold_template, self.gold_role, self.gold_entity)
-        if self.kind is TransformKind.REMOVE_TEMPLATE:
-            return ("remove_template", self.pred_template)
-        return ("introduce_template", self.gold_template)
-
 
 @record(frozen=True)
 class TransformationLog:
+    """A document's transformation groups, one per error; iterating, ``len`` and ``entries`` see their edits."""
+
     doc_id: str
-    entries: tuple[Transformation, ...]
+    groups: tuple[tuple[Transformation, ...], ...]
+
+    @property
+    def entries(self) -> tuple[Transformation, ...]:
+        return tuple(self)
 
     def __iter__(self):
-        return iter(self.entries)
+        return (entry for group in self.groups for entry in group)
 
     def __len__(self):
-        return len(self.entries)
-
-    def groups(self) -> list[list[Transformation]]:
-        """Transformations bucketed by subject, in first-occurrence order.
-
-        A group is the full edit applied to one filler (for example an
-        alter-span plus the removal it precedes); each group maps to one
-        error type.
-        """
-        order: dict[tuple, list[Transformation]] = {}
-        for entry in self.entries:
-            order.setdefault(entry.subject_key(), []).append(entry)
-        return list(order.values())
+        return sum(map(len, self.groups))
 
 
 # The kinds of each stage of the precedence, after any alter-span: 0 own
@@ -139,7 +119,7 @@ def _explain_filler(
     role_name: str,
     filler_index: int | None,
     mention: Mention,
-) -> list[Transformation]:
+) -> tuple[Transformation, ...]:
     """The group of edits that explains a predicted filler that is not an exact match.
 
     Stages follow the module's precedence; plain spurious is last. In one
@@ -175,9 +155,9 @@ def _explain_filler(
         pred_span=mention.span,
     )
     if best is None:
-        return [Transformation(TransformKind.REMOVE_SPURIOUS_ROLE_FILLER, **subject)]
+        return (Transformation(TransformKind.REMOVE_SPURIOUS_ROLE_FILLER, **subject),)
     (stage, partial, gold_index, _, entity_index), gold_role, target = best
-    return [
+    return tuple(
         Transformation(
             kind,
             gold_template=gold_index,
@@ -187,7 +167,7 @@ def _explain_filler(
             **subject,
         )
         for kind in ((TransformKind.ALTER_SPAN,) if partial else ()) + _STAGES[stage]
-    ]
+    )
 
 
 def _introduce(pair: TemplatePair, gold_template: Template, role_name: str, entity_index: int | None) -> Transformation:
@@ -214,7 +194,7 @@ def derive_transformations(
     config: AnalysisConfig | None = None,
     index: MatchIndex | None = None,
 ) -> TransformationLog:
-    """Transformation sequence rewriting the predictions into the gold templates.
+    """The transformation groups rewriting the predictions into the gold templates.
 
     ``index`` is the document's match index, built here when not given.
     """
@@ -222,8 +202,8 @@ def derive_transformations(
     if index is None:
         index = MatchIndex.for_document(doc, schema, config)
     role_rank = {role.name: rank for rank, role in enumerate(schema.string_fill_roles)}
-    alterations: list[Transformation] = []
-    removals: list[Transformation] = []
+    alterations: list[tuple[Transformation, ...]] = []
+    removals: list[tuple[Transformation, ...]] = []
 
     for pair in matching.pairs:
         pred_template = doc.predicted_templates[pair.pred_index]
@@ -243,19 +223,15 @@ def derive_transformations(
                 missing = [j for j in range(len(gold_template.entities(role.name))) if j not in paired]
             for filler_index, mention in unexplained:
                 group = _explain_filler(role_rank, index, pair, role.name, filler_index, mention)
-                if all(t.kind not in _REMOVAL_KINDS for t in group):
-                    alterations.extend(group)
-                else:
-                    removals.extend(group)
-            for entity_index in missing:
-                removals.append(_introduce(pair, gold_template, role.name, entity_index))
+                (removals if any(t.kind in _REMOVAL_KINDS for t in group) else alterations).append(group)
+            removals.extend((_introduce(pair, gold_template, role.name, entity_index),) for entity_index in missing)
 
     for pred_index in matching.spurious_templates:
-        count = sum(doc.predicted_templates[pred_index].filler_row(schema))
-        removals.append(Transformation(TransformKind.REMOVE_TEMPLATE, pred_template=pred_index, filler_count=count))
+        n = sum(doc.predicted_templates[pred_index].filler_row(schema))
+        removals.append((Transformation(TransformKind.REMOVE_TEMPLATE, pred_template=pred_index, filler_count=n),))
     for gold_index in matching.missing_templates:
-        count = sum(doc.gold_templates[gold_index].filler_row(schema))
-        removals.append(Transformation(TransformKind.INTRODUCE_TEMPLATE, gold_template=gold_index, filler_count=count))
+        n = sum(doc.gold_templates[gold_index].filler_row(schema))
+        removals.append((Transformation(TransformKind.INTRODUCE_TEMPLATE, gold_template=gold_index, filler_count=n),))
 
     return TransformationLog(doc.doc_id, tuple(alterations + removals))
 
@@ -274,23 +250,20 @@ def canonical_template(gold_template: Template) -> Template:
 def apply_transformations(
     doc: Document, log: TransformationLog, casefold: bool = True
 ) -> tuple[Template, ...]:
-    """Replay a transformation log over the document's predictions.
+    """Replay a transformation log over the document's predictions, in the module's replay order.
 
-    Each predicted template is held as one ``role -> list`` map: a
-    set-fill value is a one-item list, a consumed filler becomes None,
-    an introduced filler is appended, and a removed template becomes
-    None. The result matches the gold templates up to the choice of
-    canonical mention per entity. Any edit naming a template, filler or
-    gold entity that does not exist or is already gone raises
-    InconsistentLog, and so does an edit listed twice or one with no gold
-    mention to adopt: that signals a bug in the log producer rather than
-    an expected input condition.
+    The result matches the gold templates up to the choice of canonical
+    mention per entity. Besides the faults the module names, an edit with
+    no gold mention to adopt and a group that is empty, lists an edit
+    twice or edits two subjects raise InconsistentLog: that signals a bug
+    in the log producer rather than an expected input condition.
     """
     templates: list[dict | None] = [
         {role: [value] if isinstance(value, str) else list(value) for role, value in t.role_fillers.items()}
         for t in doc.predicted_templates
     ]
     introduced: list[Template] = []
+    introduced_entities: set[tuple] = set()
 
     def at(items, position, kind: type, what: str):
         """``items[position]``, which must exist and be a ``kind``; a consumed or removed item is None."""
@@ -309,12 +282,13 @@ def apply_transformations(
             raise InconsistentLog(f"{log.doc_id}: {entry.kind.value} has no gold mention to adopt")
         return entry.gold_mention
 
-    def replace_subject(entry: Transformation, set_fill: bool, value: Mention | None) -> None:
-        """Put ``value`` in place of the entry's subject filler, which must still be there; a set-fill value is at 0."""
+    def consume(entry: Transformation, set_fill: bool) -> list:
+        """Consume the subject filler, which must still be there (a set-fill value is at 0); return its role's list."""
         fillers = predicted(entry).get(entry.role, [])
         position = 0 if set_fill else entry.filler
         at(fillers, position, str if set_fill else Mention, f"filler of role '{entry.role}' at")
-        fillers[position] = value
+        fillers[position] = None
+        return fillers
 
     def introduce(template: dict, entry: Transformation) -> None:
         """Append the entry's gold mention to its gold role, unless a filler there already covers the entity."""
@@ -325,11 +299,15 @@ def apply_transformations(
         ):
             fillers.append(target(entry))
 
-    for group in log.groups():
-        entry = group[0]
+    def rank(group: tuple[Transformation, ...]) -> int:
         kinds = {e.kind for e in group}
-        if len(kinds) != len(group):
-            raise InconsistentLog(f"{log.doc_id}: an edit of {entry.subject_key()} is listed twice")
+        return 0 if TransformKind.REMOVE_TEMPLATE in kinds else 1 if kinds == {TransformKind.ALTER_SPAN} else 2
+
+    for group in sorted(log.groups, key=rank):
+        kinds = {e.kind for e in group}
+        if len(kinds) != len(group) or len({(e.pred_template, e.role, e.filler) for e in group}) != 1:
+            raise InconsistentLog(f"{log.doc_id}: a group is empty, lists an edit twice or edits two subjects")
+        entry = group[0]
         if TransformKind.REMOVE_TEMPLATE in kinds:
             predicted(entry)
             templates[entry.pred_template] = None
@@ -344,10 +322,14 @@ def apply_transformations(
             else:
                 gold(entry)
                 template[entry.role] = [target(entry).text]
+            entity = (entry.gold_template, entry.gold_role, entry.gold_entity)
+            if entity in introduced_entities:
+                raise InconsistentLog(f"{log.doc_id}: gold entity {entity} is introduced twice")
+            introduced_entities.add(entity)
         elif kinds == {TransformKind.ALTER_SPAN}:
-            replace_subject(entry, set_fill=False, value=target(entry))
+            consume(entry, set_fill=False).append(target(entry))
         else:
-            replace_subject(entry, set_fill=entry.filler is None, value=None)
+            consume(entry, set_fill=entry.filler is None)
             if TransformKind.ALTER_ROLE in kinds and not kinds & _REMOVAL_KINDS:
                 introduce(predicted(entry), next(e for e in group if e.kind is TransformKind.ALTER_ROLE))
 

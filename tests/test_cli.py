@@ -756,6 +756,53 @@ def test_unwritable_output_is_an_error(tmp_path, corpus_files, capsys, command, 
     assert "Traceback" not in err
 
 
+def _with_surrogate_doc_id(*paths) -> None:
+    """Rename the first document of each corpus file to ``d`` and a lone surrogate, written as a JSON escape."""
+    for path in paths:
+        side = json.loads(path.read_text(encoding="utf-8"))
+        first = next(iter(side))
+        path.write_text(json.dumps({"d\ud800" if key == first else key: v for key, v in side.items()}), encoding="utf-8")
+
+
+@pytest.mark.parametrize("target", ["stdout", "out"])
+@pytest.mark.parametrize("source", ["json-escape", "command-line"])
+def test_text_utf8_cannot_encode_is_an_error(tmp_path, corpus_files, capsys, source, target):
+    """A lone surrogate in the report, from a JSON escape or a command-line byte that is not UTF-8, exits 1.
+
+    The error names the character, and nothing is written: an existing
+    ``--out`` file keeps its bytes.
+    """
+    gold, pred, schema = corpus_files
+    argv = ["analyze", "--gold", str(gold), "--pred", str(pred), "--schema", str(schema)]
+    if source == "json-escape":
+        _with_surrogate_doc_id(gold, pred)
+        code = "U+D800"
+    else:
+        argv += ["--label", os.fsdecode(b"\xff")]
+        code = "U+DCFF"
+    out = tmp_path / "report.json"
+    out.write_text("earlier report\n", encoding="utf-8")
+    if target == "out":
+        argv += ["--out", str(out)]
+    assert main(argv) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == f"error: the output holds {code}, which UTF-8 cannot encode (surrogates not allowed)\n"
+    assert captured.out == ""
+    assert out.read_text(encoding="utf-8") == "earlier report\n"
+
+
+def test_inject_writes_neither_output_when_one_cannot_be_encoded(tmp_path, corpus_files, capsys):
+    gold, _, schema = corpus_files
+    _with_surrogate_doc_id(gold)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"counts": {"span_error": 1}}))
+    outputs = [tmp_path / "injected.json", tmp_path / "ledger.json"]
+    argv = ["inject", "--gold", str(gold), "--schema", str(schema), "--spec", str(spec)]
+    assert main([*argv, "--out", str(outputs[0]), "--ledger", str(outputs[1])]) == EXIT_ERROR
+    assert "U+D800, which UTF-8 cannot encode" in capsys.readouterr().err
+    assert not any(path.exists() for path in outputs)
+
+
 @pytest.mark.parametrize("stdout", ["full-device", "closed-pipe"])
 @pytest.mark.parametrize("command", ["analyze", "count-matchings"])
 def test_failing_stdout_is_an_error(corpus_files, command, stdout):

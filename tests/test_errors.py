@@ -21,8 +21,9 @@ def _t(kind, **kw):
     return Transformation(kind, **defaults)
 
 
-def _log(*entries):
-    return TransformationLog("d", tuple(entries))
+def _log(*groups):
+    """A log of ``groups``, each a list of edits."""
+    return TransformationLog("d", tuple(map(tuple, groups)))
 
 
 class TestMappingTable:
@@ -32,14 +33,16 @@ class TestMappingTable:
         assert set(profile.counts) == set(ERROR_TYPES)
 
     def test_singleton_alter_span(self):
-        profile = map_errors(_log(_t(TransformKind.ALTER_SPAN, gold_role="agent", gold_mention=Mention("y"))))
+        profile = map_errors(_log([_t(TransformKind.ALTER_SPAN, gold_role="agent", gold_mention=Mention("y"))]))
         assert profile.counts[ErrorType.SPAN_ERROR] == 1
         assert profile.per_role["agent"][ErrorType.SPAN_ERROR] == 1
 
     def test_alter_span_plus_alter_role_is_one_error(self):
         log = _log(
-            _t(TransformKind.ALTER_SPAN, gold_role="target", gold_entity=0, gold_mention=Mention("y")),
-            _t(TransformKind.ALTER_ROLE, gold_role="target", gold_entity=0, gold_mention=Mention("y")),
+            [
+                _t(TransformKind.ALTER_SPAN, gold_role="target", gold_entity=0, gold_mention=Mention("y")),
+                _t(TransformKind.ALTER_ROLE, gold_role="target", gold_entity=0, gold_mention=Mention("y")),
+            ]
         )
         profile = map_errors(log)
         assert profile.counts[ErrorType.INCORRECT_ROLE_PARTIALLY_MATCHED_FILLER] == 1
@@ -49,26 +52,14 @@ class TestMappingTable:
         assert profile.per_role["target"][ErrorType.INCORRECT_ROLE_PARTIALLY_MATCHED_FILLER] == 1
 
     def test_missing_template_side_tally(self):
-        log = _log(
-            Transformation(
-                TransformKind.INTRODUCE_TEMPLATE,
-                gold_template=0,
-                filler_count=2,
-            )
-        )
+        log = _log([Transformation(TransformKind.INTRODUCE_TEMPLATE, gold_template=0, filler_count=2)])
         profile = map_errors(log)
         assert profile.counts[ErrorType.MISSING_TEMPLATE] == 1
         assert profile.missing_template_role_fillers == 2
         assert profile.counts[ErrorType.MISSING_ROLE_FILLER] == 0
 
     def test_spurious_template_side_tally(self):
-        log = _log(
-            Transformation(
-                TransformKind.REMOVE_TEMPLATE,
-                pred_template=0,
-                filler_count=2,
-            )
-        )
+        log = _log([Transformation(TransformKind.REMOVE_TEMPLATE, pred_template=0, filler_count=2)])
         profile = map_errors(log)
         assert profile.counts[ErrorType.SPURIOUS_TEMPLATE] == 1
         assert profile.spurious_template_role_fillers == 2
@@ -107,29 +98,42 @@ class TestMappingTable:
     )
     def test_group_rules(self, kinds, expected):
         entries = [_t(k, gold_role="agent", gold_mention=Mention("y")) for k in kinds]
-        profile = map_errors(_log(*entries))
+        profile = map_errors(_log(entries))
         assert profile.counts[expected] == 1
         assert total_errors(profile) == 1
 
     def test_unmappable_sequence(self):
-        bad = _log(
-            _t(TransformKind.ALTER_SPAN, gold_mention=Mention("y")),
-            _t(TransformKind.REMOVE_SPURIOUS_ROLE_FILLER),
-        )
-        with pytest.raises(UnmappableSequence):
-            map_errors(bad)
+        """A group no rule maps, one that lists a kind twice, and an empty group; the error names the group."""
+        good = [_t(TransformKind.ALTER_SPAN, gold_mention=Mention("y"))]
+        for kinds in [
+            (TransformKind.ALTER_SPAN, TransformKind.REMOVE_SPURIOUS_ROLE_FILLER),
+            (TransformKind.REMOVE_SPURIOUS_ROLE_FILLER, TransformKind.REMOVE_SPURIOUS_ROLE_FILLER),
+            (),
+        ]:
+            bad = _log(good, [_t(kind, gold_mention=Mention("y")) for kind in kinds])
+            with pytest.raises(UnmappableSequence, match="group 1 of document 'd'"):
+                map_errors(bad)
+
+    def test_each_group_is_one_error(self):
+        """Two groups of the same kinds on one filler are two errors: the log's groups are not merged by subject."""
+        group = [_t(TransformKind.ALTER_SPAN, gold_role="agent", gold_mention=Mention("y"))]
+        profile = map_errors(_log(group, group))
+        assert profile.counts[ErrorType.SPAN_ERROR] == 2
+        assert total_errors(profile) == 2
 
     def test_introduce_maps_to_missing(self):
         log = _log(
-            Transformation(
-                TransformKind.INTRODUCE_ROLE_FILLER,
-                pred_template=0,
-                role="agent",
-                gold_template=0,
-                gold_role="agent",
-                gold_entity=0,
-                gold_mention=Mention("y"),
-            )
+            [
+                Transformation(
+                    TransformKind.INTRODUCE_ROLE_FILLER,
+                    pred_template=0,
+                    role="agent",
+                    gold_template=0,
+                    gold_role="agent",
+                    gold_entity=0,
+                    gold_mention=Mention("y"),
+                )
+            ]
         )
         profile = map_errors(log)
         assert profile.counts[ErrorType.MISSING_ROLE_FILLER] == 1

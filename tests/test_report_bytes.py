@@ -9,7 +9,8 @@ fails here; the digests are the same under every supported Python.
 The same corpora are also pinned with a matching cap of 7, so every
 document above 2 x 2 templates goes to the greedy fallback or is
 skipped, and as text and CSV reports. ``compare`` is pinned on reports
-of the benchmark's wide_templates inputs at seed 0.
+of the benchmark's wide_templates inputs at seed 0, and so is what each
+demo prints.
 """
 
 from __future__ import annotations
@@ -17,12 +18,13 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from support import fuzzed_corpus
+from support import child_env, fuzzed_corpus
 from tfea.cli import EXIT_OK, main
 from tfea.corpus import schema_to_dict, side_to_dict
 
@@ -63,6 +65,14 @@ PINNED_COMPARE = {
     (("score", "injected", "analyze"), "json"): "8cd7e8ec75cf90b966fb24a5982484e5ec75f6401d4cc3ce4d82a0c5e8f827a3",
     (("score", "injected", "analyze"), "text"): "2782933dcfba56a7cb7bd1f7e7cc9900d63a7edea99a9f24e8ca15e9b0f74317",
 }
+# What each demo prints, run with -S (no site-packages).
+PINNED_DEMOS = {
+    "analysis_walkthrough.py": "ca47ad6bdac4e804cec573d892f3b653e89fc19ee2c735b21c8a1ca39bfe372f",
+    "compare_systems.py": "5768ce2d266b0534ed98bbdec0cc388c715f85666b4d6eb5e6b2bc81c6cbff4f",
+    "injection_roundtrip.py": "1618296c921c056b86fbcaf88aa3ebf3d69c3e63486e0e8860f728f394a8bb4e",
+    "span_scores_tour.py": "a466ddb0ee4a1aef3ca2622a0751453e5ebcc152cda31d2ca95f1b24a569fc9a",
+}
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 INJECTION_SPEC = {"counts": {"span_error": 3, "incorrect_role": 2, "missing_template": 1, "spurious_template": 1}, "seed": 0}
 
 
@@ -149,3 +159,20 @@ def test_comparison_sha256_is_pinned(tmp_path, compared_reports, names, fmt):
     argv = ["compare", *(str(compared_reports[name]) for name in names), "--format", fmt, "--out", str(out)]
     assert main(argv) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_COMPARE[names, fmt]
+
+
+def test_every_demo_is_pinned():
+    assert sorted(path.name for path in DEMOS.glob("*.py")) == sorted(PINNED_DEMOS)
+
+
+@pytest.mark.parametrize("demo", sorted(PINNED_DEMOS))
+def test_demo_output_sha256_is_pinned(tmp_path, demo):
+    child = subprocess.run(
+        [sys.executable, "-S", str(DEMOS / demo)],
+        capture_output=True,
+        env=child_env(),
+        cwd=tmp_path,
+        timeout=120,
+    )
+    assert child.returncode == 0 and child.stderr == b"", child.stderr.decode(errors="replace")
+    assert hashlib.sha256(child.stdout).hexdigest() == PINNED_DEMOS[demo]

@@ -1,6 +1,7 @@
 """Transform engine: derivation rules, ordering, and the apply round trip."""
 
 import hashlib
+import itertools
 
 import pytest
 
@@ -9,7 +10,7 @@ from support import fuzzed_corpus
 from tfea.config import AnalysisConfig
 from tfea.errors import map_errors, total_errors
 from tfea.exceptions import InconsistentLog
-from tfea.matching import find_optimal_matching
+from tfea.matching import find_optimal_matching, greedy_matching
 from tfea.model import Document, Mention, RoleKind, RoleSpec, Schema, Span, resolve_document_spans
 from tfea.spans import ScsMode, span_score
 from tfea.transforms import (
@@ -26,11 +27,22 @@ ALTERATION_KINDS = {TransformKind.ALTER_SPAN, TransformKind.ALTER_ROLE}
 _K = TransformKind
 
 
-def _analyze(doc, schema, config=None):
+def _analyze(doc, schema, config=None, matcher=find_optimal_matching):
     config = config or AnalysisConfig()
     doc = resolve_document_spans(doc, config.casefold)
-    matching = find_optimal_matching(doc, schema, config)
+    matching = matcher(doc, schema, config)
     return doc, derive_transformations(doc, schema, matching, config)
+
+
+def _subject(group) -> tuple:
+    """What a group edits: one predicted filler, one gold filler it introduces, or one whole template."""
+    kinds = {t.kind for t in group}
+    t = group[0]
+    if _K.INTRODUCE_ROLE_FILLER in kinds:
+        return ("introduce", t.gold_template, t.gold_role, t.gold_entity)
+    if kinds & {_K.REMOVE_TEMPLATE, _K.INTRODUCE_TEMPLATE}:
+        return (t.kind, t.pred_template, t.gold_template)
+    return ("filler", t.pred_template, t.role, t.filler)
 
 
 class TestDerive:
@@ -155,33 +167,25 @@ class TestDerive:
         assert [t.kind for t in log] == expected
         assert matching.error_tally == len(expected) == total_errors(map_errors(log))
 
-    def test_alterations_precede_other_transformations(self):
-        for seed in range(20):
-            documents, schema = fuzzed_corpus(seed)
-            for doc in documents:
-                _, log = _analyze(doc, schema)
-                phase = 0
-                subjects_in_alterations = set()
-                for group in log.groups():
-                    kinds = {t.kind for t in group}
-                    if kinds <= ALTERATION_KINDS:
-                        subjects_in_alterations.add(group[0].subject_key())
-                for i, entry in enumerate(log):
-                    is_alteration = entry.subject_key() in subjects_in_alterations
-                    if not is_alteration:
-                        phase = 1
-                    assert not (phase == 1 and is_alteration), "alteration after phase two began"
+    def test_groups_are_ordered_and_distinct(self):
+        """Alteration groups come first, and no two groups of a derived log edit the same subject.
 
-    def test_each_filler_subject_of_limited_kinds(self):
-        for seed in range(20):
-            documents, schema = fuzzed_corpus(seed)
+        Every edit of a group names the group's one subject, and no group
+        lists a kind twice or holds more than one filler removal.
+        """
+        for seed, shape in itertools.product(range(20), [(2, 3), (6, 5)]):
+            documents, schema = fuzzed_corpus(seed, *shape)
             for doc in documents:
                 _, log = _analyze(doc, schema)
-                for group in log.groups():
+                alterations = [{t.kind for t in group} <= ALTERATION_KINDS for group in log.groups]
+                assert alterations == sorted(alterations, reverse=True), (seed, doc.doc_id)
+                subjects = [_subject(group) for group in log.groups]
+                assert len(set(subjects)) == len(subjects), (seed, doc.doc_id)
+                for group in log.groups:
                     kinds = [t.kind for t in group]
                     assert len(kinds) == len(set(kinds))
-                    removals = [k for k in kinds if "remove" in k.value and "template" not in k.value]
-                    assert len(removals) <= 1
+                    assert len([k for k in kinds if k.value.startswith("remove_") and "template" not in k.value]) <= 1
+                    assert len({(t.pred_template, t.role, t.filler) for t in group}) == 1
 
     def test_every_derived_entry_hashes(self):
         for seed in range(20):
@@ -314,16 +318,60 @@ class TestApply:
         assert out[0].mentions("agent")[0].text == "alpha"
 
     def test_round_trip_on_fuzz(self):
+        """Both corpus shapes, under the exact and the greedy matcher."""
         config = AnalysisConfig()
-        for seed in range(40):
-            documents, schema = fuzzed_corpus(seed)
+        matchers = [find_optimal_matching, greedy_matching]
+        for seed, shape, matcher in itertools.product(range(40), [(2, 3), (6, 5)], matchers):
+            documents, schema = fuzzed_corpus(seed, *shape)
             for doc in documents:
-                doc, log = _analyze(doc, schema, config)
+                doc, log = _analyze(doc, schema, config, matcher)
                 rewritten = apply_transformations(doc, log)
                 assert templates_gold_equivalent(rewritten, doc.gold_templates, schema), (
                     seed,
+                    shape,
+                    matcher.__name__,
                     doc.doc_id,
                 )
+
+    # Each of these documents moves an entity into a role where a span fix
+    # of that entity is still to be replayed; replayed in log order, the
+    # move adds the entity and the span fix then makes a second copy.
+    @pytest.mark.parametrize(
+        "seed,shape,doc_id",
+        [
+            (17, (6, 5), "doc002"),
+            (23, (6, 5), "doc000"),
+            (81, (6, 5), "doc005"),
+            (136, (6, 5), "doc001"),
+            (195, (6, 5), "doc004"),
+            (233, (2, 3), "doc001"),
+            (271, (6, 5), "doc004"),
+        ],
+        ids=lambda value: "x".join(map(str, value)) if isinstance(value, tuple) else None,
+    )
+    def test_round_trip_with_a_span_fix_in_a_role_move_target(self, seed, shape, doc_id):
+        documents, schema = fuzzed_corpus(seed, *shape)
+        doc, log = _analyze(next(d for d in documents if d.doc_id == doc_id), schema)
+        assert templates_gold_equivalent(apply_transformations(doc, log), doc.gold_templates, schema)
+
+    def test_role_move_waits_for_a_span_fix_in_its_target_role(self, two_role_schema):
+        """The role move is listed first, but only the span fix puts "mayor" in the target role, once."""
+        doc = Document(
+            "d",
+            "the mayor met police",
+            (gold_template(agent=[[span_mention("police", 14)]], target=[[span_mention("mayor", 4)]]),),
+            (
+                pred_template(
+                    agent=[span_mention("police", 14), span_mention("mayor", 4)],
+                    target=[span_mention("the mayor", 0)],
+                ),
+            ),
+        )
+        doc, log = _analyze(doc, two_role_schema)
+        assert [[t.kind for t in group] for group in log.groups] == [[_K.ALTER_ROLE], [_K.ALTER_SPAN]]
+        (rewritten,) = apply_transformations(doc, log)
+        assert rewritten.mentions("target") == (span_mention("mayor", 4),)
+        assert rewritten.mentions("agent") == (span_mention("police", 14),)
 
     def test_inconsistent_log_detected(self, two_role_schema):
         doc = Document(
@@ -340,7 +388,7 @@ class TestApply:
             pred_text="beta",
         )
         with pytest.raises(InconsistentLog):
-            apply_transformations(doc, TransformationLog("d", (out_of_range,)))
+            apply_transformations(doc, TransformationLog("d", ((out_of_range,),)))
 
     def test_edit_inside_removed_template_rejected(self, two_role_schema):
         doc = Document("d", "x", (), (pred_template(agent=[span_mention("a", 0)]),))
@@ -353,7 +401,7 @@ class TestApply:
             pred_text="a",
         )
         with pytest.raises(InconsistentLog):
-            apply_transformations(doc, TransformationLog("d", (removal, again)))
+            apply_transformations(doc, TransformationLog("d", ((removal,), (again,))))
 
 
 def _edit(kind, **fields):
@@ -364,38 +412,49 @@ def _edit(kind, **fields):
 
 
 _SET_FILL = dict(role="status", filler=None, gold_role="status", gold_entity=None, gold_mention=Mention("confirmed"))
-# Each log names a template, filler or gold entity that does not exist or
-# is already gone, lists one edit twice, or has no gold mention to adopt.
+_REMOVE_SET_FILL = _edit(_K.REMOVE_SPURIOUS_ROLE_FILLER, **_SET_FILL)
+# Each log, a list of groups, names a template, filler or gold entity that
+# does not exist or is already gone, introduces one gold entity twice, has
+# a group that is empty, lists one edit twice or edits two subjects, or has
+# no gold mention to adopt.
 MALFORMED_LOGS = {
-    "alter span without filler": [_edit(_K.ALTER_SPAN, filler=None)],
-    "alter role to missing gold template": [_edit(_K.ALTER_ROLE, gold_template=3)],
-    "alter role to missing gold entity": [_edit(_K.ALTER_ROLE, gold_entity=2)],
-    "introduce from missing gold template": [_edit(_K.INTRODUCE_ROLE_FILLER, gold_template=3)],
-    "introduce missing gold entity": [_edit(_K.INTRODUCE_ROLE_FILLER, gold_entity=5)],
-    "introduce missing gold template": [_edit(_K.INTRODUCE_TEMPLATE, gold_template=1)],
-    "set-fill removal listed twice": [_edit(_K.REMOVE_SPURIOUS_ROLE_FILLER, **_SET_FILL)] * 2,
-    "template removal listed twice": [_edit(_K.REMOVE_TEMPLATE)] * 2,
-    "template index None": [_edit(_K.REMOVE_SPURIOUS_ROLE_FILLER, pred_template=None)],
-    "template index out of range": [_edit(_K.REMOVE_SPURIOUS_ROLE_FILLER, pred_template=4)],
-    "template already removed": [_edit(_K.REMOVE_TEMPLATE), _edit(_K.ALTER_SPAN)],
-    "filler out of range": [_edit(_K.REMOVE_SPURIOUS_ROLE_FILLER, filler=-1)],
-    "set-fill value introduced over an existing one": [_edit(_K.INTRODUCE_ROLE_FILLER, **_SET_FILL)],
-    "alter span to no mention": [_edit(_K.ALTER_SPAN, gold_mention=None)],
-    "introduce no mention": [_edit(_K.INTRODUCE_ROLE_FILLER, gold_mention=None)],
+    "alter span without filler": [[_edit(_K.ALTER_SPAN, filler=None)]],
+    "alter role to missing gold template": [[_edit(_K.ALTER_ROLE, gold_template=3)]],
+    "alter role to missing gold entity": [[_edit(_K.ALTER_ROLE, gold_entity=2)]],
+    "introduce from missing gold template": [[_edit(_K.INTRODUCE_ROLE_FILLER, gold_template=3)]],
+    "introduce missing gold entity": [[_edit(_K.INTRODUCE_ROLE_FILLER, gold_entity=5)]],
+    "introduce missing gold template": [[_edit(_K.INTRODUCE_TEMPLATE, gold_template=1)]],
+    "set-fill removal listed twice": [[_REMOVE_SET_FILL] * 2],
+    "template removal listed twice": [[_edit(_K.REMOVE_TEMPLATE)] * 2],
+    "template index None": [[_edit(_K.REMOVE_SPURIOUS_ROLE_FILLER, pred_template=None)]],
+    "template index out of range": [[_edit(_K.REMOVE_SPURIOUS_ROLE_FILLER, pred_template=4)]],
+    "template already removed": [[_edit(_K.REMOVE_TEMPLATE)], [_edit(_K.ALTER_SPAN)]],
+    "template removed after an edit": [[_edit(_K.ALTER_SPAN)], [_edit(_K.REMOVE_TEMPLATE)]],
+    "filler out of range": [[_edit(_K.REMOVE_SPURIOUS_ROLE_FILLER, filler=-1)]],
+    "set-fill value introduced over an existing one": [[_edit(_K.INTRODUCE_ROLE_FILLER, **_SET_FILL)]],
+    "alter span to no mention": [[_edit(_K.ALTER_SPAN, gold_mention=None)]],
+    "introduce no mention": [[_edit(_K.INTRODUCE_ROLE_FILLER, gold_mention=None)]],
     "introduce no set-fill value": [
-        _edit(_K.REMOVE_SPURIOUS_ROLE_FILLER, **_SET_FILL),
-        _edit(_K.INTRODUCE_ROLE_FILLER, **{**_SET_FILL, "gold_mention": None}),
+        [_REMOVE_SET_FILL],
+        [_edit(_K.INTRODUCE_ROLE_FILLER, **{**_SET_FILL, "gold_mention": None})],
     ],
+    "one filler edited by two groups": [[_edit(_K.REMOVE_SPURIOUS_ROLE_FILLER)], [_edit(_K.ALTER_SPAN)]],
+    "one filler fixed twice": [[_edit(_K.ALTER_SPAN)]] * 2,
+    "one entity introduced twice": [[_edit(_K.INTRODUCE_ROLE_FILLER)]] * 2,
+    "empty group": [[]],
+    "one group, two subjects": [[_edit(_K.ALTER_SPAN), _REMOVE_SET_FILL]],
 }
 # The same edits without the fault.
 WELL_FORMED_LOGS = [
-    [_edit(_K.ALTER_SPAN)],
-    [_edit(_K.ALTER_ROLE)],
-    [_edit(_K.INTRODUCE_ROLE_FILLER)],
-    [_edit(_K.INTRODUCE_TEMPLATE)],
-    [_edit(_K.REMOVE_TEMPLATE)],
-    [_edit(_K.REMOVE_SPURIOUS_ROLE_FILLER)],
-    [_edit(_K.REMOVE_SPURIOUS_ROLE_FILLER, **_SET_FILL), _edit(_K.INTRODUCE_ROLE_FILLER, **_SET_FILL)],
+    [[_edit(_K.ALTER_SPAN)]],
+    [[_edit(_K.ALTER_ROLE)]],
+    [[_edit(_K.INTRODUCE_ROLE_FILLER)]],
+    [[_edit(_K.INTRODUCE_TEMPLATE)]],
+    [[_edit(_K.REMOVE_TEMPLATE)]],
+    [[_edit(_K.REMOVE_SPURIOUS_ROLE_FILLER)]],
+    [[_REMOVE_SET_FILL], [_edit(_K.INTRODUCE_ROLE_FILLER, **_SET_FILL)]],
+    [[_edit(_K.ALTER_SPAN)], [_edit(_K.INTRODUCE_ROLE_FILLER)]],
+    [[_edit(_K.ALTER_SPAN), _edit(_K.REMOVE_DUPLICATE_ROLE_FILLER)], [_REMOVE_SET_FILL]],
 ]
 
 
@@ -408,12 +467,16 @@ def _malformed_case_doc() -> Document:
     )
 
 
-@pytest.mark.parametrize("entries", MALFORMED_LOGS.values(), ids=MALFORMED_LOGS)
-def test_malformed_log_raises_inconsistent_log(entries):
+def _grouped_log(groups) -> TransformationLog:
+    return TransformationLog("d", tuple(map(tuple, groups)))
+
+
+@pytest.mark.parametrize("groups", MALFORMED_LOGS.values(), ids=MALFORMED_LOGS)
+def test_malformed_log_raises_inconsistent_log(groups):
     with pytest.raises(InconsistentLog):
-        apply_transformations(_malformed_case_doc(), TransformationLog("d", tuple(entries)))
+        apply_transformations(_malformed_case_doc(), _grouped_log(groups))
 
 
 def test_the_same_edits_without_the_fault_apply():
-    for entries in WELL_FORMED_LOGS:
-        apply_transformations(_malformed_case_doc(), TransformationLog("d", tuple(entries)))
+    for groups in WELL_FORMED_LOGS:
+        apply_transformations(_malformed_case_doc(), _grouped_log(groups))
