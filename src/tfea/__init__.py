@@ -49,21 +49,22 @@ from .transforms import (
     Transformation,
     TransformationLog,
     TransformKind,
-    apply_transformations,
     derive_transformations,
 )
 
-# The injector is loaded on first use (PEP 562), so that importing the
-# package, as every CLI command does, does not compile it.
+# The injector and the replay are loaded on first use (PEP 562), so that
+# importing the package, as every CLI command does, compiles neither.
 _INJECT_NAMES = ("GenerationParams", "InjectionSpec", "generate_corpus", "inject_errors")
 
 
 def __getattr__(name: str):
     if name in _INJECT_NAMES:
-        from . import inject
-
-        return getattr(inject, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        from . import inject as module
+    elif name == "apply_transformations":
+        from . import replay as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)
 
 
 __all__ = [

@@ -4,16 +4,15 @@ from __future__ import annotations
 
 import argparse
 import gc
-import logging
 import os
 import re
 import sys
 from pathlib import Path
 
+from . import config as settings
 from .config import DEFAULT_MAX_TEMPLATE_MATCHINGS, ON_GUARD_CHOICES, AnalysisConfig
 from .corpus import _check_keys, _decode_object, load_corpus, load_schema, load_side, merge_sides
 from .corpus import read_json, side_to_dict
-from .errors import ErrorType
 from .exceptions import ComplexityGuardExceeded, ParseError, TfeaError
 from .matching import MAX_COUNT_DIGITS, printable_template_matchings
 from .pipeline import MENTIONS_PER_PROCESS, analyze_each
@@ -34,11 +33,12 @@ EXIT_GUARD = 2
 SCS_MODE_CHOICES = tuple(mode.value for mode in ScsMode)
 FORMAT_CHOICES = ("json", "csv", "text")
 CONFIG_KEYS = ("scs_mode", "case_sensitive", "max_matchings", "on_guard", "parallel", "format", "label")
-SPEC_KEYS = ("counts", "seed")
 ECHO_LIMIT = 60  # characters kept of each value (quoted, or a run of non-blanks) a usage error echoes
 
 
 def _setup_logging() -> None:
+    import logging
+
     level_name = os.environ.get("TFEA_LOG", "WARNING").upper()
     level = getattr(logging, level_name, None)
     if not isinstance(level, int):
@@ -185,34 +185,13 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 def _cmd_inject(args: argparse.Namespace) -> int:
     # Imported here: analyze, score and the other commands never load the injector.
-    from .inject import InjectionSpec, inject_errors
+    from .inject import inject_errors, load_spec
 
     schema = load_schema(args.schema)
     gold_side = load_side(args.gold, schema, gold=True)
     documents = merge_sides(gold_side, {})
-    raw = read_json(args.spec, "injection spec", _decode_object)
-    if not isinstance(raw, dict):
-        raise ParseError(args.spec, "injection spec must be a JSON object")
-    _check_keys(args.spec, raw, None, SPEC_KEYS)
-    raw_counts = raw.get("counts", {})
-    if not isinstance(raw_counts, dict):
-        raise ParseError(args.spec, "counts must be a JSON object", "counts")
-    _check_keys(args.spec, raw_counts, "counts")
-    counts = {}
-    for name, count in raw_counts.items():
-        where = f"counts '{name}'"
-        try:
-            etype = ErrorType(name)
-        except ValueError as exc:
-            known = ", ".join(t.value for t in ErrorType)
-            raise ParseError(args.spec, f"unknown error type; known: {known}", where) from exc
-        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
-            raise ParseError(args.spec, f"count must be an integer of at least 0, got {count!r}", where)
-        counts[etype] = count
-    seed = args.seed if args.seed is not None else raw.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ParseError(args.spec, f"must be an integer, got {seed!r}", "seed")
-    result = inject_errors(documents, schema, InjectionSpec(counts=counts), seed=seed)
+    spec, seed = load_spec(args.spec, args.seed)
+    result = inject_errors(documents, schema, spec, seed=seed)
     predictions = render_json(side_to_dict(result.documents, gold=False))
     ledger = render_json(errors_section(result.ledger, schema, result.per_doc))
     _write_output((predictions, args.out), (ledger, args.ledger))
@@ -296,7 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
+    # A run that logs nothing never imports logging: it is set up right
+    # before the first record, unless TFEA_LOG asks for it.
+    if "TFEA_LOG" in os.environ:
+        _setup_logging()
+    else:
+        settings.logging_setup = _setup_logging
     # A command builds no reference cycles, so the cyclic collector would
     # only rescan the live corpus and results while they are built (it
     # made unpickling the --parallel results about three times slower).
@@ -315,6 +299,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     finally:
+        settings.logging_setup = None
         if collecting:
             gc.enable()
 

@@ -1,6 +1,8 @@
-"""Analysis configuration shared by the matcher, transform engine, and CLI."""
+"""Analysis configuration shared by the matcher, transform engine, and CLI, and the package's log."""
 
 from __future__ import annotations
+
+import sys
 
 from .model import record
 from .spans import ScsMode
@@ -8,6 +10,22 @@ from .spans import ScsMode
 ON_GUARD_CHOICES = ("skip", "greedy", "fail")
 
 DEFAULT_MAX_TEMPLATE_MATCHINGS = 1_000_000
+
+DEBUG, WARNING = 10, 30  # logging's level numbers
+logging_setup = None  # set by the CLI while a command runs; called once, right before the first record
+
+
+def log(level: int, message: str, *args) -> None:
+    """Log ``message % args`` on the "tfea" logger; ``logging`` is imported by the first record of WARNING or above."""
+    global logging_setup
+    if level < WARNING and "logging" not in sys.modules:
+        return  # no logger is configured yet, and an unconfigured one drops it
+    import logging
+
+    if logging_setup is not None:
+        setup, logging_setup = logging_setup, None
+        setup()
+    logging.getLogger("tfea").log(level, message, *args, stacklevel=2)
 
 
 @record(frozen=True)

@@ -31,10 +31,10 @@ otherwise load as no templates, and a misspelled ``multi`` as its default.
 from __future__ import annotations
 
 import json
-import logging
 from collections import Counter
 from typing import Mapping
 
+from .config import WARNING, log
 from .exceptions import ParseError, SchemaMismatch
 from .model import (
     Document,
@@ -48,8 +48,6 @@ from .model import (
     find_normalized,
     normalizer,
 )
-
-log = logging.getLogger("tfea")
 
 DOCUMENT_KEYS = ("doctext", "templates")
 SCHEMA_KEYS = ("roles",)
@@ -158,7 +156,7 @@ class _SideReader:
                 if not isinstance(value, str):
                     raise ParseError(self.path, f"set-fill filler must be a string, got {value!r}", where)
                 if self.normalize(value) not in inventory:
-                    log.warning("%s: value %r is not in the role inventory", where, value)
+                    log(WARNING, "%s: value %r is not in the role inventory", where, value)
                 fillers[role_name] = value
                 continue
             if not isinstance(value, list):
@@ -170,7 +168,7 @@ class _SideReader:
                 # role filler errors stay observable.
                 fillers[role_name] = tuple(self.mention(m, doc_text, where) for m in value)
             if not multi and len(fillers[role_name]) > 1:
-                log.warning("%s: multiple fillers for a single-fill role", where)
+                log(WARNING, "%s: multiple fillers for a single-fill role", where)
         return Template(fillers)
 
     def entities(self, value: list, doc_text: str, where: str) -> tuple[GoldEntity, ...]:
@@ -184,7 +182,7 @@ class _SideReader:
             for mention in entity.mentions:
                 key = self.normalize(mention.text)
                 if key in seen:
-                    log.warning("%s: mention %r appears in two entities", where, mention.text)
+                    log(WARNING, "%s: mention %r appears in two entities", where, mention.text)
                 seen.add(key)
         return tuple(entities)
 
@@ -202,20 +200,14 @@ class _SideReader:
         # Offsets come as a pair of true ints; a lone offset, a float (which
         # int() would truncate) or a bool (which int() turns into 0/1) is invalid.
         if not (type(start) is int and type(end) is int and 0 <= start <= end):
-            log.warning("%s: invalid offsets [%r, %r) for %r, re-locating", where, start, end, text)
+            log(WARNING, "%s: invalid offsets [%r, %r) for %r, re-locating", where, start, end, text)
             return self.relocate(text, doc_text)
         if end > len(doc_text):
-            log.warning("%s: span [%d, %d) falls outside the document, re-locating", where, start, end)
+            log(WARNING, "%s: span [%d, %d) falls outside the document, re-locating", where, start, end)
             return self.relocate(text, doc_text)
         found = doc_text[start:end]
         if found != text and self.normalize(found) != self.normalize(text):
-            log.warning(
-                "%s: text %r does not match the document at [%d, %d), re-locating",
-                where,
-                text,
-                start,
-                end,
-            )
+            log(WARNING, "%s: text %r does not match the document at [%d, %d), re-locating", where, text, start, end)
             return self.relocate(text, doc_text)
         return Mention(text, Span(start, end))
 
@@ -306,7 +298,7 @@ def merge_sides(
         if pred_entry is not None:
             pred_text, pred_templates = pred_entry
             if pred_text != text:
-                log.warning("doc '%s': predicted doctext differs from gold, using gold", doc_id)
+                log(WARNING, "doc '%s': predicted doctext differs from gold, using gold", doc_id)
         documents.append(Document(doc_id, text, gold_templates, pred_templates))
     return documents
 

@@ -23,8 +23,9 @@ import re
 from itertools import product
 from typing import Sequence
 
+from .corpus import _check_keys, _decode_object, read_json
 from .errors import ErrorProfile, ErrorType
-from .exceptions import InfeasibleSpec
+from .exceptions import InfeasibleSpec, ParseError
 from .model import (
     Document,
     Factory,
@@ -56,6 +57,7 @@ GLUE_WORDS = (
     "nearby", "sources", "noted", "details", "remain", "under", "observation",
 )
 
+SPEC_KEYS = ("counts", "seed")
 DEFAULT_SET_VALUES = ("confirmed", "possible", "suspected", "pending", "ruled_out", "unverified")
 
 
@@ -91,6 +93,33 @@ class InjectionSpec:
 
     def count(self, etype: ErrorType) -> int:
         return self.counts.get(etype, 0)
+
+
+def load_spec(path: str, seed: int | None = None) -> tuple[InjectionSpec, int]:
+    """The injection spec ``{"counts": {error type: n}, "seed": s}`` in ``path``, and ``seed``, else the spec's."""
+    raw = read_json(path, "injection spec", _decode_object)
+    if not isinstance(raw, dict):
+        raise ParseError(path, "injection spec must be a JSON object")
+    _check_keys(path, raw, None, SPEC_KEYS)
+    raw_counts = raw.get("counts", {})
+    if not isinstance(raw_counts, dict):
+        raise ParseError(path, "counts must be a JSON object", "counts")
+    _check_keys(path, raw_counts, "counts")
+    counts = {}
+    for name, count in raw_counts.items():
+        where = f"counts '{name}'"
+        try:
+            etype = ErrorType(name)
+        except ValueError as exc:
+            known = ", ".join(t.value for t in ErrorType)
+            raise ParseError(path, f"unknown error type; known: {known}", where) from exc
+        if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+            raise ParseError(path, f"count must be an integer of at least 0, got {count!r}", where)
+        counts[etype] = count
+    seed = seed if seed is not None else raw.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ParseError(path, f"must be an integer, got {seed!r}", "seed")
+    return InjectionSpec(counts=counts), seed
 
 
 class _TextBuilder:

@@ -7,8 +7,9 @@ more than there are documents, CPUs this process may run on, or
 corpus, and at least one. Below two processes' worth of mentions the run
 is the serial one and starts no pool; the mentions are counted only when
 the other limits allow two processes. With ``k`` processes the caller
-analyzes the first ``len // k`` documents in doc-id order while a pool
-of ``k - 1`` workers takes the rest. Each worker receives its share, the
+analyzes the shortest doc-id prefix that holds ``mentions // k`` of the
+mentions, but leaves at least one document per worker, while a pool of
+``k - 1`` workers takes the rest. Each worker receives its share, the
 schema, the settings and the per-document function once, when it starts
 (inherited under the ``fork`` start method, pickled once per worker
 under ``spawn`` and ``forkserver``), and is then sent batches of indices
@@ -37,12 +38,13 @@ run stays serial; README has the measurements behind the limit.
 from __future__ import annotations
 
 import gc
-import logging
 import math
 import os
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Callable, Sequence
 
-from .config import AnalysisConfig
+from .config import DEBUG, AnalysisConfig, log
 from .errors import ErrorProfile, map_errors
 from .exceptions import ComplexityGuardExceeded
 from .matching import MatchIndex, TemplateMatching, find_optimal_matching, greedy_matching
@@ -50,7 +52,6 @@ from .model import Document, Factory, GoldEntity, Schema, record, resolve_docume
 from .scoring import Scores, score_corpus, score_document
 from .transforms import TransformationLog, derive_transformations
 
-log = logging.getLogger("tfea")
 # Mentions per process: two processes start from 40,000 (measured in README).
 MENTIONS_PER_PROCESS = 20_000
 
@@ -165,11 +166,11 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _mention_count(documents: Sequence[Document]) -> int:
-    """Every gold-entity mention and every predicted mention of ``documents``."""
+def _mention_count(doc: Document) -> int:
+    """Every gold-entity mention and every predicted mention of ``doc``."""
     return sum(
         len(item.mentions) if isinstance(item, GoldEntity) else 1
-        for doc in documents for template in doc.gold_templates + doc.predicted_templates
+        for template in doc.gold_templates + doc.predicted_templates
         for value in template.role_fillers.values() if not isinstance(value, str) for item in value
     )
 
@@ -194,17 +195,18 @@ def analyze_each(
     ordered = sorted(documents, key=lambda d: d.doc_id)
     workers = min(parallel, len(ordered), _usable_cpus())
     if workers > 1:
-        mentions = _mention_count(ordered)
+        counts = [_mention_count(doc) for doc in ordered]
+        mentions = sum(counts)
         workers = max(1, min(workers, mentions // MENTIONS_PER_PROCESS))
-        log.debug("%d documents, %d mentions: %d process(es)", len(ordered), mentions, workers)
+        log(DEBUG, "%d documents, %d mentions: %d process(es)", len(ordered), mentions, workers)
     if workers < 2:
         return [per_document(analyze_document(doc, schema, config, derive)) for doc in ordered]
     # Imported here: a run that starts no pool skips loading multiprocessing.
     from concurrent.futures import ProcessPoolExecutor
 
-    # This process analyzes the first share itself while workers - 1
-    # pool processes take the rest.
-    own = len(ordered) // workers
+    # This process analyzes the shortest doc-id prefix that holds its share
+    # of the mentions, leaving each of the workers - 1 pool processes a document.
+    own = min(bisect_left(list(accumulate(counts)), mentions // workers) + 1, len(ordered) - workers + 1)
     rest = ordered[own:]
     chunksize = math.ceil(len(rest) / (4 * (workers - 1)))
     pool = ProcessPoolExecutor(

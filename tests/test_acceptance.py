@@ -26,8 +26,9 @@ from tfea.inject import (
 from tfea.matching import count_template_matchings, find_optimal_matching
 from tfea.model import Span, resolve_document_spans
 from tfea.pipeline import analyze_corpus
+from tfea.replay import apply_transformations
 from tfea.spans import scs_absolute, scs_geometric
-from tfea.transforms import apply_transformations, derive_transformations
+from tfea.transforms import derive_transformations
 
 PRED_SIDE_TYPES = (
     ErrorType.SPAN_ERROR,

@@ -845,6 +845,89 @@ def test_tfea_log_env(tmp_path, corpus_files, monkeypatch):
     assert main(_analyze_args(gold, pred, schema, out)) == EXIT_OK
 
 
+# What loading _warning_files prints through the CLI.
+WARNING_LINES = (
+    "WARNING tfea: doc 'd1' template 0 role 'status': value 'implausible' is not in the role inventory\n"
+    "WARNING tfea: doc 'd1' template 0 role 'agent': text 'amber archive' does not match the document at [0, 3), "
+    "re-locating\n"
+)
+# Modules that a CLI run which starts no pool and logs nothing does not import.
+START_UP_UNUSED = {"logging", "traceback", "tfea.replay", "tfea.inject", "tfea.compare", "concurrent.futures.process"}
+
+
+def _warning_files(directory) -> list[str]:
+    """Gold, pred and schema files whose gold side has a set-fill value outside the inventory and a mention to relocate."""
+    text = "the amber archive fell"
+    gold = {"d1": {"doctext": text, "templates": [
+        {"status": "implausible", "agent": [[{"text": "amber archive", "start": 0, "end": 3}]]}
+    ]}}
+    pred = {"d1": {"doctext": text, "templates": [{"status": "confirmed", "agent": [{"text": "amber archive"}]}]}}
+    paths = [str(directory / f"warning-{name}.json") for name in ("gold", "pred", "schema")]
+    for path, data in zip(paths, (gold, pred, schema_to_dict(default_schema()))):
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(data, handle)
+    return paths
+
+
+def _cli_process(argv: list[str], *flags: str, **variables: str):
+    """The finished ``python [flags] -m tfea.cli argv`` child, with its output as bytes."""
+    import subprocess
+    import sys
+
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "tfea.cli", *argv],
+        env=child_env(**variables), cwd="/", capture_output=True, timeout=120,
+    )
+
+
+@pytest.mark.parametrize("level,stderr", [(None, WARNING_LINES), ("DEBUG", WARNING_LINES), ("ERROR", "")])
+def test_warnings_are_printed_in_the_cli_format(tmp_path, level, stderr):
+    """The exact stderr of a run that logs two warnings, at the default level and under TFEA_LOG."""
+    gold, pred, schema = _warning_files(tmp_path)
+    variables = {} if level is None else {"TFEA_LOG": level}
+    child = _cli_process(_analyze_args(gold, pred, schema, tmp_path / "report.json"), **variables)
+    assert child.returncode == EXIT_OK
+    assert child.stderr == stderr.encode()
+
+
+@pytest.mark.parametrize("command", ["analyze", "score"])
+def test_run_that_logs_nothing_skips_unused_modules(tmp_path, corpus_files, command):
+    """``python -m tfea.cli`` without warnings or a pool imports neither logging nor other commands' code."""
+    gold, pred, schema = corpus_files
+    argv = [command, "--gold", str(gold), "--pred", str(pred), "--schema", str(schema), "--out", str(tmp_path / "r")]
+    child = _cli_process(argv, "-X", "importtime")
+    assert child.returncode == EXIT_OK
+    imported = set(re.findall(r"^import time:.*\| +(\S+)$", child.stderr.decode(), re.MULTILINE))
+    assert {"tfea", "tfea.corpus", "tfea.pipeline"} <= imported
+    assert not imported & START_UP_UNUSED
+
+
+def test_logging_setup_ends_when_main_returns(tmp_path, corpus_files):
+    """After a command that logged nothing, the CLI's log format is gone: a later warning prints bare."""
+    import subprocess
+    import sys
+
+    gold, pred, schema = corpus_files
+    warning_gold, warning_pred, warning_schema = _warning_files(tmp_path)
+    script = (
+        "import sys\n"
+        "from tfea.cli import main\n"
+        "from tfea.corpus import load_corpus, load_schema\n"
+        "print(main(sys.argv[1:]), 'logging' in sys.modules)\n"
+        f"load_corpus({warning_gold!r}, {warning_pred!r}, load_schema({warning_schema!r}))\n"
+        "import logging\n"
+        "print(logging.getLogger().handlers)\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", script, *_analyze_args(gold, pred, schema, tmp_path / "report.json")],
+        env=child_env(), cwd="/", capture_output=True, text=True, timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == f"{EXIT_OK} False\n[]\n"
+    # Python's last-resort handler prints the bare message.
+    assert child.stderr == WARNING_LINES.replace("WARNING tfea: ", "")
+
+
 def test_fresh_process_determinism(tmp_path, corpus_files):
     """Reports must not depend on interpreter hash randomization."""
     import subprocess

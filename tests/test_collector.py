@@ -135,9 +135,13 @@ def test_pool_worker_start_pauses_the_collector(monkeypatch):
 
 def test_cli_import_does_not_load_the_injector():
     # Importing the CLI loads neither the injector, nor what only some runs
-    # use (csv output, a --parallel pool, report comparison), nor dataclasses
-    # and the inspect module it imports, which the package does not use.
-    unused = ("dataclasses", "inspect", "csv", "concurrent.futures.process", "tfea.compare")
+    # use (csv output, a --parallel pool, report comparison, logging, which
+    # loads with the first record, and the replay of a transformation log),
+    # nor dataclasses and the inspect module it imports, which the package
+    # does not use.
+    unused = (
+        "dataclasses", "inspect", "csv", "concurrent.futures.process", "tfea.compare", "logging", "tfea.replay"
+    )
     probe = (
         "import sys, tfea.cli\n"
         "print('tfea.inject' in sys.modules)\n"

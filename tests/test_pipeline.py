@@ -124,9 +124,9 @@ class TestParallel:
     )
     @pytest.mark.parametrize("workers", [2, 3, 8])
     def test_batches_equal_serial(self, config, derive, flag, workers, started):
-        # 11 documents: the parent analyzes 5, 3 and 1 of them; the pool
-        # gets batches of 2 from one worker (the last one short), of 1 from
-        # two and seven
+        # 11 documents of 0-23 mentions: the parent analyzes the first 9, 5
+        # and 4 of them (a prefix holding its share of the mentions), and
+        # the pool gets batches of 1
         documents, schema = fuzzed_corpus(1, n_docs=11)
         serial = analyze_corpus(documents, schema, config, derive=derive)
         if flag is not None:
@@ -167,8 +167,10 @@ class TestParallel:
 
     @pytest.mark.parametrize("parallel", [2, 3])
     @pytest.mark.parametrize("share", ["parent", "worker"])
-    def test_guard_failure_equals_serial(self, share, parallel, started):
+    def test_guard_failure_equals_serial(self, share, parallel, started, monkeypatch):
         """Under ``on_guard="fail"`` the pooled run raises the serial run's error and leaves no worker."""
+        # Each document is one mention's worth of work, so the parent's share is the first 6 // parallel.
+        monkeypatch.setattr(pipeline, "_mention_count", lambda doc: 1)
         config = AnalysisConfig(max_template_matchings=7, on_guard="fail")
         documents, schema = fuzzed_corpus(1, n_docs=11)
         over = []
@@ -262,15 +264,15 @@ class TestPoolSize:
         return recording_pool(monkeypatch)
 
     @staticmethod
-    def _corpus(mentions: int, documents: int = 4) -> list[Document]:
-        """``documents`` documents sharing ``mentions`` mentions: one gold entity and some predictions each."""
-        corpus = []
-        for i in range(documents):
-            n = mentions // documents + (i < mentions % documents)
-            gold = (gold_template(agent=[[span_mention("red fox", 4)] * ((n + 1) // 2)]),) if n else ()
-            pred = (pred_template(agent=[span_mention("red fox", 4)] * (n // 2)),) if n > 1 else ()
-            corpus.append(Document(f"d{i}", "the red fox ran", gold, pred))
-        return corpus
+    def _document(i: int, n: int) -> Document:
+        """Document ``d{i}`` of ``n`` mentions: one gold entity and some predictions."""
+        gold = (gold_template(agent=[[span_mention("red fox", 4)] * ((n + 1) // 2)]),) if n else ()
+        pred = (pred_template(agent=[span_mention("red fox", 4)] * (n // 2)),) if n > 1 else ()
+        return Document(f"d{i}", "the red fox ran", gold, pred)
+
+    def _corpus(self, mentions: int, documents: int = 4) -> list[Document]:
+        """``documents`` documents sharing ``mentions`` mentions evenly."""
+        return [self._document(i, mentions // documents + (i < mentions % documents)) for i in range(documents)]
 
     @pytest.mark.parametrize(
         "mentions,parallel,documents,cpus,processes",
@@ -288,13 +290,41 @@ class TestPoolSize:
     def test_processes(self, two_role_schema, monkeypatch, caplog, started, mentions, parallel, documents, cpus, processes):
         usable_cpus(monkeypatch, cpus)
         corpus = self._corpus(mentions, documents)
-        assert pipeline._mention_count(corpus) == mentions
+        assert sum(map(pipeline._mention_count, corpus)) == mentions
         serial = [document_row(analyze_document(doc, two_role_schema)) for doc in corpus]
         with caplog.at_level(logging.DEBUG, logger="tfea"):
             rows = analyze_each(corpus, two_role_schema, None, document_row, parallel)
         assert rows == serial
         assert started == ([processes - 1] if processes > 1 else [])
         assert caplog.messages == [f"{documents} documents, {mentions} mentions: {processes} process(es)"]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "counts,parallel,own",
+        [
+            ((12, 2, 2, 2, 2, 4), 2, 1),  # the pool's batches are 2, 2 and 1 documents
+            ((12, 2, 2, 2, 2, 4), 3, 1),
+            ((2, 2, 2, 2, 4, 12), 2, 5),
+            ((2, 2, 2, 2, 4, 12), 3, 4),
+            ((1, 1, 1, 1, 20), 2, 4),  # each pool process keeps a document
+            ((1, 1, 1, 1, 20), 3, 3),
+        ],
+    )
+    def test_caller_share_is_a_prefix_holding_its_mentions(self, two_role_schema, monkeypatch, started, counts, parallel, own):
+        """The caller analyzes the shortest doc-id prefix holding ``mentions // processes`` of the mentions."""
+        corpus = [self._document(i, n) for i, n in enumerate(counts)]
+        assert [pipeline._mention_count(doc) for doc in corpus] == list(counts)
+        serial = [document_row(analyze_document(doc, two_role_schema)) for doc in corpus]
+        analyzed = []  # by this process; a worker appends to its own copy
+
+        def recording(doc, *args):
+            analyzed.append(doc.doc_id)
+            return analyze_document(doc, *args)
+
+        monkeypatch.setattr(pipeline, "analyze_document", recording)
+        assert analyze_each(corpus, two_role_schema, None, document_row, parallel) == serial
+        assert analyzed == [f"d{i}" for i in range(own)]
+        assert started == [parallel - 1]
         assert multiprocessing.active_children() == []
 
     def test_one_process_counts_nothing(self, two_role_schema, monkeypatch, caplog, started):
@@ -322,6 +352,6 @@ def test_mention_count_is_every_mention_on_both_sides():
             len(template.mentions(role.name))
             for doc in documents for template in doc.predicted_templates for role in schema
         )
-        assert pipeline._mention_count(documents) == gold + pred, seed
+        assert sum(map(pipeline._mention_count, documents)) == gold + pred, seed
         sides = [sides[0] + gold, sides[1] + pred]
     assert min(sides) > 0

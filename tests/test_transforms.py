@@ -12,14 +12,9 @@ from tfea.errors import map_errors, total_errors
 from tfea.exceptions import InconsistentLog
 from tfea.matching import find_optimal_matching, greedy_matching
 from tfea.model import Document, Mention, RoleKind, RoleSpec, Schema, Span, resolve_document_spans
+from tfea.replay import apply_transformations
 from tfea.spans import ScsMode, span_score
-from tfea.transforms import (
-    TransformKind,
-    Transformation,
-    TransformationLog,
-    apply_transformations,
-    derive_transformations,
-)
+from tfea.transforms import TransformKind, Transformation, TransformationLog, derive_transformations
 
 from conftest import gold_template, pred_template, span_mention
 
