@@ -9,8 +9,7 @@ import re
 import sys
 from pathlib import Path
 
-from . import config as settings
-from .config import DEFAULT_MAX_TEMPLATE_MATCHINGS, ON_GUARD_CHOICES, AnalysisConfig
+from .config import DEFAULT_MAX_TEMPLATE_MATCHINGS, ON_GUARD_CHOICES, AnalysisConfig, defer_logging
 from .corpus import _check_keys, _decode_object, load_corpus, load_schema, load_side, merge_sides
 from .corpus import read_json, side_to_dict
 from .exceptions import ComplexityGuardExceeded, ParseError, TfeaError
@@ -39,8 +38,7 @@ ECHO_LIMIT = 60  # characters kept of each value (quoted, or a run of non-blanks
 def _setup_logging() -> None:
     import logging
 
-    level_name = os.environ.get("TFEA_LOG", "WARNING").upper()
-    level = getattr(logging, level_name, None)
+    level = getattr(logging, os.environ.get("TFEA_LOG", "WARNING").upper(), None)
     if not isinstance(level, int):
         level = logging.WARNING
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
@@ -188,8 +186,7 @@ def _cmd_inject(args: argparse.Namespace) -> int:
     from .inject import inject_errors, load_spec
 
     schema = load_schema(args.schema)
-    gold_side = load_side(args.gold, schema, gold=True)
-    documents = merge_sides(gold_side, {})
+    documents = merge_sides(load_side(args.gold, schema, gold=True), {})
     spec, seed = load_spec(args.spec, args.seed)
     result = inject_errors(documents, schema, spec, seed=seed)
     predictions = render_json(side_to_dict(result.documents, gold=False))
@@ -275,12 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # A run that logs nothing never imports logging: it is set up right
-    # before the first record, unless TFEA_LOG asks for it.
-    if "TFEA_LOG" in os.environ:
-        _setup_logging()
-    else:
-        settings.logging_setup = _setup_logging
+    # A run that logs nothing never imports logging; a TFEA_LOG level may
+    # pass the records that config.log drops until then, so it sets up now.
+    defer_logging(_setup_logging, eager="TFEA_LOG" in os.environ)
     # A command builds no reference cycles, so the cyclic collector would
     # only rescan the live corpus and results while they are built (it
     # made unpickling the --parallel results about three times slower).
@@ -299,7 +293,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     finally:
-        settings.logging_setup = None
+        defer_logging(None)
         if collecting:
             gc.enable()
 

@@ -12,19 +12,25 @@ ON_GUARD_CHOICES = ("skip", "greedy", "fail")
 DEFAULT_MAX_TEMPLATE_MATCHINGS = 1_000_000
 
 DEBUG, WARNING = 10, 30  # logging's level numbers
-logging_setup = None  # set by the CLI while a command runs; called once, right before the first record
+_pending_setup = None  # see defer_logging
+
+
+def defer_logging(setup, eager: bool = False) -> None:
+    """Call ``setup`` right before ``log``'s first record, or now if ``eager``; ``None`` cancels it."""
+    global _pending_setup
+    _pending_setup = None if eager else setup
+    if eager:
+        setup()
 
 
 def log(level: int, message: str, *args) -> None:
     """Log ``message % args`` on the "tfea" logger; ``logging`` is imported by the first record of WARNING or above."""
-    global logging_setup
     if level < WARNING and "logging" not in sys.modules:
-        return  # no logger is configured yet, and an unconfigured one drops it
+        return  # no handler passes it yet; a setup that may (a TFEA_LOG level) is eager, see defer_logging
     import logging
 
-    if logging_setup is not None:
-        setup, logging_setup = logging_setup, None
-        setup()
+    if _pending_setup is not None:
+        defer_logging(_pending_setup, eager=True)
     logging.getLogger("tfea").log(level, message, *args, stacklevel=2)
 
 

@@ -902,13 +902,14 @@ def test_run_that_logs_nothing_skips_unused_modules(tmp_path, corpus_files, comm
     assert not imported & START_UP_UNUSED
 
 
-def test_logging_setup_ends_when_main_returns(tmp_path, corpus_files):
-    """After a command that logged nothing, the CLI's log format is gone: a later warning prints bare."""
+@pytest.mark.parametrize("logged", [False, True])
+def test_logging_setup_after_main_returns(tmp_path, corpus_files, logged):
+    """The CLI's log format outlives ``main`` only if ``main`` logged: after a quiet command a later warning prints bare."""
     import subprocess
     import sys
 
-    gold, pred, schema = corpus_files
     warning_gold, warning_pred, warning_schema = _warning_files(tmp_path)
+    gold, pred, schema = (warning_gold, warning_pred, warning_schema) if logged else corpus_files
     script = (
         "import sys\n"
         "from tfea.cli import main\n"
@@ -916,16 +917,16 @@ def test_logging_setup_ends_when_main_returns(tmp_path, corpus_files):
         "print(main(sys.argv[1:]), 'logging' in sys.modules)\n"
         f"load_corpus({warning_gold!r}, {warning_pred!r}, load_schema({warning_schema!r}))\n"
         "import logging\n"
-        "print(logging.getLogger().handlers)\n"
+        "print(len(logging.getLogger().handlers))\n"
     )
     child = subprocess.run(
         [sys.executable, "-c", script, *_analyze_args(gold, pred, schema, tmp_path / "report.json")],
         env=child_env(), cwd="/", capture_output=True, text=True, timeout=120,
     )
     assert child.returncode == 0, child.stderr
-    assert child.stdout == f"{EXIT_OK} False\n[]\n"
-    # Python's last-resort handler prints the bare message.
-    assert child.stderr == WARNING_LINES.replace("WARNING tfea: ", "")
+    assert child.stdout == f"{EXIT_OK} {logged}\n{int(logged)}\n"
+    # Without the CLI's handler, Python's last-resort handler prints the bare message.
+    assert child.stderr == (WARNING_LINES * 2 if logged else WARNING_LINES.replace("WARNING tfea: ", ""))
 
 
 def test_fresh_process_determinism(tmp_path, corpus_files):
