@@ -66,6 +66,8 @@ def read_json(path: str, what: str, object_pairs_hook=None):
             return json.load(handle, object_pairs_hook=object_pairs_hook)
     except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(path, f"cannot read {what}: {exc}") from exc
+    except MemoryError as exc:
+        raise ParseError(path, f"cannot read {what}: out of memory") from exc
 
 
 def load_schema(path: str) -> Schema:

@@ -699,10 +699,10 @@ def test_usage_error_cuts_a_long_value(capsys, argv, prefix, echoed):
 
 
 def test_help_exits_0(capsys):
-    with pytest.raises(SystemExit) as exited:
-        main(["analyze", "--help"])
-    assert exited.value.code == 0
-    assert capsys.readouterr().out.startswith("usage: tfea analyze")
+    """``--help`` is a return code like any other, so the help run ends through the command's own exit."""
+    assert main(["analyze", "--help"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: tfea analyze") and captured.err == ""
 
 
 class TestCountMatchings:
@@ -804,9 +804,12 @@ def test_inject_writes_neither_output_when_one_cannot_be_encoded(tmp_path, corpu
 
 
 @pytest.mark.parametrize("stdout", ["full-device", "closed-pipe"])
-@pytest.mark.parametrize("command", ["analyze", "count-matchings"])
+@pytest.mark.parametrize("command", ["analyze", "count-matchings", "help", "analyze-help"])
 def test_failing_stdout_is_an_error(corpus_files, command, stdout):
-    """Output to a full device, or to a pipe whose reader has closed, exits 1 with one error line and no traceback."""
+    """Output to a full device, or to a pipe whose reader has closed, exits 1 with one error line and no traceback.
+
+    Help text too, and with stdout unbuffered (PYTHONUNBUFFERED) or not.
+    """
     import subprocess
     import sys
 
@@ -814,28 +817,78 @@ def test_failing_stdout_is_an_error(corpus_files, command, stdout):
     argv = {
         "analyze": ["analyze", "--gold", str(gold), "--pred", str(pred), "--schema", str(schema)],
         "count-matchings": ["count-matchings", "3", "3"],
+        "help": ["--help"],
+        "analyze-help": ["analyze", "--help"],
     }[command]
-    if stdout == "full-device":
-        if not os.path.exists("/dev/full"):
-            pytest.skip("no /dev/full on this system")
-        sink = os.open("/dev/full", os.O_WRONLY)
-    else:
-        reader, sink = os.pipe()
-        os.close(reader)
-    try:
-        child = subprocess.run(
-            [sys.executable, "-m", "tfea.cli", *argv],
-            stdout=sink,
-            stderr=subprocess.PIPE,
-            env=child_env(),
-            cwd="/",
-            text=True,
-            timeout=120,
-        )
-    finally:
-        os.close(sink)
+    if stdout == "full-device" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    for variables in ({}, {"PYTHONUNBUFFERED": "1"}):
+        if stdout == "full-device":
+            sink = os.open("/dev/full", os.O_WRONLY)
+        else:
+            reader, sink = os.pipe()
+            os.close(reader)
+        try:
+            child = subprocess.run(
+                [sys.executable, "-m", "tfea.cli", *argv],
+                stdout=sink,
+                stderr=subprocess.PIPE,
+                env=child_env(**variables),
+                cwd="/",
+                text=True,
+                timeout=120,
+            )
+        finally:
+            os.close(sink)
+        assert child.returncode == EXIT_ERROR, (variables, child.stderr)
+        assert re.fullmatch(r"error: cannot write standard output: [^\n]+\n", child.stderr), (variables, child.stderr)
+
+
+def test_out_of_memory_reading_an_input_names_the_file(corpus_files):
+    """A child whose address space runs out while it reads the gold corpus prints one error line and exits 1.
+
+    The limit is set in the child after start-up, at its size then plus
+    8 MB: room to run, but not to read a 24 MB gold file.
+    """
+    import subprocess
+    import sys
+
+    if not os.path.exists("/proc/self/statm"):
+        pytest.skip("needs /proc/self/statm to size the limit")
+    gold, pred, schema = corpus_files
+    side = json.loads(gold.read_text(encoding="utf-8"))
+    side["huge"] = {"doctext": "x" * (24 << 20), "templates": []}
+    gold.write_text(json.dumps(side), encoding="utf-8")
+    script = (
+        "import os, resource\n"
+        "from tfea.cli import run\n"
+        "with open('/proc/self/statm') as statm:\n"
+        "    size = int(statm.read().split()[0]) * os.sysconf('SC_PAGE_SIZE')\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (size + (8 << 20), resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+        "run()\n"
+    )
+    argv = ["analyze", "--gold", str(gold), "--pred", str(pred), "--schema", str(schema)]
+    child = subprocess.run(
+        [sys.executable, "-c", script, *argv], env=child_env(), cwd="/", capture_output=True, text=True, timeout=120
+    )
     assert child.returncode == EXIT_ERROR, child.stderr
-    assert re.fullmatch(r"error: cannot write standard output: [^\n]+\n", child.stderr), child.stderr
+    assert child.stderr == f"error: {gold}: cannot read corpus: out of memory\n"
+    assert child.stdout == ""
+
+
+def test_out_of_memory_is_an_error(tmp_path, corpus_files, capsys, monkeypatch):
+    """Out of memory after the inputs are read is one error line and exit 1, not a traceback."""
+    from tfea import cli
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "analyze_each", exhausted)
+    gold, pred, schema = corpus_files
+    out = tmp_path / "report.json"
+    assert main(_analyze_args(gold, pred, schema, out)) == EXIT_ERROR
+    assert capsys.readouterr().err == "error: out of memory\n"
+    assert not out.exists()
 
 
 def test_tfea_log_env(tmp_path, corpus_files, monkeypatch):
@@ -869,13 +922,13 @@ def _warning_files(directory) -> list[str]:
     return paths
 
 
-def _cli_process(argv: list[str], *flags: str, **variables: str):
-    """The finished ``python [flags] -m tfea.cli argv`` child, with its output as bytes."""
+def _cli_process(argv: list[str], *flags: str, entry: tuple[str, ...] = ("-m", "tfea.cli"), **variables: str):
+    """The finished ``python [flags] -m tfea.cli argv`` child (``entry`` in place of ``-m tfea.cli``), output as bytes."""
     import subprocess
     import sys
 
     return subprocess.run(
-        [sys.executable, *flags, "-m", "tfea.cli", *argv],
+        [sys.executable, *flags, *entry, *argv],
         env=child_env(**variables), cwd="/", capture_output=True, timeout=120,
     )
 
@@ -888,6 +941,108 @@ def test_warnings_are_printed_in_the_cli_format(tmp_path, level, stderr):
     child = _cli_process(_analyze_args(gold, pred, schema, tmp_path / "report.json"), **variables)
     assert child.returncode == EXIT_OK
     assert child.stderr == stderr.encode()
+
+
+# ``main`` in a child that leaves through the interpreter's own exit, teardown included.
+MAIN_WITH_TEARDOWN = ("-c", "import sys\nfrom tfea.cli import main\nsys.exit(main())")
+EXIT_PATH_CASES = {
+    "analyze-json": EXIT_OK, "analyze-text": EXIT_OK, "analyze-csv": EXIT_OK, "score": EXIT_OK,
+    "count-matchings": EXIT_OK, "compare": EXIT_OK, "inject": EXIT_OK, "usage-error": EXIT_ERROR,
+    "guard-fail": EXIT_GUARD, "warnings": EXIT_OK,
+}
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("case", EXIT_PATH_CASES)
+def test_command_exit_matches_main(tmp_path, corpus_files, case, unbuffered):
+    """``python -m tfea.cli``, which skips the interpreter's teardown, writes what ``main`` with the normal exit writes.
+
+    Same stdout (a pipe) and stderr bytes, same exit code and same output
+    files, with and without PYTHONUNBUFFERED.
+    """
+    gold, pred, schema = corpus_files
+    inputs = ["--gold", str(gold), "--pred", str(pred), "--schema", str(schema)]
+    report = tmp_path / "report.json"
+    assert main(_analyze_args(gold, pred, schema, report)) == EXIT_OK
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"counts": {"span_error": 1}}), encoding="utf-8")
+    warning_gold, warning_pred, warning_schema = _warning_files(tmp_path)
+
+    def argv(out_dir) -> list[str]:
+        out_dir.mkdir()
+        return {
+            "analyze-json": ["analyze", *inputs],
+            "analyze-text": ["analyze", *inputs, "--format", "text"],
+            "analyze-csv": ["analyze", *inputs, "--format", "csv"],
+            "score": ["score", *inputs],
+            "count-matchings": ["count-matchings", "5", "4"],
+            "compare": ["compare", str(report), str(report), "--format", "text"],
+            "inject": ["inject", "--gold", str(gold), "--schema", str(schema), "--spec", str(spec), "--seed", "3",
+                       "--out", str(out_dir / "injected.json"), "--ledger", str(out_dir / "ledger.json")],
+            "usage-error": ["analyze", "--gold", str(gold)],
+            "guard-fail": ["analyze", *inputs, "--max-matchings", "1", "--on-guard", "fail"],
+            "warnings": ["analyze", "--gold", warning_gold, "--pred", warning_pred, "--schema", warning_schema],
+        }[case]
+
+    variables = {"PYTHONUNBUFFERED": "1"} if unbuffered else {}
+    runs = {}
+    for side, entry in (("main", MAIN_WITH_TEARDOWN), ("command", ("-m", "tfea.cli"))):
+        out_dir = tmp_path / side
+        child = _cli_process(argv(out_dir), entry=entry, **variables)
+        files = {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+        runs[side] = (child.returncode, child.stdout, child.stderr, files)
+    assert runs["main"][0] == EXIT_PATH_CASES[case], runs["main"]
+    assert runs["command"] == runs["main"]
+
+
+def test_pool_run_leaves_no_process_behind(tmp_path, corpus_files):
+    """A pooled run ended by ``run`` (``os._exit``) has no process left in its process group, and the serial report."""
+    import subprocess
+    import sys
+
+    if not hasattr(os, "killpg"):
+        pytest.skip("no process groups on this system")
+    gold, pred, schema = corpus_files
+    serial = tmp_path / "serial.json"
+    assert main(_analyze_args(gold, pred, schema, serial)) == EXIT_OK
+    pooled = tmp_path / "pooled.json"
+    script = (
+        "import pytest, support\n"
+        "support.pool_for_any_corpus(pytest.MonkeyPatch())\n"
+        "from tfea.cli import run\n"
+        "run()\n"
+    )
+    # In a session of its own, the child leads a process group that holds its pool processes too.
+    with subprocess.Popen(
+        [sys.executable, "-c", script, *_analyze_args(gold, pred, schema, pooled, "--parallel", "3")],
+        env=child_env(os.path.dirname(__file__), TFEA_LOG="DEBUG"),
+        cwd="/",
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    ) as child:
+        stdout, stderr = child.communicate(timeout=120)
+    assert child.returncode == EXIT_OK, stderr
+    assert stdout == ""
+    assert re.fullmatch(r"DEBUG tfea: 3 documents, \d+ mentions: 3 process\(es\)\n", stderr), stderr
+    with pytest.raises(ProcessLookupError):
+        os.killpg(child.pid, 0)
+    assert pooled.read_bytes() == serial.read_bytes()
+
+
+def test_installed_command_runs_what_python_m_runs():
+    """``[project.scripts] tfea`` names the function that ``python -m tfea.cli`` runs, so both end alike."""
+    from pathlib import Path
+
+    from tfea import cli
+
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    target = re.search(r'^\[project\.scripts\]\ntfea = "([^"]+)"$', pyproject, re.MULTILINE)
+    entry = re.search(r'^if __name__ == "__main__":\n    (\w+)\(\)\n', Path(cli.__file__).read_text(encoding="utf-8"),
+                      re.MULTILINE)
+    assert target and entry
+    assert target[1] == f"tfea.cli:{entry[1]}"
 
 
 @pytest.mark.parametrize("command", ["analyze", "score"])
