@@ -31,6 +31,8 @@ EXIT_GUARD = 2
 
 SCS_MODE_CHOICES = tuple(mode.value for mode in ScsMode)
 FORMAT_CHOICES = ("json", "csv", "text")
+OUTPUT_FLAGS = ("out", "ledger")
+PATH_FLAGS = (*OUTPUT_FLAGS, "gold", "pred", "schema", "spec", "config", "reports")  # outputs first
 CONFIG_KEYS = ("scs_mode", "case_sensitive", "max_matchings", "on_guard", "parallel", "format", "label")
 ECHO_LIMIT = 60  # characters kept of each value (quoted, or a run of non-blanks) a usage error echoes
 
@@ -139,6 +141,8 @@ def _write_output(*outputs: tuple[str, str | None]) -> None:
     for data, out in encoded:
         try:
             if out is None:
+                if sys.stdout is None:  # fd 1 was closed when the interpreter started
+                    raise TfeaError("cannot write standard output: it is closed")
                 sys.stdout.flush()
                 sys.stdout.buffer.write(data)
                 sys.stdout.buffer.flush()
@@ -151,6 +155,27 @@ def _write_output(*outputs: tuple[str, str | None]) -> None:
             # it goes to the null device.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             raise TfeaError(f"cannot write standard output: {exc.strerror or exc}") from exc
+
+
+def _check_output_paths(args: argparse.Namespace) -> None:
+    """An output may name neither an input nor the other output: writing it would lose that file.
+
+    Paths compare as ``os.path.realpath`` resolves them. One it cannot
+    resolve (it holds a NUL) names no file, and opening it is the error.
+    """
+    named = []  # (dest, real path), outputs first
+    for dest in PATH_FLAGS:
+        value = getattr(args, dest, None)
+        for path in [value] if isinstance(value, str) else value or ():
+            try:
+                named.append((dest, os.path.realpath(path)))
+            except ValueError:
+                pass
+    for i, (dest, real) in enumerate(named):
+        for other, other_real in named[i + 1 :]:
+            if dest in OUTPUT_FLAGS and real == other_real:
+                flags = " and ".join("a compared report" if d == "reports" else f"--{d}" for d in (dest, other))
+                raise ParseError("command line", f"{flags} name the same file {real}")
 
 
 def _analysis_report(args: argparse.Namespace, config: AnalysisConfig, extras: dict, derive: bool) -> dict:
@@ -166,20 +191,12 @@ def _analysis_report(args: argparse.Namespace, config: AnalysisConfig, extras: d
     return assemble_report(rows, schema, config, label, include_errors=derive)
 
 
-def _run_analysis(args: argparse.Namespace, derive: bool) -> int:
+def _run_analysis(args: argparse.Namespace) -> int:
     config, extras = _resolve_settings(args)
-    report = _analysis_report(args, config, extras, derive)
+    report = _analysis_report(args, config, extras, args.derive)
     renderer = {"json": render_json, "csv": render_csv, "text": render_text}[extras["format"]]
     _write_output((renderer(report), args.out))
     return EXIT_OK
-
-
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    return _run_analysis(args, derive=True)
-
-
-def _cmd_score(args: argparse.Namespace) -> int:
-    return _run_analysis(args, derive=False)
 
 
 def _cmd_inject(args: argparse.Namespace) -> int:
@@ -251,11 +268,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = commands.add_parser("analyze", help="full analysis: scores, errors, transformations")
     _add_analysis_flags(analyze)
-    analyze.set_defaults(func=_cmd_analyze)
+    analyze.set_defaults(func=_run_analysis, derive=True)
 
     score = commands.add_parser("score", help="scores only, skipping transformation derivation")
     _add_analysis_flags(score)
-    score.set_defaults(func=_cmd_score)
+    score.set_defaults(func=_run_analysis, derive=False)
 
     inject = commands.add_parser("inject", help="inject a known error profile into a gold corpus")
     inject.add_argument("--gold", required=True)
@@ -299,6 +316,7 @@ def main(argv=None) -> int:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:  # --help, once its text is written
             return exc.code
+        _check_output_paths(args)
         return args.func(args)
     except ComplexityGuardExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -237,6 +237,7 @@ def _decoy_phrases(doc: Document) -> list[Mention]:
 # The error types that copy a gold mention into the predictions, each as
 # (same template, same role, perturbed span). Written out here rather than
 # read from the analyzer's tables: the injector is the analyzer's oracle.
+# The key order is part of the draw order (``_DocInjector.run``).
 _COPIES = {
     ErrorType.DUPLICATE_ROLE_FILLER: (True, True, False),
     ErrorType.DUPLICATE_PARTIALLY_MATCHED_ROLE_FILLER: (True, True, True),
@@ -247,23 +248,6 @@ _COPIES = {
     ErrorType.WRONG_TEMPLATE_WRONG_ROLE: (False, False, False),
     ErrorType.WRONG_TEMPLATE_WRONG_ROLE_PARTIALLY_MATCHED_FILLER: (False, False, True),
 }
-
-# The order in which a document's injections are drawn.
-_INJECTION_ORDER = (
-    ErrorType.SPAN_ERROR,
-    ErrorType.DUPLICATE_ROLE_FILLER,
-    ErrorType.DUPLICATE_PARTIALLY_MATCHED_ROLE_FILLER,
-    ErrorType.INCORRECT_ROLE,
-    ErrorType.INCORRECT_ROLE_PARTIALLY_MATCHED_FILLER,
-    ErrorType.WRONG_TEMPLATE_FOR_ROLE_FILLER,
-    ErrorType.WRONG_TEMPLATE_FOR_PARTIALLY_MATCHED_ROLE_FILLER,
-    ErrorType.WRONG_TEMPLATE_WRONG_ROLE,
-    ErrorType.WRONG_TEMPLATE_WRONG_ROLE_PARTIALLY_MATCHED_FILLER,
-    ErrorType.SPURIOUS_ROLE_FILLER,
-    ErrorType.MISSING_ROLE_FILLER,
-    ErrorType.SPURIOUS_TEMPLATE,
-    ErrorType.MISSING_TEMPLATE,
-)
 
 
 class _DocInjector:
@@ -342,9 +326,10 @@ class _DocInjector:
 
     # Each injection leaves every other gold fact intact.
 
-    def inject_span_error(self, etype: ErrorType) -> None:
+    def replace_filler(self, etype: ErrorType) -> None:
+        """Overwrite an entity's canonical mention: perturbed for a span error, removed for a missing filler."""
         t, role, e, entity = self._pick_entity(etype)
-        self.strings[t][role][e] = self._perturb(entity.canonical, etype)
+        self.strings[t][role][e] = self._perturb(entity.canonical, etype) if etype is ErrorType.SPAN_ERROR else None
         self._claim(t, role, e)
         self.profile.bump(etype, role)
 
@@ -375,12 +360,6 @@ class _DocInjector:
         self.touched_templates.add(t)
         self.profile.bump(etype, role)
 
-    def inject_missing_filler(self, etype: ErrorType) -> None:
-        t, role, e, _ = self._pick_entity(etype)
-        self.strings[t][role][e] = None
-        self._claim(t, role, e)
-        self.profile.bump(etype, role)
-
     def inject_spurious_template(self, etype: ErrorType) -> None:
         role = self._string_roles(etype)[0]
         self.extra_templates.append(Template({role: (self._take_decoy(etype),)}))
@@ -397,15 +376,16 @@ class _DocInjector:
         self.profile.bump(etype, fillers=sum(self.doc.gold_templates[t].filler_row(self.schema)))
 
     def run(self, spec: InjectionSpec) -> None:
-        others = {
-            ErrorType.SPAN_ERROR: self.inject_span_error,
-            ErrorType.SPURIOUS_ROLE_FILLER: self.inject_spurious_filler,
-            ErrorType.MISSING_ROLE_FILLER: self.inject_missing_filler,
-            ErrorType.SPURIOUS_TEMPLATE: self.inject_spurious_template,
-            ErrorType.MISSING_TEMPLATE: self.inject_missing_template,
-        }
-        for etype in _INJECTION_ORDER:
-            inject = others.get(etype, self.inject_copy)
+        """Draw the spec's injections in one fixed order, whatever the order of its counts."""
+        steps = (
+            (ErrorType.SPAN_ERROR, self.replace_filler),
+            *((etype, self.inject_copy) for etype in _COPIES),
+            (ErrorType.SPURIOUS_ROLE_FILLER, self.inject_spurious_filler),
+            (ErrorType.MISSING_ROLE_FILLER, self.replace_filler),
+            (ErrorType.SPURIOUS_TEMPLATE, self.inject_spurious_template),
+            (ErrorType.MISSING_TEMPLATE, self.inject_missing_template),
+        )
+        for etype, inject in steps:
             for _ in range(spec.count(etype)):
                 inject(etype)
 

@@ -105,30 +105,29 @@ def _explain_filler(
     """The group of edits that explains a predicted filler that is not an exact match.
 
     Stages follow the module's precedence; plain spurious is last. In one
-    loop over the filler's index row, an exact match beats a partial one
+    loop over the filler's index row, where the cell of the filler's own
+    partial pair (if any) is stage 0, an exact match beats a partial one
     within a stage, then the lowest gold template, role (schema order) and
     entity index wins. A partial match is preceded by an alter-span onto
-    the arg-min gold mention (for a partial pair, the pair's ``gold_mention``).
+    the cell's arg-min gold mention (for the own pair, its ``gold_mention``).
 
     A mismatched set-fill value comes with ``filler_index`` None and
     ``Mention(value)``; the match index has no rows for set-fill roles,
     so it is always plain spurious, with no filler index or span.
     """
     pairs = pair.role_pairings[role_name] if filler_index is not None else ()
-    own = next((p for p in pairs if p.pred_index == filler_index), None)
-    if own is not None:
-        best = ((0, True, pair.gold_index, role_rank[role_name], own.entity_index), role_name, own.gold_mention)
-    else:
-        best = None
-        matched_entities = [p.entity_index for p in pairs]
-        cells = index.row((pair.pred_index, role_name, filler_index))
-        for ((gold_index, gold_role), entity_index), match in cells.items():
-            stage = 1 + 2 * (gold_index != pair.gold_index) + (gold_role != role_name)
-            if stage == 1 and entity_index not in matched_entities:
+    # Each entity the role pairing matched: True for this filler's own (partial) pair.
+    matched = {p.entity_index: p.pred_index == filler_index for p in pairs}
+    best = None
+    for ((gold_index, gold_role), entity_index), match in index.row((pair.pred_index, role_name, filler_index)).items():
+        stage = 1 + 2 * (gold_index != pair.gold_index) + (gold_role != role_name)
+        if stage == 1:
+            if entity_index not in matched:
                 continue
-            key = (stage, not match.exact, gold_index, role_rank[gold_role], entity_index)
-            if best is None or key < best[0]:
-                best = (key, gold_role, match.gold_mention)
+            stage -= matched[entity_index]
+        key = (stage, not match.exact, gold_index, role_rank[gold_role], entity_index)
+        if best is None or key < best[0]:
+            best = (key, gold_role, match.gold_mention)
     subject = dict(
         pred_template=pair.pred_index,
         role=role_name,

@@ -803,12 +803,14 @@ def test_inject_writes_neither_output_when_one_cannot_be_encoded(tmp_path, corpu
     assert not any(path.exists() for path in outputs)
 
 
-@pytest.mark.parametrize("stdout", ["full-device", "closed-pipe"])
+@pytest.mark.parametrize("stdout", ["full-device", "closed-pipe", "closed"])
 @pytest.mark.parametrize("command", ["analyze", "count-matchings", "help", "analyze-help"])
 def test_failing_stdout_is_an_error(corpus_files, command, stdout):
-    """Output to a full device, or to a pipe whose reader has closed, exits 1 with one error line and no traceback.
+    """A standard output that cannot be written exits 1 with one error line and no traceback.
 
-    Help text too, and with stdout unbuffered (PYTHONUNBUFFERED) or not.
+    It is a full device, a pipe whose reader has closed, or an fd 1 closed
+    before the child starts (``sys.stdout`` is None). Help text too, and
+    with stdout unbuffered (PYTHONUNBUFFERED) or not.
     """
     import subprocess
     import sys
@@ -832,6 +834,7 @@ def test_failing_stdout_is_an_error(corpus_files, command, stdout):
             child = subprocess.run(
                 [sys.executable, "-m", "tfea.cli", *argv],
                 stdout=sink,
+                preexec_fn=(lambda: os.close(1)) if stdout == "closed" else None,
                 stderr=subprocess.PIPE,
                 env=child_env(**variables),
                 cwd="/",
@@ -842,6 +845,61 @@ def test_failing_stdout_is_an_error(corpus_files, command, stdout):
             os.close(sink)
         assert child.returncode == EXIT_ERROR, (variables, child.stderr)
         assert re.fullmatch(r"error: cannot write standard output: [^\n]+\n", child.stderr), (variables, child.stderr)
+
+
+# (command, output flag, the flag whose file that output also names)
+COLLIDING_PATHS = [
+    ("analyze", "--out", "--gold"),
+    ("analyze", "--out", "--pred"),
+    ("analyze", "--out", "--schema"),
+    ("analyze", "--out", "--config"),
+    ("score", "--out", "--pred"),
+    ("inject", "--out", "--ledger"),
+    ("inject", "--out", "--gold"),
+    ("inject", "--out", "--schema"),
+    ("inject", "--out", "--spec"),
+    ("inject", "--ledger", "--gold"),
+    ("inject", "--ledger", "--spec"),
+    ("compare", "--out", "a compared report"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, output, other", COLLIDING_PATHS, ids=[f"{c}:{o}={x}" for c, o, x in COLLIDING_PATHS]
+)
+def test_output_naming_another_path_is_an_error(tmp_path, corpus_files, capsys, command, output, other):
+    """An output that names an input or the other output, here through a symlinked directory, exits 1.
+
+    It is refused before anything is read or written: every file keeps its
+    bytes, and none is created.
+    """
+    gold, pred, schema = corpus_files
+    report = tmp_path / "report.json"
+    assert main(_analyze_args(gold, pred, schema, report)) == EXIT_OK
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"format": "json"}))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"counts": {"span_error": 1}}))
+    paths = {
+        "--gold": gold, "--pred": pred, "--schema": schema, "--config": config, "--spec": spec,
+        "--out": tmp_path / "injected.json", "--ledger": tmp_path / "ledger.json", "a compared report": report,
+    }
+    (tmp_path / "alias").symlink_to(tmp_path, target_is_directory=True)
+    paths[output] = tmp_path / "alias" / paths[other].name
+    arg = {flag: str(path) for flag, path in paths.items()}
+    analysis = ["--gold", arg["--gold"], "--pred", arg["--pred"], "--schema", arg["--schema"], "--out", arg["--out"]]
+    argv = {
+        "analyze": ["analyze", *analysis, "--config", arg["--config"]],
+        "score": ["score", *analysis],
+        "inject": ["inject", "--gold", arg["--gold"], "--schema", arg["--schema"], "--spec", arg["--spec"],
+                   "--out", arg["--out"], "--ledger", arg["--ledger"]],
+        "compare": ["compare", arg["a compared report"], "--out", arg["--out"]],
+    }[command]
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+    assert main(argv) == EXIT_ERROR
+    real = os.path.realpath(paths[other])
+    assert capsys.readouterr().err == f"error: command line: {output} and {other} name the same file {real}\n"
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()} == before
 
 
 def test_out_of_memory_reading_an_input_names_the_file(corpus_files):

@@ -298,3 +298,16 @@ def test_infeasible_spec_messages_are_pinned():
             inject_errors(gold, schema, InjectionSpec(counts=counts), seed=index)
         messages.append(str(err.value))
     assert _sha256("\n".join(messages)) == PINNED_INFEASIBLE, messages
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CORPORA))
+def test_spec_counts_order_does_not_change_the_draws(schema, name):
+    """The draw order is fixed in the injector: counts given in reverse give the same predictions and ledger bytes."""
+    params, counts, seed = PINNED_CORPORA[name]
+    gold = generate_corpus(params, seed=seed)
+    outputs = []
+    for ordered in (counts, dict(reversed(counts.items()))):
+        result = inject_errors(gold, schema, InjectionSpec(counts=ordered), seed=seed)
+        pred = render_json(side_to_dict(result.documents, gold=False))
+        outputs.append((pred, render_json(errors_section(result.ledger, schema, result.per_doc))))
+    assert outputs[0] == outputs[1]
