@@ -148,6 +148,11 @@ def _write_output(*outputs: tuple[str, str | None]) -> None:
                 sys.stdout.buffer.flush()
             else:
                 Path(out).write_bytes(data)
+        except ValueError as exc:
+            if out is None:
+                raise
+            # The path holds a NUL, which no system call takes.
+            raise TfeaError(f"cannot write {out}: {exc}") from exc
         except OSError as exc:
             if out is not None:
                 raise TfeaError(f"cannot write {out}: {exc.strerror or exc}") from exc
@@ -179,14 +184,19 @@ def _check_output_paths(args: argparse.Namespace) -> None:
 
 
 def _analysis_report(args: argparse.Namespace, config: AnalysisConfig, extras: dict, derive: bool) -> dict:
-    """Load, analyze and build the report; the corpus is freed before it is rendered.
+    """Load, analyze and build the report; each document is freed once it is analyzed.
 
     Each document becomes its report row in the process that analyzed it,
     so no analysis outlives its document or crosses the ``--parallel`` pool.
+    The corpus goes to ``analyze_each`` as an iterator over a list that
+    nothing else holds, so the list goes once the iterator is drained and
+    the rows replace the documents as they grow. (Python 3.10 keeps a
+    call's arguments on the caller's stack until it returns: a list passed
+    itself would keep every document alive.)
     """
     schema = load_schema(args.schema)
-    documents = load_corpus(args.gold, args.pred, schema, config.casefold)
-    rows = analyze_each(documents, schema, config, document_row, extras["parallel"], derive)
+    corpus = iter(load_corpus(args.gold, args.pred, schema, config.casefold))
+    rows = analyze_each(corpus, schema, config, document_row, extras["parallel"], derive)
     label = extras["label"] or Path(args.pred).stem
     return assemble_report(rows, schema, config, label, include_errors=derive)
 

@@ -26,11 +26,20 @@ So is a document entry key other than ``doctext`` and ``templates``, a
 schema key other than ``roles`` and a role entry key other than ``name``,
 ``kind``, ``values`` and ``multi``: a misspelled ``templates`` would
 otherwise load as no templates, and a misspelled ``multi`` as its default.
+
+A corpus side is decoded one document at a time (``load_side``): the
+file's text is read once, its top-level object is walked here, and each
+document entry is decoded by the stdlib's C scanner and turned into
+records before the next is decoded, so the file's whole JSON tree is
+never built. Its errors are those of a whole-file decode, in the same
+order: a JSON error anywhere in the file, with no WARNING logged; then a
+repeated doc id; then the first entry that is not a valid document.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from typing import Mapping
 
@@ -54,8 +63,8 @@ SCHEMA_KEYS = ("roles",)
 ROLE_KEYS = ("name", "kind", "values", "multi")
 
 
-def read_json(path: str, what: str, object_pairs_hook=None):
-    """The JSON value in ``path``; any failure to read it is a ``ParseError``.
+def _decoded(path: str, what: str, decode):
+    """What ``decode`` yields from the text of ``path``; any failure to read or decode it is a ``ParseError``.
 
     ``ValueError`` covers malformed JSON, bytes that are not UTF-8 and an
     integer over the interpreter's digit limit; ``RecursionError`` covers
@@ -63,11 +72,53 @@ def read_json(path: str, what: str, object_pairs_hook=None):
     """
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle, object_pairs_hook=object_pairs_hook)
+            text = handle.read()
+        yield from decode(text)
     except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(path, f"cannot read {what}: {exc}") from exc
     except MemoryError as exc:
         raise ParseError(path, f"cannot read {what}: out of memory") from exc
+
+
+def read_json(path: str, what: str, object_pairs_hook=None):
+    """The JSON value in ``path``, as ``json.load`` decodes it; see ``_decoded`` for the errors."""
+    [value] = _decoded(path, what, lambda text: [json.loads(text, object_pairs_hook=object_pairs_hook)])
+    return value
+
+
+# The top level of a corpus object, by JSON's four blanks: its opening (then a
+# doc id's quote, or the closing brace and the end of the text), the colon
+# after a doc id, and what follows an entry (a comma and the next doc id's
+# quote, or the closing brace and the end of the text).
+_OPENING = re.compile(r'[ \t\n\r]*\{[ \t\n\r]*(?:(?=")|\}[ \t\n\r]*\Z)')
+_COLON = re.compile(r"[ \t\n\r]*:[ \t\n\r]*")
+_NEXT = re.compile(r'[ \t\n\r]*(?:,[ \t\n\r]*(?=")|\}[ \t\n\r]*\Z)')
+
+
+def _members(text: str, path: str):
+    """Each (doc id, entry) of the corpus object in ``text``, in text order, each entry decoded when reached.
+
+    Each entry goes through the stdlib's C scanner, as in a whole-file
+    decode. Wherever the top level is not that of one object, the text is
+    decoded whole by ``json.loads``, so that it raises its own error (the
+    BOM's included) or gives a value that is not an object.
+    """
+    scan = json.JSONDecoder(object_pairs_hook=_decode_object).scan_once
+    step = _OPENING.match(text)
+    try:
+        while step:
+            if step.end() == len(text):
+                return
+            doc_id, end = json.decoder.scanstring(text, step.end() + 1)
+            step = _COLON.match(text, end)
+            if step:
+                entry, end = scan(text, step.end())
+                yield doc_id, entry
+                step = _NEXT.match(text, end)
+    except StopIteration:  # no value after a colon
+        pass
+    json.loads(text)
+    raise ParseError(path, "corpus must be an object keyed by document id")
 
 
 def load_schema(path: str) -> Schema:
@@ -124,8 +175,9 @@ class _SideReader:
     The schema becomes a role table once per side, with each set-fill
     inventory normalized into a set; texts go through the memoized
     ``normalizer``, so each distinct text is normalized once per process.
-    ``json.load`` decodes every object to a dict, so the shape checks test
-    for ``dict`` and ``list``.
+    The JSON decoder makes every object a dict, so the shape checks test
+    for ``dict`` and ``list``. WARNINGs are kept in ``warnings`` for
+    ``load_side`` to log once the whole file has decoded.
     """
 
     def __init__(self, path: str, schema: Schema, gold: bool, casefold: bool):
@@ -133,14 +185,32 @@ class _SideReader:
         self.gold = gold
         self.casefold = casefold
         self.normalize = normalizer(casefold)
-        # role name -> (set-fill inventory or None for a string-fill role, multi)
-        self.roles: dict[str, tuple[frozenset | None, bool]] = {
+        # role name -> (the schema's name string, set-fill inventory or None for a string-fill role, multi)
+        self.roles: dict[str, tuple[str, frozenset | None, bool]] = {
             role.name: (
+                role.name,
                 frozenset(map(self.normalize, role.values)) if role.kind is RoleKind.SET_FILL else None,
                 role.multi,
             )
             for role in schema
         }
+        self.warnings: list[tuple] = []  # (message, *args) of each WARNING, logged by load_side
+
+    def warn(self, message: str, *args) -> None:
+        self.warnings.append((message, *args))
+
+    def document(self, doc_id: str, entry) -> tuple[str, tuple[Template, ...]]:
+        where = f"doc '{doc_id}'"
+        if not isinstance(entry, dict) or "doctext" not in entry:
+            raise ParseError(self.path, "document entry needs 'doctext'", where)
+        _check_keys(self.path, entry, where, DOCUMENT_KEYS)
+        text = entry["doctext"]
+        if not isinstance(text, str):
+            raise ParseError(self.path, f"'doctext' must be a string, got {text!r}", where)
+        raw_templates = entry.get("templates", [])
+        if not isinstance(raw_templates, list):
+            raise ParseError(self.path, f"'templates' must be a list, got {raw_templates!r}", where)
+        return text, tuple(self.template(t, text, doc_id, i) for i, t in enumerate(raw_templates))
 
     def template(self, raw, doc_text: str, doc_id: str, index: int) -> Template:
         location = f"doc '{doc_id}' template {index}"
@@ -152,13 +222,14 @@ class _SideReader:
             role = self.roles.get(role_name)
             if role is None:
                 raise SchemaMismatch(self.path, role_name, location)
-            inventory, multi = role
+            # Keyed by the schema's string: a decoded key is a new string per document.
+            role_name, inventory, multi = role
             where = f"{location} role '{role_name}'"
             if inventory is not None:
                 if not isinstance(value, str):
                     raise ParseError(self.path, f"set-fill filler must be a string, got {value!r}", where)
                 if self.normalize(value) not in inventory:
-                    log(WARNING, "%s: value %r is not in the role inventory", where, value)
+                    self.warn("%s: value %r is not in the role inventory", where, value)
                 fillers[role_name] = value
                 continue
             if not isinstance(value, list):
@@ -170,7 +241,7 @@ class _SideReader:
                 # role filler errors stay observable.
                 fillers[role_name] = tuple(self.mention(m, doc_text, where) for m in value)
             if not multi and len(fillers[role_name]) > 1:
-                log(WARNING, "%s: multiple fillers for a single-fill role", where)
+                self.warn("%s: multiple fillers for a single-fill role", where)
         return Template(fillers)
 
     def entities(self, value: list, doc_text: str, where: str) -> tuple[GoldEntity, ...]:
@@ -184,7 +255,7 @@ class _SideReader:
             for mention in entity.mentions:
                 key = self.normalize(mention.text)
                 if key in seen:
-                    log(WARNING, "%s: mention %r appears in two entities", where, mention.text)
+                    self.warn("%s: mention %r appears in two entities", where, mention.text)
                 seen.add(key)
         return tuple(entities)
 
@@ -202,14 +273,14 @@ class _SideReader:
         # Offsets come as a pair of true ints; a lone offset, a float (which
         # int() would truncate) or a bool (which int() turns into 0/1) is invalid.
         if not (type(start) is int and type(end) is int and 0 <= start <= end):
-            log(WARNING, "%s: invalid offsets [%r, %r) for %r, re-locating", where, start, end, text)
+            self.warn("%s: invalid offsets [%r, %r) for %r, re-locating", where, start, end, text)
             return self.relocate(text, doc_text)
         if end > len(doc_text):
-            log(WARNING, "%s: span [%d, %d) falls outside the document, re-locating", where, start, end)
+            self.warn("%s: span [%d, %d) falls outside the document, re-locating", where, start, end)
             return self.relocate(text, doc_text)
         found = doc_text[start:end]
         if found != text and self.normalize(found) != self.normalize(text):
-            log(WARNING, "%s: text %r does not match the document at [%d, %d), re-locating", where, text, start, end)
+            self.warn("%s: text %r does not match the document at [%d, %d), re-locating", where, text, start, end)
             return self.relocate(text, doc_text)
         return Mention(text, Span(start, end))
 
@@ -254,28 +325,30 @@ def load_side(path: str, schema: Schema, gold: bool, casefold: bool = True) -> d
     a document entry key other than ``doctext`` and ``templates``, a
     ``doctext`` that is not a string, and ``templates`` that is not a
     list of objects are parse errors; an absent ``templates`` is empty.
+
+    Each entry becomes records as soon as it is decoded; the errors come
+    in a whole-file decode's order (see the module docstring), and the
+    WARNINGs of the documents before the first bad entry are logged
+    before its error.
     """
-    raw = read_json(path, "corpus", _decode_object)
-    if not isinstance(raw, dict):
-        raise ParseError(path, "corpus must be an object keyed by document id")
-    repeated = getattr(raw, "repeated", None)
-    if repeated:
-        raise ParseError(path, "doc id appears more than once", f"doc '{repeated[0]}'")
     reader = _SideReader(path, schema, gold, casefold)
     side: dict[str, tuple[str, tuple[Template, ...]]] = {}
-    for doc_id, entry in raw.items():
-        where = f"doc '{doc_id}'"
-        if not isinstance(entry, dict) or "doctext" not in entry:
-            raise ParseError(path, "document entry needs 'doctext'", where)
-        _check_keys(path, entry, where, DOCUMENT_KEYS)
-        text = entry["doctext"]
-        if not isinstance(text, str):
-            raise ParseError(path, f"'doctext' must be a string, got {text!r}", where)
-        raw_templates = entry.get("templates", [])
-        if not isinstance(raw_templates, list):
-            raise ParseError(path, f"'templates' must be a list, got {raw_templates!r}", where)
-        templates = tuple(reader.template(t, text, doc_id, i) for i, t in enumerate(raw_templates))
-        side[doc_id] = (text, templates)
+    seen: Counter = Counter()
+    failure = None
+    for doc_id, entry in _decoded(path, "corpus", lambda text: _members(text, path)):
+        seen[doc_id] += 1
+        if failure is None and seen[doc_id] == 1:
+            try:
+                side[doc_id] = reader.document(doc_id, entry)
+            except ParseError as exc:
+                failure = exc  # the rest of the file is still decoded, for its JSON errors
+    repeated = next((doc_id for doc_id, count in seen.items() if count > 1), None)
+    if repeated is not None:
+        raise ParseError(path, "doc id appears more than once", f"doc '{repeated}'")
+    for message, *args in reader.warnings:
+        log(WARNING, message, *args)
+    if failure is not None:
+        raise failure
     return side
 
 

@@ -42,7 +42,7 @@ import math
 import os
 from bisect import bisect_left
 from itertools import accumulate
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .config import DEBUG, AnalysisConfig, log
 from .errors import ErrorProfile, map_errors
@@ -176,7 +176,7 @@ def _mention_count(doc: Document) -> int:
 
 
 def analyze_each(
-    documents: Sequence[Document],
+    documents: Iterable[Document],
     schema: Schema,
     config: AnalysisConfig | None,
     per_document: Callable[[DocumentAnalysis], object],
@@ -190,9 +190,15 @@ def analyze_each(
     must be a module-level function, so that it pickles by reference.
     The documents are split over at most ``parallel`` processes counting
     this one, one per document, per usable CPU and per ``MENTIONS_PER_PROCESS`` mentions.
+
+    Each document is dropped once analyzed, so given the only reference to
+    the documents (the CLI passes an iterator over the list ``load_corpus``
+    returns, which it keeps nowhere else) their memory goes back as the
+    results grow. A caller's own list is left as it was.
     """
     config = config or AnalysisConfig()
     ordered = sorted(documents, key=lambda d: d.doc_id)
+    del documents  # from here on, ``ordered`` may hold the only references
     workers = min(parallel, len(ordered), _usable_cpus())
     if workers > 1:
         counts = [_mention_count(doc) for doc in ordered]
@@ -200,7 +206,7 @@ def analyze_each(
         workers = max(1, min(workers, mentions // MENTIONS_PER_PROCESS))
         log(DEBUG, "%d documents, %d mentions: %d process(es)", len(ordered), mentions, workers)
     if workers < 2:
-        return [per_document(analyze_document(doc, schema, config, derive)) for doc in ordered]
+        return _analyze_draining(ordered, schema, config, derive, per_document)
     # Imported here: a run that starts no pool skips loading multiprocessing.
     from concurrent.futures import ProcessPoolExecutor
 
@@ -208,15 +214,27 @@ def analyze_each(
     # of the mentions, leaving each of the workers - 1 pool processes a document.
     own = min(bisect_left(list(accumulate(counts)), mentions // workers) + 1, len(ordered) - workers + 1)
     rest = ordered[own:]
+    del ordered[own:]
     chunksize = math.ceil(len(rest) / (4 * (workers - 1)))
     pool = ProcessPoolExecutor(
         workers - 1, initializer=_start_worker, initargs=(rest, schema, config, derive, per_document)
     )
     try:
         pooled = pool.map(_analyze_nth, range(len(rest)), chunksize=chunksize)
-        results = [per_document(analyze_document(doc, schema, config, derive)) for doc in ordered[:own]]
+        results = _analyze_draining(ordered, schema, config, derive, per_document)
         results += pooled
     finally:
         # On an error, queued chunks are dropped rather than waited for.
         pool.shutdown(cancel_futures=True)
+    return results
+
+
+def _analyze_draining(
+    ordered: list[Document], schema: Schema, config: AnalysisConfig, derive: bool, per_document: Callable
+) -> list:
+    """``per_document`` of each analysis of ``ordered``, which ends empty: no document outlives its analysis here."""
+    ordered.reverse()
+    results = []
+    while ordered:
+        results.append(per_document(analyze_document(ordered.pop(), schema, config, derive)))
     return results

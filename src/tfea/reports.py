@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import io
 import json
+from itertools import islice
 from typing import Iterable
 
 from . import __version__
@@ -164,8 +165,23 @@ def build_report(
     return assemble_report(map(document_row, analysis.documents), analysis.schema, config, label, include_errors)
 
 
+_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True, indent=2)
+RENDER_BATCH = 4096  # encoder chunks joined at a time
+
+
 def render_json(report: dict) -> str:
-    return json.dumps(report, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(report, ensure_ascii=False, sort_keys=True, indent=2)`` and a newline.
+
+    ``json.dumps`` lists every chunk of the encoder (one per key, value and
+    indent: tens of thousands on a corpus) before it joins them; joining
+    them in batches holds at most one batch of chunks next to the text.
+    """
+    chunks = _ENCODER.iterencode(report)
+    batches = []
+    while batch := list(islice(chunks, RENDER_BATCH)):
+        batches.append("".join(batch))
+    batches.append("\n")
+    return "".join(batches)
 
 
 def render_csv(report: dict) -> str:

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import concurrent.futures
+import importlib.util
 import json
 import os
 import random
+import sys
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -29,6 +32,15 @@ def child_env(*paths: str, **variables: str) -> dict[str, str]:
     if "PYTHONDONTWRITEBYTECODE" in os.environ:
         env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
     return env
+
+
+def write_bench_inputs(workload: str, seed: int, directory: Path) -> None:
+    """Write the gold, pred, schema and ledger files of the benchmark's ``workload`` at ``seed`` into ``directory``."""
+    spec = importlib.util.spec_from_file_location("workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+    # Registered before it runs: its dataclasses look their module up by name.
+    workloads = sys.modules["workloads"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    workloads.write_inputs(workloads.WORKLOADS[workload], seed, directory)
 
 
 def usable_cpus(monkeypatch, count: int | None) -> None:

@@ -756,6 +756,18 @@ def test_unwritable_output_is_an_error(tmp_path, corpus_files, capsys, command, 
     assert "Traceback" not in err
 
 
+def test_output_path_holding_a_nul_is_an_error(tmp_path, corpus_files, capsys):
+    """Only an in-process caller of ``main`` can pass a NUL (a command line cannot): one error line, no file."""
+    gold, pred, schema = corpus_files
+    before = sorted(tmp_path.iterdir())
+    out = f"{tmp_path}/x\0y"
+    assert main(_analyze_args(gold, pred, schema, out)) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {out}: embedded null byte\n"
+    assert captured.out == ""
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def _with_surrogate_doc_id(*paths) -> None:
     """Rename the first document of each corpus file to ``d`` and a lone surrogate, written as a JSON escape."""
     for path in paths:

@@ -166,3 +166,91 @@ def test_any_damaged_subtree_loads_as_the_reference_loads_it(tmp_path_factory, s
     assert _outcome(load_side, path, schema, gold, casefold) == _outcome(
         load_side_reference, path, schema, gold, casefold
     )
+
+
+TEXT_DAMAGE = (
+    "truncate",
+    "insert",
+    "delete",
+    "repeated doc ids",
+    "byte order mark",
+    "trailing data",
+    "empty object, trailing data",
+    "array",
+    "deep entry",
+    "warning, then syntax error",
+    "bad entry, then syntax error",
+)
+
+
+def _damaged_text(payload: dict, gold: bool, kind: str, offset: int, top: bool, char: str, layout: dict) -> str:
+    """The serialized side ``payload`` with ``kind`` of damage done to its text.
+
+    A truncation, insertion or deletion is at ``offset``, taken among the
+    offsets around the top level's tokens (each doc id, its colon, the
+    separators and the closing brace) when ``top``, or anywhere. ``layout``
+    holds ``json.dumps``' whitespace settings.
+    """
+    if kind.endswith(", then syntax error"):
+        # The first entry logs a WARNING (a span outside its document), or is
+        # no document entry; the file ends in a syntax error.
+        mention = {"text": "x", "start": 3, "end": 4}
+        first = {"doctext": "x", "templates": [{"agent": [[mention] if gold else mention]}]}
+        payload = {"first": first if kind.startswith("warning") else {"doctext": 1}, **payload}
+        return json.dumps(payload, **layout)[:-1] + ",}"
+    if kind == "empty object, trailing data":
+        return json.dumps({}, **layout) + char
+    text = json.dumps(payload, **layout)
+    if top:
+        colon = layout.get("separators", (",", ": "))[1]
+        keys = [text.index(json.dumps(doc_id) + colon) for doc_id in payload]
+        around = [at + step for at in [*keys, len(text) - 1] for step in range(-3, 12)]
+        at = min(max(around[offset % len(around)], 0), len(text))
+    else:
+        at = offset % (len(text) + 1)
+    if kind == "truncate":
+        return text[:at]
+    if kind == "insert":
+        return text[:at] + char + text[at:]
+    if kind == "delete":
+        return text[:at] + text[at + 1 :]
+    if kind == "repeated doc ids":
+        # Every member again, last first: the first id repeated is still the first one given.
+        again = ", ".join(f"{json.dumps(doc_id)}: {json.dumps(entry)}" for doc_id, entry in reversed(payload.items()))
+        return f"{text[:-1]}, {again}}}"
+    if kind == "byte order mark":
+        return "\ufeff" + text
+    if kind == "trailing data":
+        return text + char
+    if kind == "array":
+        return f"[{text}]"
+    depth = 100_000  # "deep entry": far past the interpreter's recursion limit
+    return f'{{"deep": {"[" * depth}{"]" * depth}, {text[1:]}'
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 30),
+    gold=st.booleans(),
+    casefold=st.booleans(),
+    kind=st.sampled_from(TEXT_DAMAGE),
+    offset=st.integers(0, 10**6),
+    top=st.booleans(),
+    char=st.sampled_from(list('{}[]":, \n0-.etx\\')),
+    layout=st.sampled_from([{}, {"indent": 1}, {"separators": (" ,\n", " : ")}]),
+)
+def test_any_damaged_text_loads_as_the_reference_loads_it(
+    tmp_path_factory, seed, gold, casefold, kind, offset, top, char, layout
+):
+    """``load_side`` decodes one document at a time; damage to the text must still fail as a whole-file decode does.
+
+    That is: the same error at the same position, the same first repeated
+    doc id, and no WARNING logged when the file is not valid JSON.
+    """
+    documents, schema = fuzzed_corpus(seed, n_docs=2, max_templates=2)
+    text = _damaged_text(side_to_dict(documents, gold=gold), gold, kind, offset, top, char, layout)
+    path = tmp_path_factory.getbasetemp() / "text.json"
+    path.write_text(text, encoding="utf-8")
+    assert _outcome(load_side, path, schema, gold, casefold) == _outcome(
+        load_side_reference, path, schema, gold, casefold
+    )

@@ -144,6 +144,16 @@ class TestParallel:
         assert started == [workers - 1] * 2
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_callers_list_is_left_as_it_was(self, small_corpus, workers):
+        """``analyze_each`` drops each document once analyzed from its own sorted copy, not from the caller's list."""
+        documents, schema, _ = small_corpus
+        given = documents[::-1]
+        before = list(given)
+        rows = analyze_each(given, schema, AnalysisConfig(), document_row, workers)
+        assert [row[0] for row in rows] == sorted(doc.doc_id for doc in documents)
+        assert all(ours is theirs for ours, theirs in zip(given, before)) and len(given) == len(before)
+
     def test_no_more_workers_than_documents(self, small_corpus, started):
         """One process per document at most, the parent included: the pool gets one fewer."""
         documents, schema, _ = small_corpus
